@@ -50,15 +50,12 @@ from .recurrence import (
     y_step,
 )
 from .series import (
-    RadiusGuard,
     SeriesData,
     a_coeffs,
-    b_matrix,
     em_closed_sigma,
     em_genseries,
     g_values,
     phi_sigma_invariant,
-    radius_guard,
     residual_check,
 )
 
@@ -91,9 +88,6 @@ __all__ = [
     "em_scalar_check",
     "coeff_matrix_norms",
     "SeriesData",
-    "RadiusGuard",
-    "radius_guard",
-    "b_matrix",
     "a_coeffs",
     "g_values",
     "residual_check",

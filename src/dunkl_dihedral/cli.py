@@ -4,8 +4,12 @@ coefficients, in CSV or JSON.
 
 Exit codes: 0 success, 1 check failure, 2 domain error, 3 convergence error.
 Data goes to stdout, diagnostics to stderr.  Output is deterministic for a
-fixed argument list (including --seed).  The optional DUNKL_THREADS
-environment variable caps worker threads for the sample sweeps.
+fixed argument list (including --seed).
+
+Each component route returns the whole table E_0..E_M from one call with the
+signature (G, P, x, y, M) -> complex ndarray: ``recurrence.em_sequence``,
+``series.em_genseries``, ``polyalg.oracle_em`` and ``series.em_closed_sigma``
+(mirror-axis arguments only).  ``_em_values`` is the one dispatcher over them.
 """
 
 from __future__ import annotations
@@ -13,20 +17,25 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dihedral import is_sigma_invariant, make_group, orbit_pairings
+from .dihedral import (
+    DihedralGroup,
+    OrbitPairings,
+    PlanePoint,
+    is_sigma_invariant,
+    make_group,
+    orbit_pairings,
+)
 from .errors import ConsistencyError, ConvergenceError, DomainError
 from .kernel import check_ek_bound, check_em_bound, ek_series, ek_integral
 from .polyalg import ParameterK, oracle_em
 from .recurrence import em_sequence
-from .sampling import Instance, draw_instance
-from .series import a_coeffs, default_order, em_closed_sigma, em_genseries
+from .sampling import draw_instance
+from .series import a_coeffs, em_closed_sigma, em_genseries
 from . import __version__
 
 EXIT_OK = 0
@@ -50,45 +59,33 @@ class JobSpec:
     nu: int
 
 
+def _parse_floats(text: str, what: str, usage: str, counts: tuple[int, ...]) -> list[float]:
+    try:
+        parts = [float(p) for p in text.split(",")]
+    except ValueError:
+        parts = []
+    if len(parts) not in counts:
+        raise DomainError(f"cannot parse {what} from {text!r} (use {usage})")
+    return parts
+
+
 def _parse_complex(text: str) -> complex:
-    parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise DomainError(f"cannot parse complex number from {text!r} (use 're' or 're,im')")
+    parts = _parse_floats(text, "complex number", "'re' or 're,im'", (1, 2))
+    return complex(parts[0], parts[1] if len(parts) == 2 else 0.0)
 
 
 def _parse_point(text: str, *, allow_complex: bool) -> np.ndarray:
-    parts = [float(p) for p in text.split(",")]
+    parts = _parse_floats(text, "plane point", "'a,b' or 'a,b,c,d'", (2, 4))
     if len(parts) == 2:
         return np.array(parts)
-    if len(parts) == 4:
-        pt = np.array([complex(parts[0], parts[2]), complex(parts[1], parts[3])])
-        if not allow_complex and np.max(np.abs(pt.imag)) > 0:
-            raise DomainError("the x argument must be a real plane point")
-        return pt.real if not allow_complex else pt
-    raise DomainError(f"cannot parse plane point from {text!r} (use 'a,b' or 'a,b,c,d')")
+    pt = np.array([complex(parts[0], parts[2]), complex(parts[1], parts[3])])
+    if not allow_complex and np.max(np.abs(pt.imag)) > 0:
+        raise DomainError("the x argument must be a real plane point")
+    return pt.real if not allow_complex else pt
 
 
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
-
-
-def _threads() -> int:
-    raw = os.environ.get("DUNKL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    workers = _threads()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 def _meta(spec: JobSpec) -> dict:
@@ -128,30 +125,31 @@ def _emit(spec: JobSpec, header: list[str], rows: list[list], out) -> None:
 # subcommands
 
 
-def _em_values(spec: JobSpec, method: str) -> np.ndarray:
-    G = make_group(spec.n)
-    P = ParameterK(spec.k, spec.n)
+def _methods(orbit: OrbitPairings) -> list[str]:
+    """The component routes that apply to an argument pair."""
+    return ["recurrence", "genseries", "oracle"] + (["sigma"] if is_sigma_invariant(orbit) else [])
+
+
+def _em_values(
+    method: str, G: DihedralGroup, P: ParameterK, x: PlanePoint, y: PlanePoint, M: int
+) -> np.ndarray:
+    """The table E_0..E_M by one route.  The route functions are looked up
+    as module globals at call time, so wrappers installed on this module's
+    attributes (profilers, tracers) see every call."""
     if method == "recurrence":
-        return em_sequence(G, P, spec.x, spec.y, spec.m_max)
+        return em_sequence(G, P, x, y, M)
     if method == "genseries":
-        orbit = orbit_pairings(G, spec.x, spec.y)
-        S = a_coeffs(P, orbit, default_order(spec.m_max))
-        return np.array(
-            [em_genseries(P, orbit, orbit.xy, S, m) for m in range(spec.m_max + 1)]
-        )
+        return em_genseries(G, P, x, y, M)
     if method == "oracle":
-        return np.array(
-            [oracle_em(G, P, spec.x, spec.y, m) for m in range(spec.m_max + 1)]
-        )
+        return oracle_em(G, P, x, y, M)
     if method == "sigma":
-        return np.array(
-            [em_closed_sigma(G, P, spec.x, spec.y, m) for m in range(spec.m_max + 1)]
-        )
+        return em_closed_sigma(G, P, x, y, M)
     raise DomainError(f"unknown component method {method!r}")
 
 
 def cmd_em(spec: JobSpec, out) -> int:
-    values = _em_values(spec, spec.method)
+    G, P = make_group(spec.n), ParameterK(spec.k, spec.n)
+    values = _em_values(spec.method, G, P, spec.x, spec.y, spec.m_max)
     rows = [[m, float(values[m].real), float(values[m].imag)] for m in range(len(values))]
     _emit(spec, ["m", "re", "im"], rows, out)
     return EXIT_OK
@@ -188,59 +186,40 @@ def _rel_disc(a: complex, b: complex) -> float:
     return abs(a - b) / scale if scale > 0 else 0.0
 
 
-def _crosscheck_one(args) -> tuple[int, Instance, float, bool]:
-    idx, inst, m_max = args
-    G, P = inst.group(), inst.parameter()
-    orbit = orbit_pairings(G, inst.x, inst.y)
-    S = a_coeffs(P, orbit, default_order(m_max))
-    table = {
-        "recurrence": em_sequence(G, P, inst.x, inst.y, m_max),
-        "genseries": np.array(
-            [em_genseries(P, orbit, orbit.xy, S, m) for m in range(m_max + 1)]
-        ),
-        "oracle": np.array(
-            [oracle_em(G, P, inst.x, inst.y, m) for m in range(m_max + 1)]
-        ),
-    }
-    sigma = is_sigma_invariant(orbit)
-    if sigma:
-        table["sigma"] = np.array(
-            [em_closed_sigma(G, P, inst.x, inst.y, m) for m in range(m_max + 1)]
-        )
+def _crosscheck_one(
+    G: DihedralGroup, P: ParameterK, x: PlanePoint, y: PlanePoint, m_max: int
+) -> tuple[float, bool]:
+    """Worst relative discrepancy between the applicable routes' tables, and
+    whether the mirror-axis route was among them."""
+    methods = _methods(orbit_pairings(G, x, y))
+    table = {method: _em_values(method, G, P, x, y, m_max) for method in methods}
     names = sorted(table)
     worst = 0.0
     for i, u in enumerate(names):
         for v in names[i + 1 :]:
             for m in range(m_max + 1):
                 worst = max(worst, _rel_disc(table[u][m], table[v][m]))
-    return idx, inst, worst, sigma
+    return worst, "sigma" in table
 
 
 def cmd_crosscheck(spec: JobSpec, out) -> int:
     if spec.x is not None and spec.y is not None:
         # Single explicit instance: echo the per-method values.
+        G, P = make_group(spec.n), ParameterK(spec.k, spec.n)
         rows = []
-        methods = ["recurrence", "genseries", "oracle"]
-        orbit = orbit_pairings(make_group(spec.n), spec.x, spec.y)
-        if is_sigma_invariant(orbit):
-            methods.append("sigma")
-        for method in methods:
-            values = _em_values(spec, method)
+        for method in _methods(orbit_pairings(G, spec.x, spec.y)):
+            values = _em_values(method, G, P, spec.x, spec.y, spec.m_max)
             for m in range(spec.m_max + 1):
                 rows.append([method, m, float(values[m].real), float(values[m].imag)])
         _emit(spec, ["method", "m", "re", "im"], rows, out)
         return EXIT_OK
 
     rng = np.random.default_rng(spec.seed)
-    insts = []
-    for i in range(spec.samples):
-        insts.append(
-            (i, draw_instance(rng, sigma_invariant=(i % 5 == 4), min_xy=1e-3), spec.m_max)
-        )
-    results = _map_ordered(_crosscheck_one, insts)
     rows = []
     worst_overall = 0.0
-    for idx, inst, worst, sigma in results:
+    for idx in range(spec.samples):
+        inst = draw_instance(rng, sigma_invariant=(idx % 5 == 4), min_xy=1e-3)
+        worst, sigma = _crosscheck_one(inst.group(), inst.parameter(), inst.x, inst.y, spec.m_max)
         worst_overall = max(worst_overall, worst)
         rows.append(
             [

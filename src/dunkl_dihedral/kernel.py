@@ -19,7 +19,7 @@ from .dihedral import DihedralGroup, OrbitPairings, PlanePoint, orbit_pairings
 from .errors import ConvergenceError, DomainError
 from .polyalg import ParameterK, pochhammer_table
 from .recurrence import coeff_matrix_norms, em_sequence, initial_state, y_step
-from .series import SeriesData, a_coeffs, default_order, em_closed_sigma, eval_phi
+from .series import SeriesData, a_coeffs, em_closed_sigma
 
 MAX_TERMS = 500
 MAX_CONTOUR_NODES = 2**14
@@ -86,6 +86,11 @@ def delta_effective(P: ParameterK) -> DeltaConstant:
 # certified series summation
 
 
+def _require_tol(tol: float) -> None:
+    if not (tol > 0 and math.isfinite(tol)):
+        raise DomainError("tolerance must be positive and finite")
+
+
 def _log_abs_pochhammer(gamma: complex, M: int) -> np.ndarray:
     out = np.empty(M + 1)
     out[0] = 0.0
@@ -107,8 +112,7 @@ def certified_terms(
     beyond M is at most twice the first omitted bound.  Everything is done in
     log space to dodge overflow during the scan.
     """
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
+    _require_tol(tol)
     if delta_a == 0.0:
         return 0, 0.0
     g = P.gamma
@@ -143,8 +147,7 @@ def ek_series(
     """Kernel value by summing components until the certified tail is below
     tol.  Shortcuts: k = 0 gives exp(<x,y>) exactly; a vanishing orbit bound
     gives 1 exactly."""
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
+    _require_tol(tol)
     if P.k == 0:
         orbit = orbit_pairings(G, x, y)
         return KernelResult(
@@ -180,15 +183,14 @@ def ek_sigma_closed(
 ) -> KernelResult:
     """Kernel value by summing the closed-form components (mirror-axis
     arguments only), with the same certified tail rule as ek_series."""
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
+    _require_tol(tol)
     P.require_regular()
     orbit = orbit_pairings(G, x, y)
     if orbit.a_bound == 0.0:
         return KernelResult(value=1.0 + 0.0j, method="sigma-closed", terms_used=1)
     da = delta_effective(P).delta_effective * orbit.a_bound
     M, tail = certified_terms(P, da, tol)
-    total = sum(em_closed_sigma(G, P, x, y, m) for m in range(M + 1))
+    total = sum(em_closed_sigma(G, P, x, y, M))
     return KernelResult(
         value=complex(total), method="sigma-closed", terms_used=M + 1, tail_estimate=tail
     )
@@ -199,12 +201,12 @@ def ek_sigma_closed(
 
 
 def series_for_radius(
-    P: ParameterK, orbit: OrbitPairings, rho: float, tol: float, m_target: int = 0
+    P: ParameterK, orbit: OrbitPairings, rho: float, tol: float
 ) -> SeriesData:
     """Series data truncated so the generating-function tail on |z| = rho is
-    below tol: order doubled until (2n/|gamma|)(delta a rho)^(P+1)/(1-da rho)
-    drops under the target."""
-    order = default_order(m_target)
+    below tol: order doubled from 40 until
+    (2n/|gamma|)(delta a rho)^(P+1)/(1-da rho) drops under the target."""
+    order = 40
     da_rho = delta_effective(P).delta_effective * orbit.a_bound * rho
     if da_rho >= 1.0:
         raise DomainError(
@@ -223,16 +225,19 @@ def kernel_K(
     P: ParameterK,
     orbit: OrbitPairings,
     S: SeriesData,
-    t: float,
+    t: float | np.ndarray,
     rho: float,
     N: int,
-) -> complex:
-    """Contour kernel at time t: (gamma^2/2n) times the mean over N equally
-    spaced points of rho * e^{i theta} of Phi(z) e^{t/z} / (1 - z <x,y>)
-    (the trapezoidal rule, spectrally accurate for periodic analytic data)."""
+) -> complex | np.ndarray:
+    """Contour kernel at the time t, a scalar or an array: (gamma^2/2n) times
+    the mean over N equally spaced points of rho * e^{i theta} of
+    Phi(z) e^{t/z} / (1 - z <x,y>) (the trapezoidal rule, spectrally accurate
+    for periodic analytic data).  Returns a complex for scalar t, else an
+    array shaped like t."""
     if N < 8:
         raise DomainError("contour rule needs at least 8 nodes")
-    if not (0.0 <= t <= 1.0):
+    t = np.asarray(t, dtype=float)
+    if not np.all((0.0 <= t) & (t <= 1.0)):
         raise DomainError("time parameter t must lie in [0, 1]")
     if not (rho > 0.0 and math.isfinite(rho)):
         raise DomainError("contour radius must be positive and finite")
@@ -240,9 +245,14 @@ def kernel_K(
     denom = 1.0 - nodes * orbit.xy
     if np.min(np.abs(denom)) < 1e-12:
         raise DomainError("contour passes through the geometric-series pole")
-    phi_vals = np.polynomial.polynomial.polyval(nodes, S.phi)
-    vals = phi_vals * np.exp(t / nodes) / denom
-    return complex((P.gamma**2 / (2.0 * P.n)) * np.mean(vals))
+    pref = (
+        (P.gamma**2 / (2.0 * P.n))
+        * np.polynomial.polynomial.polyval(nodes, S.phi)
+        / denom
+        / N
+    )
+    vals = np.exp(np.multiply.outer(t, 1.0 / nodes)) @ pref
+    return complex(vals) if t.ndim == 0 else vals
 
 
 def _panel_nodes(levels: int, splits: int, gl_order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -283,8 +293,7 @@ def ek_integral(
     roughly 10 double precision cannot reach tight tolerances; use the series
     route there.
     """
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
+    _require_tol(tol)
     P.require_regular()
     g = P.gamma
     if g.real <= 0:
@@ -306,18 +315,8 @@ def ek_integral(
     L = min(60, max(6, math.ceil(math.log2(100.0 / tol) / (q * g.real))))
 
     def one_pass(N: int, splits: int) -> complex:
-        nodes = rho * np.exp(2j * np.pi * np.arange(N) / N)
-        denom = 1.0 - nodes * orbit.xy
-        if np.min(np.abs(denom)) < 1e-12:
-            raise DomainError("contour passes through the geometric-series pole")
-        pref = (
-            (P.gamma**2 / (2.0 * P.n))
-            * np.polynomial.polynomial.polyval(nodes, S.phi)
-            / denom
-            / N
-        )
         u, w = _panel_nodes(L, splits, 16)
-        k_vals = np.exp(np.outer(1.0 - u**q, 1.0 / nodes)) @ pref
+        k_vals = kernel_K(P, orbit, S, 1.0 - u**q, rho, N)
         weight = q * np.exp((qg - 1.0) * np.log(u))
         return complex(np.sum(w * weight * k_vals))
 

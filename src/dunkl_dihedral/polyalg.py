@@ -10,9 +10,10 @@ primary correctness argument.
 
 from __future__ import annotations
 
+import cmath
 import math
-import threading
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,6 +45,8 @@ class ParameterK:
 
     def __post_init__(self):
         object.__setattr__(self, "k", complex(self.k))
+        if not cmath.isfinite(self.k):
+            raise DomainError(f"parameter k = {self.k} must be finite")
         object.__setattr__(self, "gamma", self.n * complex(self.k))
 
     def regularity_margin(self) -> float:
@@ -220,13 +223,6 @@ class Poly2:
         idx = np.arange(m + 1)
         return self.c[idx, m - idx].copy()
 
-    def degrees_present(self, tol: float = 0.0) -> list[int]:
-        return [
-            m
-            for m in range(self.degree + 1)
-            if np.max(np.abs(self.homogeneous_vector(m))) > tol
-        ]
-
     def is_homogeneous(self, m: int, tol: float = 1e-12) -> bool:
         scale = max(self.coeff_norm(), 1.0)
         return all(
@@ -368,8 +364,12 @@ def h_op(G: DihedralGroup, P: ParameterK, m: int, f: Poly2) -> Poly2:
 # degree-preserving intertwining map, built degree by degree
 
 
-_VK_CACHE: dict[tuple[int, complex], list[np.ndarray]] = {}
-_VK_LOCK = threading.Lock()  # list extension below is not idempotent
+@lru_cache(maxsize=32)
+def _vk_cache(n: int, k: complex) -> list[np.ndarray]:
+    """The intertwining matrices built so far for one (n, k), starting at
+    degree 0; _vk_matrices extends the list in place.  Bounded, so a sweep
+    over fresh k keeps only the most recent parameters."""
+    return [np.ones((1, 1), dtype=complex)]
 
 
 def _vk_matrices(G: DihedralGroup, P: ParameterK, mmax: int) -> list[np.ndarray]:
@@ -378,10 +378,7 @@ def _vk_matrices(G: DihedralGroup, P: ParameterK, mmax: int) -> list[np.ndarray]
     Degree m is built from degree m-1 through V p = sum_i x_i V(d_i(H p)),
     assembled as (m+1)x(m+1) matrices so repeated evaluations are cheap.
     """
-    key = (G.n, complex(P.k))
-    with _VK_LOCK:
-        mats = _VK_CACHE.setdefault(key, [np.ones((1, 1), dtype=complex)])
-        return _extend_vk(G, P, mats, mmax)
+    return _extend_vk(G, P, _vk_cache(G.n, complex(P.k)), mmax)
 
 
 def _extend_vk(
@@ -430,23 +427,27 @@ def intertwine(G: DihedralGroup, P: ParameterK, f: Poly2) -> Poly2:
 
 
 def oracle_em(
-    G: DihedralGroup, P: ParameterK, x: PlanePoint, y: PlanePoint, m: int
-) -> complex:
-    """Degree-m kernel component evaluated symbolically:
-    apply the intertwining map to <., y>^m, evaluate at x, divide by m!."""
-    if m < 0:
-        raise DomainError("component degree m must be nonnegative")
+    G: DihedralGroup, P: ParameterK, x: PlanePoint, y: PlanePoint, M: int
+) -> np.ndarray:
+    """Components E_0 .. E_M evaluated symbolically: for each degree m, apply
+    the intertwining map to <., y>^m, evaluate at x, divide by m!."""
+    if M < 0:
+        raise DomainError("component count M must be nonnegative")
     xa = _as_point(x)
     if xa.dtype.kind == "c" and np.max(np.abs(xa.imag)) > 0:
         raise DomainError("the first argument must be a real plane point")
-    if m == 0:
-        return 1.0 + 0.0j
+    out = np.empty(M + 1, dtype=complex)
+    out[0] = 1.0
+    if M == 0:
+        return out
     P.require_regular()
+    mats = _vk_matrices(G, P, M)
     ya = _as_point(y).astype(complex)
-    v = np.array(
-        [math.comb(m, a) * ya[0] ** a * ya[1] ** (m - a) for a in range(m + 1)]
-    )
-    w = _vk_matrices(G, P, m)[m] @ v
     xr = xa.astype(float)
-    powers = np.array([xr[0] ** a * xr[1] ** (m - a) for a in range(m + 1)])
-    return complex(np.dot(w, powers) / math.factorial(m))
+    for m in range(1, M + 1):
+        v = np.array(
+            [math.comb(m, a) * ya[0] ** a * ya[1] ** (m - a) for a in range(m + 1)]
+        )
+        powers = np.array([xr[0] ** a * xr[1] ** (m - a) for a in range(m + 1)])
+        out[m] = np.dot(mats[m] @ v, powers) / math.factorial(m)
+    return out

@@ -39,44 +39,6 @@ class SeriesData:
     phi: np.ndarray  # (order + 1,) complex
 
 
-@dataclass(frozen=True)
-class RadiusGuard:
-    """Safe evaluation radius for the series: rho_default is half the
-    guaranteed radius of convergence 1/(delta * a), or infinity when the
-    orbit bound vanishes."""
-
-    a_bound: float
-    delta: float
-    rho_default: float
-
-    def __post_init__(self):
-        if self.delta < 1.0:
-            raise DomainError("radius-safety constant must be >= 1")
-
-
-def radius_guard(delta: float, a_bound: float) -> RadiusGuard:
-    rho = math.inf if a_bound == 0.0 else 1.0 / (2.0 * delta * a_bound)
-    return RadiusGuard(a_bound=a_bound, delta=delta, rho_default=rho)
-
-
-def default_order(m: int) -> int:
-    """Default truncation order when targeting the degree-m component."""
-    return max(2 * m, 40)
-
-
-def b_matrix(P: ParameterK, orbit: OrbitPairings, p: int) -> np.ndarray:
-    """Order-p convolution matrix from the (p+1)-th power sums of the orbit
-    pairings: (gamma/2n) * [[S+, -S-], [S-, -S+]]."""
-    if p < 0:
-        raise DomainError("matrix order p must be nonnegative")
-    rp = np.sum(orbit.rot_pairings ** (p + 1))
-    sp = np.sum(orbit.refl_pairings ** (p + 1))
-    s_plus = rp + sp
-    s_minus = rp - sp
-    pref = P.gamma / (2.0 * P.n)
-    return pref * np.array([[s_plus, -s_minus], [s_minus, -s_plus]])
-
-
 def a_coeffs(P: ParameterK, orbit: OrbitPairings, Pmax: int) -> SeriesData:
     """Series data through order Pmax.
 
@@ -176,24 +138,31 @@ def residual_check(
     return float(np.linalg.norm(qp - rhs))
 
 
+def _cauchy_prefixes(c: np.ndarray, s: complex) -> list[complex]:
+    """sum_{j<=m} c[j] s^(m-j) for every m: the Cauchy products of c with the
+    geometric series of s, by one cumulative Horner pass
+    acc_m = s * acc_{m-1} + c[m]."""
+    acc, out = 0.0 + 0.0j, []
+    for cm in c:
+        acc = acc * s + cm
+        out.append(acc)
+    return out
+
+
 def em_genseries(
-    P: ParameterK, orbit: OrbitPairings, xy_pair: complex, S: SeriesData, m: int
-) -> complex:
-    """Degree-m component as the m-th Cauchy-product coefficient of
+    G: DihedralGroup, P: ParameterK, x: PlanePoint, y: PlanePoint, M: int
+) -> np.ndarray:
+    """Components E_0 .. E_M as the Cauchy-product coefficients of
     (gamma/2n) * Phi against the geometric series of <x,y>."""
-    if m < 0:
-        raise DomainError("component degree m must be nonnegative")
-    if m > S.order:
-        raise DomainError(
-            f"degree {m} exceeds the series truncation order {S.order}",
-            code="range-error",
-        )
-    s = complex(xy_pair)
-    acc = 0.0 + 0.0j
-    for j in range(m + 1):
-        acc = acc * s + S.phi[j]  # Horner over sum_j phi[j] s^(m-j)
-    poch = pochhammer_table(P, m).values[m]
-    return complex((P.gamma / (2.0 * P.n)) * acc / poch)
+    if M < 0:
+        raise DomainError("component count M must be nonnegative")
+    orbit = orbit_pairings(G, x, y)
+    S = a_coeffs(P, orbit, M)
+    pref = P.gamma / (2.0 * P.n)
+    poch = pochhammer_table(P, M).values
+    return np.array(
+        [pref * acc / p for acc, p in zip(_cauchy_prefixes(S.phi, orbit.xy), poch)]
+    )
 
 
 def _require_sigma_invariant(orbit: OrbitPairings) -> None:
@@ -223,31 +192,27 @@ def phi_sigma_invariant(P: ParameterK, orbit: OrbitPairings, z: complex) -> comp
 
 
 def em_closed_sigma(
-    G: DihedralGroup, P: ParameterK, x: PlanePoint, y: PlanePoint, m: int
-) -> complex:
-    """Closed-form degree-m component for mirror-axis arguments.
+    G: DihedralGroup, P: ParameterK, x: PlanePoint, y: PlanePoint, M: int
+) -> np.ndarray:
+    """Closed-form components E_0 .. E_M for mirror-axis arguments.
 
     The inner multinomial sum over compositions is computed by convolving the
-    n univariate binomial series sum_v (k)_v / v! c_i^v z^v up to order m,
+    n univariate binomial series sum_v (k)_v / v! c_i^v z^v up to order M,
     which produces identical coefficients at polynomial cost.
     """
-    if m < 0:
-        raise DomainError("component degree m must be nonnegative")
+    if M < 0:
+        raise DomainError("component count M must be nonnegative")
     P.require_regular()
     orbit = orbit_pairings(G, x, y)
     _require_sigma_invariant(orbit)
 
-    inner = np.zeros(m + 1, dtype=complex)
+    inner = np.zeros(M + 1, dtype=complex)
     inner[0] = 1.0
-    k_rising = rising_factorials(P.k, m)
-    factorials = np.array([math.factorial(v) for v in range(m + 1)], dtype=float)
+    k_rising = rising_factorials(P.k, M)
+    factorials = np.array([math.factorial(v) for v in range(M + 1)], dtype=float)
     for c in orbit.rot_pairings:
-        term = (k_rising / factorials) * np.power(c, np.arange(m + 1))
-        inner = np.convolve(inner, term)[: m + 1]
+        term = (k_rising / factorials) * np.power(c, np.arange(M + 1))
+        inner = np.convolve(inner, term)[: M + 1]
 
-    s = orbit.xy
-    acc = 0.0 + 0.0j
-    for j in range(m + 1):
-        acc = acc * s + inner[j]
-    poch = pochhammer_table(P, m).values[m]
-    return complex(acc / poch)
+    poch = pochhammer_table(P, M).values
+    return np.array([acc / p for acc, p in zip(_cauchy_prefixes(inner, orbit.xy), poch)])

@@ -10,8 +10,11 @@ from dunkl_dihedral.cli import (
     EXIT_CONVERGENCE_ERROR,
     EXIT_DOMAIN_ERROR,
     EXIT_OK,
+    _em_values,
     main,
 )
+from dunkl_dihedral.dihedral import make_group
+from dunkl_dihedral.polyalg import ParameterK
 
 
 def run_cli(argv):
@@ -199,10 +202,31 @@ def test_complex_x_rejected():
     assert code == EXIT_DOMAIN_ERROR
 
 
-def test_thread_cap_does_not_change_output(monkeypatch):
-    argv = ["crosscheck", "--seed", "11", "--samples", "12", "--tol", "1e-8"]
-    code_seq, out_seq = run_cli(argv)
-    monkeypatch.setenv("DUNKL_THREADS", "4")
-    code_par, out_par = run_cli(argv)
-    assert code_seq == code_par == EXIT_OK
-    assert out_seq == out_par
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["em", "--n", "3", "--k", "0.5", "--x=abc,1", "--y", "1,1"],
+        ["em", "--n", "3", "--k", "0.5", "--x", "1,0", "--y", "1,1,x,0"],
+        ["kernel", "--n", "3", "--k", "x", "--x", "1,0", "--y", "1,1"],
+        ["kernel", "--n", "3", "--k", "nan", "--x", "1,0", "--y", "1,1"],
+        ["kernel", "--n", "3", "--k", "0.5,inf", "--x", "1,0", "--y", "1,1"],
+        ["em", "--n", "3", "--k", "inf", "--x", "1,0", "--y", "1,1"],
+        ["kernel", "--n", "3", "--k", "0.5", "--x", "1,0", "--y", "1,1", "--tol", "nan"],
+        ["kernel", "--n", "3", "--k", "0.5", "--x", "1,0", "--y", "1,1", "--tol", "inf",
+         "--method", "integral"],
+    ],
+)
+def test_malformed_input_is_a_domain_error(argv, capsys):
+    assert run_cli(argv)[0] == EXIT_DOMAIN_ERROR
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["recurrence", "genseries", "oracle", "sigma"])
+def test_route_tables_are_prefix_consistent(method):
+    # mirror-axis x and complex y, so every route applies
+    G, P = make_group(5), ParameterK(0.35 - 0.15j, 5)
+    x, y = (0.9, 0.0), np.array([0.5 + 0.1j, 0.8 - 0.2j])
+    full = _em_values(method, G, P, x, y, 24)
+    assert full.shape == (25,)
+    for m in (0, 1, 7, 23):
+        np.testing.assert_array_equal(full[: m + 1], _em_values(method, G, P, x, y, m))

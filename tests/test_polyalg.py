@@ -10,6 +10,7 @@ from dunkl_dihedral.dihedral import make_group, pairing
 from dunkl_dihedral.errors import DomainError
 from dunkl_dihedral.polyalg import (
     ParameterK,
+    _vk_cache,
     Poly2,
     a_op,
     dunkl_apply,
@@ -257,7 +258,7 @@ def test_intertwining_identity(n, xi, rng):
 
 def test_oracle_em_degree_zero():
     G = make_group(3)
-    assert oracle_em(G, ParameterK(0.5, 3), (1.0, 0.5), (0.3, 0.4), 0) == 1.0
+    assert oracle_em(G, ParameterK(0.5, 3), (1.0, 0.5), (0.3, 0.4), 0)[0] == 1.0
 
 
 def test_oracle_em_degree_one(rng):
@@ -266,14 +267,23 @@ def test_oracle_em_degree_one(rng):
     x = rng.uniform(-1, 1, size=2)
     y = rng.uniform(-1, 1, size=2)
     expected = pairing(x, y) / (1.0 + P.gamma)
-    assert rel_err(oracle_em(G, P, x, y, 1), expected) <= 1e-13
+    assert rel_err(oracle_em(G, P, x, y, 1)[1], expected) <= 1e-13
 
 
 def test_oracle_em_frozen_value():
     # hand-evaluated through the scalar orbit recurrence: exactly 1/5
     G = make_group(3)
-    val = oracle_em(G, ParameterK(0.5, 3), (1.0, 0.0), (1.0, 1.0), 2)
+    val = oracle_em(G, ParameterK(0.5, 3), (1.0, 0.0), (1.0, 1.0), 2)[2]
     assert rel_err(val, 0.2) <= 1e-12
+
+
+def test_vk_cache_stays_bounded():
+    # every fresh k adds a key; the cache keeps only the most recent ones
+    G = make_group(3)
+    maxsize = _vk_cache.cache_info().maxsize
+    for i in range(maxsize + 8):
+        oracle_em(G, ParameterK(0.3 + 0.001 * i, 3), (1.0, 0.5), (0.3, 0.4), 3)
+    assert _vk_cache.cache_info().currsize <= maxsize
 
 
 def test_oracle_rejects_complex_x():

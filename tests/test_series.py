@@ -13,14 +13,12 @@ from dunkl_dihedral.sampling import draw_instance
 from dunkl_dihedral.series import (
     SeriesData,
     a_coeffs,
-    b_matrix,
     em_closed_sigma,
     em_genseries,
     eval_phi,
     eval_q,
     g_values,
     phi_sigma_invariant,
-    radius_guard,
     residual_check,
 )
 
@@ -47,7 +45,7 @@ def test_b0_vanishes(rng):
         inst = draw_instance(rng)
         P = inst.parameter()
         orbit = orbit_pairings(inst.group(), inst.x, inst.y)
-        B0 = b_matrix(P, orbit, 0)
+        B0 = a_coeffs(P, orbit, 1).B[0]
         assert np.max(np.abs(B0)) <= 1e-12 * abs(P.gamma) * orbit.a_bound + 1e-300
 
 
@@ -56,7 +54,7 @@ def test_b_matrix_x_zero():
     P = ParameterK(0.5, 3)
     orbit = orbit_pairings(G, (0.0, 0.0), (1.0, 1.0))
     for p in range(5):
-        assert np.all(b_matrix(P, orbit, p) == 0)
+        assert np.all(a_coeffs(P, orbit, p + 1).B[p] == 0)
 
 
 def test_b_matrix_frozen_n2():
@@ -64,7 +62,7 @@ def test_b_matrix_frozen_n2():
     G = make_group(2)
     P = ParameterK(0.5, 2)
     orbit = orbit_pairings(G, (1.0, 0.0), (1.0, 0.0))
-    B1 = b_matrix(P, orbit, 1)
+    B1 = a_coeffs(P, orbit, 2).B[1]
     g = P.gamma
     assert np.allclose(B1, [[g, 0], [0, -g]], atol=1e-15)
 
@@ -99,14 +97,6 @@ def test_regularity_error_names_offender():
     orbit = orbit_pairings(G, (1.0, 0.0), (0.5, 0.5))
     with pytest.raises(DomainError, match="p = 4"):
         a_coeffs(P, orbit, 10)
-
-
-def test_radius_guard():
-    rg = radius_guard(2.0, 0.5)
-    assert rg.rho_default * rg.delta * rg.a_bound == pytest.approx(0.5)
-    assert math.isinf(radius_guard(1.5, 0.0).rho_default)
-    with pytest.raises(DomainError):
-        radius_guard(0.5, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -231,33 +221,22 @@ def test_uniqueness_regression(rng):
 
 def test_genseries_degree_zero_and_one(rng):
     inst = draw_instance(rng)
-    P = inst.parameter()
-    orbit = orbit_pairings(inst.group(), inst.x, inst.y)
-    S = a_coeffs(P, orbit, 10)
-    assert rel_err(em_genseries(P, orbit, orbit.xy, S, 0), 1.0) <= 1e-14
+    G, P = inst.group(), inst.parameter()
+    orbit = orbit_pairings(G, inst.x, inst.y)
+    ems = em_genseries(G, P, inst.x, inst.y, 1)
+    assert rel_err(ems[0], 1.0) <= 1e-14
     expected = orbit.xy / (1.0 + P.gamma)
-    assert rel_err(em_genseries(P, orbit, orbit.xy, S, 1), expected) <= 1e-12
+    assert rel_err(ems[1], expected) <= 1e-12
 
 
 def test_genseries_matches_recurrence(rng):
     for _ in range(6):
         inst = draw_instance(rng)
         G, P = inst.group(), inst.parameter()
-        orbit = orbit_pairings(G, inst.x, inst.y)
-        S = a_coeffs(P, orbit, 60)
         ems = em_sequence(G, P, inst.x, inst.y, 30)
+        gen = em_genseries(G, P, inst.x, inst.y, 30)
         for m in range(31):
-            val = em_genseries(P, orbit, orbit.xy, S, m)
-            assert rel_err(val, ems[m]) <= 1e-9
-
-
-def test_genseries_rejects_overrun():
-    G = make_group(2)
-    P = ParameterK(0.5, 2)
-    orbit = orbit_pairings(G, (1.0, 0.0), (1.0, 0.0))
-    S = a_coeffs(P, orbit, 5)
-    with pytest.raises(DomainError, match="truncation"):
-        em_genseries(P, orbit, orbit.xy, S, 6)
+            assert rel_err(gen[m], ems[m]) <= 1e-9
 
 
 def test_phi_bound(rng):
@@ -335,15 +314,16 @@ def test_em_closed_sigma_low_degrees(rng):
     inst = draw_instance(rng, sigma_invariant=True)
     G, P = inst.group(), inst.parameter()
     orbit = orbit_pairings(G, inst.x, inst.y)
-    assert em_closed_sigma(G, P, inst.x, inst.y, 0) == 1.0
+    closed = em_closed_sigma(G, P, inst.x, inst.y, 1)
+    assert closed[0] == 1.0
     expected = orbit.xy / (1.0 + P.gamma)
-    assert rel_err(em_closed_sigma(G, P, inst.x, inst.y, 1), expected) <= 1e-12
+    assert rel_err(closed[1], expected) <= 1e-12
 
 
 def test_em_closed_sigma_frozen_instance():
     G = make_group(2)
     P = ParameterK(0.5, 2)
-    closed = em_closed_sigma(G, P, (1.0, 0.0), (1.0, 1.0), 4)
+    closed = em_closed_sigma(G, P, (1.0, 0.0), (1.0, 1.0), 4)[4]
     ems = em_sequence(G, P, (1.0, 0.0), (1.0, 1.0), 4)
     assert rel_err(closed, ems[4]) <= 1e-10
 

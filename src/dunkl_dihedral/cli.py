@@ -31,7 +31,7 @@ from .dihedral import (
     orbit_pairings,
 )
 from .errors import ConsistencyError, ConvergenceError, DomainError
-from .kernel import check_ek_bound, check_em_bound, ek_series, ek_integral
+from .kernel import _require_tol, check_ek_bound, check_em_bound, ek_series, ek_integral
 from .polyalg import ParameterK, oracle_em
 from .recurrence import em_sequence
 from .sampling import draw_instance
@@ -214,6 +214,7 @@ def cmd_crosscheck(spec: JobSpec, out) -> int:
         _emit(spec, ["method", "m", "re", "im"], rows, out)
         return EXIT_OK
 
+    _require_tol(spec.tol)
     rng = np.random.default_rng(spec.seed)
     rows = []
     worst_overall = 0.0

@@ -17,13 +17,16 @@ import numpy as np
 
 from .dihedral import DihedralGroup, OrbitPairings, PlanePoint, orbit_pairings
 from .errors import ConvergenceError, DomainError
-from .polyalg import ParameterK, pochhammer_table
-from .recurrence import coeff_matrix_norms, em_sequence, initial_state, y_step
+from .polyalg import ParameterK
+from .recurrence import coeff_matrix_norms, em_sequence, orbit_em_table
 from .series import SeriesData, a_coeffs, em_closed_sigma
 
 MAX_TERMS = 500
 MAX_CONTOUR_NODES = 2**14
 _LOG_E2_HALF = 2.0 - math.log(2.0)  # log(e^2 / 2)
+_LOG_HALF = math.log(0.5)
+# Terms of the bound-constant summation scanned before giving up.
+_BOUND_SUM_TERMS = 5001
 
 
 @dataclass(frozen=True)
@@ -92,13 +95,20 @@ def _require_tol(tol: float) -> None:
 
 
 def _log_abs_pochhammer(gamma: complex, M: int) -> np.ndarray:
-    out = np.empty(M + 1)
-    out[0] = 0.0
-    acc = 0.0
-    for m in range(M):
-        acc += math.log(abs(1.0 + gamma + m))
-        out[m + 1] = acc
-    return out
+    """log |(1+gamma)_m| for m = 0..M, summed in order."""
+    return np.cumsum([0.0] + [math.log(abs(1.0 + gamma + m)) for m in range(M)])
+
+
+def _log_component_bound(P: ParameterK, delta_a: float, M: int) -> np.ndarray:
+    """log of the component bound (e^2/2) (m+2)^2 (delta a)^m / |(1+gamma)_m|
+    for m = 0..M (delta a > 0), in log space so no scan overflows."""
+    m = np.arange(M + 1)
+    return (
+        _LOG_E2_HALF
+        + 2.0 * np.log(m + 2)
+        + m * math.log(delta_a)
+        - _log_abs_pochhammer(P.gamma, M)
+    )
 
 
 def certified_terms(
@@ -106,31 +116,21 @@ def certified_terms(
 ) -> tuple[int, float]:
     """Smallest M with a certified component tail below tol.
 
-    The degree-m component is bounded by (e^2/2) (m+2)^2 (delta a)^m /
-    |(1+gamma)_m|; once the term ratio falls below 1/2 (it is decreasing from
-    degree ceil(-Re gamma) on) the tail closes geometrically, so the tail
-    beyond M is at most twice the first omitted bound.  Everything is done in
-    log space to dodge overflow during the scan.
+    The degree-m component is bounded by _log_component_bound; once the term
+    ratio falls below 1/2 (it is decreasing from degree ceil(-Re gamma) on)
+    the tail closes geometrically, so the tail beyond M is at most twice the
+    first omitted bound.
     """
     _require_tol(tol)
     if delta_a == 0.0:
         return 0, 0.0
-    g = P.gamma
-    log_da = math.log(delta_a)
-    m_mono = max(0, math.ceil(-g.real))
-    log_poch = _log_abs_pochhammer(g, max_terms + 2)
-
-    def log_term(m: int) -> float:
-        return _LOG_E2_HALF + 2.0 * math.log(m + 2) + m * log_da - log_poch[m]
-
+    m_mono = max(0, math.ceil(-P.gamma.real))
+    log_term = _log_component_bound(P, delta_a, max_terms + 2)
     for M in range(max_terms + 1):
         m1 = M + 1
-        if m1 <= m_mono:
+        if m1 <= m_mono or log_term[m1 + 1] - log_term[m1] >= _LOG_HALF:
             continue
-        ratio_log = log_term(m1 + 1) - log_term(m1)
-        if ratio_log >= math.log(0.5):
-            continue
-        lt = log_term(m1)
+        lt = log_term[m1]
         tail = 2.0 * math.exp(lt) if lt < 700.0 else math.inf
         if tail < tol:
             return M, tail
@@ -138,6 +138,20 @@ def certified_terms(
         f"component tail not certified within {max_terms} terms "
         f"(delta * a = {delta_a:.6g}); the argument pair is too large "
         "for double-precision series summation"
+    )
+
+
+def _certified_sum(
+    P: ParameterK, orbit: OrbitPairings, tol: float, method: str, table
+) -> KernelResult:
+    """Sum of the component table E_0..E_M, table(M), over the certified term
+    count; a vanishing orbit bound gives 1 exactly."""
+    if orbit.a_bound == 0.0:
+        return KernelResult(value=1.0 + 0.0j, method=method, terms_used=1)
+    da = delta_effective(P).delta_effective * orbit.a_bound
+    M, tail = certified_terms(P, da, tol)
+    return KernelResult(
+        value=complex(sum(table(M))), method=method, terms_used=M + 1, tail_estimate=tail
     )
 
 
@@ -155,27 +169,7 @@ def ek_series(
         )
     P.require_regular()
     orbit = orbit_pairings(G, x, y)
-    if orbit.a_bound == 0.0:
-        return KernelResult(value=1.0 + 0.0j, method="series-sum", terms_used=1)
-
-    da = delta_effective(P).delta_effective * orbit.a_bound
-    M, tail = certified_terms(P, da, tol)
-    poch = pochhammer_table(P, M).values
-    if not np.all(np.isfinite(poch.view(float))):
-        raise DomainError(
-            "(1+gamma)_m overflows double precision before the certified "
-            "term count; reduce the argument scale",
-            code="range-error",
-        )
-    total = 0.0 + 0.0j
-    Y = initial_state(orbit.n)
-    for m in range(M + 1):
-        if m > 0:
-            Y = y_step(Y, P, orbit)
-        total += Y.values[0] / poch[m]
-    return KernelResult(
-        value=complex(total), method="series-sum", terms_used=M + 1, tail_estimate=tail
-    )
+    return _certified_sum(P, orbit, tol, "series-sum", lambda M: orbit_em_table(P, orbit, M))
 
 
 def ek_sigma_closed(
@@ -186,13 +180,8 @@ def ek_sigma_closed(
     _require_tol(tol)
     P.require_regular()
     orbit = orbit_pairings(G, x, y)
-    if orbit.a_bound == 0.0:
-        return KernelResult(value=1.0 + 0.0j, method="sigma-closed", terms_used=1)
-    da = delta_effective(P).delta_effective * orbit.a_bound
-    M, tail = certified_terms(P, da, tol)
-    total = sum(em_closed_sigma(G, P, x, y, M))
-    return KernelResult(
-        value=complex(total), method="sigma-closed", terms_used=M + 1, tail_estimate=tail
+    return _certified_sum(
+        P, orbit, tol, "sigma-closed", lambda M: em_closed_sigma(G, P, x, y, M)
     )
 
 
@@ -363,7 +352,10 @@ def check_em_bound(
     G: DihedralGroup, P: ParameterK, x: PlanePoint, y: PlanePoint, M: int, nu: int
 ) -> EmBoundReport:
     """Verify the component bound |E_m| <= (e^2/2)(m+2)^2 (delta a)^m /
-    |(1+gamma)_m| for m = 1..M; reports the worst ratio."""
+    |(1+gamma)_m| for m = 1..M; reports the worst ratio (0 when there is
+    nothing to check)."""
+    if M < 0:
+        raise DomainError("component count M must be nonnegative")
     if nu < 0:
         raise DomainError("nu must be a nonnegative integer")
     if P.gamma.real <= -nu:
@@ -374,11 +366,8 @@ def check_em_bound(
         return EmBoundReport(max_ratio=0.0, ratios=ratios, passed=True)
     da = delta_effective(P).delta_effective * orbit.a_bound
     ems = em_sequence(G, P, x, y, M)
-    poch = pochhammer_table(P, M).values
-    ms = np.arange(1, M + 1)
-    bounds = (math.e**2 / 2.0) * (ms + 2) ** 2 * da**ms.astype(float) / np.abs(poch[1:])
-    ratios = np.abs(ems[1:]) / bounds
-    max_ratio = float(np.max(ratios))
+    ratios = np.abs(ems[1:]) / np.exp(_log_component_bound(P, da, M)[1:])
+    max_ratio = float(np.max(ratios, initial=0.0))
     return EmBoundReport(max_ratio=max_ratio, ratios=ratios, passed=max_ratio <= 1.0 + 1e-9)
 
 
@@ -386,27 +375,21 @@ def ek_bound_constant(P: ParameterK, nu: int, delta_a: float) -> float:
     """Constant assembled from the component-bound summation: the numeric
     closure of (e^2/2) sum_m (m+2)^2 (delta a)^m / |(1+gamma)_m|, divided by
     (delta a + 1)^(nu+2) e^(delta a)."""
-    g = P.gamma
     if delta_a == 0.0:
         return 2.0 * math.e**2
-    log_da = math.log(delta_a)
-    log_poch = 0.0
+    log_term = _log_component_bound(P, delta_a, _BOUND_SUM_TERMS)
     total = 0.0
-    m = 0
-    while True:
-        lt = _LOG_E2_HALF + 2.0 * math.log(m + 2) + m * log_da - log_poch
-        term = math.exp(lt) if lt < 700.0 else math.inf
+    for m in range(_BOUND_SUM_TERMS):
+        term = math.exp(log_term[m]) if log_term[m] < 700.0 else math.inf
         total += term
-        ratio = (delta_a / abs(1.0 + g + m)) * ((m + 3) / (m + 2)) ** 2
-        if m > -g.real and ratio < 0.5 and term < 1e-16 * max(total, 1.0):
+        closing = m > -P.gamma.real and log_term[m + 1] - log_term[m] < _LOG_HALF
+        if closing and term < 1e-16 * max(total, 1.0):
+            return total / ((delta_a + 1.0) ** (nu + 2) * math.exp(delta_a))
+        if not math.isfinite(total):
             break
-        if m > 5000 or not math.isfinite(total):
-            raise ConvergenceError(
-                f"bound-constant summation did not close (delta a = {delta_a:.6g})"
-            )
-        log_poch += math.log(abs(1.0 + g + m))
-        m += 1
-    return total / ((delta_a + 1.0) ** (nu + 2) * math.exp(delta_a))
+    raise ConvergenceError(
+        f"bound-constant summation did not close (delta a = {delta_a:.6g})"
+    )
 
 
 def check_ek_bound(

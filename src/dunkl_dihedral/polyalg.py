@@ -91,8 +91,8 @@ class Pochhammer:
 def rising_factorials(z: complex, M: int) -> np.ndarray:
     """[(z)_0, (z)_1, ..., (z)_M] with (z)_m = z(z+1)...(z+m-1).
 
-    Overflow is left to the caller: entries turn infinite and callers that
-    care must reject them (range errors are part of their contracts).
+    Overflow is left to the caller: entries turn infinite.  pochhammer_table
+    and factorial_table reject it.
     """
     out = np.empty(M + 1, dtype=complex)
     out[0] = 1.0
@@ -103,7 +103,29 @@ def rising_factorials(z: complex, M: int) -> np.ndarray:
 
 
 def pochhammer_table(P: ParameterK, M: int) -> Pochhammer:
-    return Pochhammer(gamma=P.gamma, values=rising_factorials(1.0 + P.gamma, M))
+    """The table (1+gamma)_0 .. (1+gamma)_M that normalises the components.
+
+    The one overflow guard for it: a non-finite entry is a range error.
+    """
+    values = rising_factorials(1.0 + P.gamma, M)
+    if not np.all(np.isfinite(values.view(float))):
+        raise DomainError(
+            f"(1+gamma)_m overflows double precision before m = {M}; reduce M",
+            code="range-error",
+        )
+    return Pochhammer(gamma=P.gamma, values=values)
+
+
+def factorial_table(M: int) -> np.ndarray:
+    """[0!, 1!, ..., M!] as correctly rounded doubles.  171! overflows a
+    double, so M > 170 is a range error."""
+    try:
+        return np.array([float(math.factorial(m)) for m in range(M + 1)])
+    except OverflowError:
+        raise DomainError(
+            f"m! overflows double precision before m = {M}; reduce M",
+            code="range-error",
+        ) from None
 
 
 def h_coefficients(P: ParameterK, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -254,13 +276,17 @@ def from_homogeneous_vector(v: np.ndarray, m: int) -> Poly2:
     return Poly2(c)
 
 
-def pairing_power(y: PlanePoint, m: int) -> Poly2:
-    """The polynomial x -> (x1*y1 + x2*y2)^m (binomial coefficients)."""
-    ya = _as_point(y).astype(complex)
-    v = np.array(
+def _pairing_power_vector(ya: np.ndarray, m: int) -> np.ndarray:
+    """Homogeneous coefficients of x -> (x1*y1 + x2*y2)^m, indexed by the
+    x1-power, for the complex point ya."""
+    return np.array(
         [math.comb(m, a) * ya[0] ** a * ya[1] ** (m - a) for a in range(m + 1)]
     )
-    return from_homogeneous_vector(v, m)
+
+
+def pairing_power(y: PlanePoint, m: int) -> Poly2:
+    """The polynomial x -> (x1*y1 + x2*y2)^m (binomial coefficients)."""
+    return from_homogeneous_vector(_pairing_power_vector(_as_point(y).astype(complex), m), m)
 
 
 # Per-degree matrices of x -> f(Mx) on homogeneous coefficient vectors,
@@ -352,12 +378,19 @@ def h_op(G: DihedralGroup, P: ParameterK, m: int, f: Poly2) -> Poly2:
     P.require_regular()
     if not f.is_homogeneous(m, tol=1e-12):
         raise DomainError(f"h_op input must be homogeneous of degree {m}")
+    return from_homogeneous_vector(h_matrix(G, P, m) @ f.homogeneous_vector(m), m)
+
+
+def h_matrix(G: DihedralGroup, P: ParameterK, m: int) -> np.ndarray:
+    """Matrix of the inverse of (m + gamma - A) on degree-m homogeneous
+    coefficient vectors: sum_j a_j(m) R_j + b_j(m) S_j over the rotation and
+    reflection action matrices.  h_op and the intertwining build share it."""
     a, b = h_coefficients(P, m)
-    acc = np.zeros_like(f.padded(m))
+    h = np.zeros((m + 1, m + 1), dtype=complex)
     for j in range(G.n):
-        acc += a[j] * f.compose(rotation_matrix(G.n, j)).padded(m)
-        acc += b[j] * f.compose(reflection_matrix(G.n, j)).padded(m)
-    return Poly2(acc)
+        h += a[j] * _action_matrix(rotation_matrix(G.n, j), m)
+        h += b[j] * _action_matrix(reflection_matrix(G.n, j), m)
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -385,27 +418,13 @@ def _extend_vk(
     G: DihedralGroup, P: ParameterK, mats: list[np.ndarray], mmax: int
 ) -> list[np.ndarray]:
     for m in range(len(mats), mmax + 1):
-        a, b = h_coefficients(P, m)
-        h_mat = np.zeros((m + 1, m + 1), dtype=complex)
-        for j in range(G.n):
-            h_mat += a[j] * _action_matrix(rotation_matrix(G.n, j), m)
-            h_mat += b[j] * _action_matrix(reflection_matrix(G.n, j), m)
-
-        d1 = np.zeros((m, m + 1), dtype=complex)
-        d2 = np.zeros((m, m + 1), dtype=complex)
-        for ain in range(1, m + 1):
-            d1[ain - 1, ain] = ain
-        for ain in range(m):
-            d2[ain, ain] = m - ain
-
-        x1 = np.zeros((m + 1, m), dtype=complex)
-        x2 = np.zeros((m + 1, m), dtype=complex)
-        for ain in range(m):
-            x1[ain + 1, ain] = 1.0
-            x2[ain, ain] = 1.0
-
-        prev = mats[m - 1]
-        mats.append((x1 @ prev @ d1 + x2 @ prev @ d2) @ h_mat)
+        # x1 V(d1 p) + x2 V(d2 p): d1 scales the x1-power a by a and lowers
+        # it, d2 scales by m - a; multiplying by x1 raises the output index.
+        prev, a = mats[m - 1], np.arange(1, m + 1)
+        t = np.zeros((m + 1, m + 1), dtype=complex)
+        t[1:, 1:] = prev * a
+        t[:m, :m] += prev * a[::-1]
+        mats.append(t @ h_matrix(G, P, m))
     return mats
 
 
@@ -441,13 +460,12 @@ def oracle_em(
     if M == 0:
         return out
     P.require_regular()
+    factorials = factorial_table(M)
     mats = _vk_matrices(G, P, M)
     ya = _as_point(y).astype(complex)
     xr = xa.astype(float)
     for m in range(1, M + 1):
-        v = np.array(
-            [math.comb(m, a) * ya[0] ** a * ya[1] ** (m - a) for a in range(m + 1)]
-        )
+        v = _pairing_power_vector(ya, m)
         powers = np.array([xr[0] ** a * xr[1] ** (m - a) for a in range(m + 1)])
-        out[m] = np.dot(mats[m] @ v, powers) / math.factorial(m)
+        out[m] = np.dot(mats[m] @ v, powers) / factorials[m]
     return out

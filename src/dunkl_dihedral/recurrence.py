@@ -4,13 +4,14 @@ The state is the 2n-vector of Pochhammer-scaled component values over the
 rotation orbit of x and of sigma x; one step raises the degree by one.  The
 component itself is the first entry divided by the rising factorial
 (1+gamma)_m.  Division is deferred: the state is propagated unscaled and
-divided once per requested degree to avoid repeated rounding.
+divided once per requested degree to avoid repeated rounding.  The divisor
+table comes from polyalg.pochhammer_table, which owns the overflow guard: a
+degree whose (1+gamma)_m is not a finite double is a range error there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -67,13 +68,6 @@ def y_step(Y: StateVector, P: ParameterK, orbit: OrbitPairings) -> StateVector:
     return StateVector(m=m + 1, values=out, n=n)
 
 
-def _state_iter(P: ParameterK, orbit: OrbitPairings) -> Iterator[StateVector]:
-    Y = initial_state(orbit.n)
-    while True:
-        yield Y
-        Y = y_step(Y, P, orbit)
-
-
 def em_sequence(
     G: DihedralGroup, P: ParameterK, x: PlanePoint, y: PlanePoint, M: int
 ) -> np.ndarray:
@@ -87,17 +81,19 @@ def em_sequence(
             code="range-error",
         )
     P.require_regular()
-    orbit = orbit_pairings(G, x, y)
+    return orbit_em_table(P, orbit_pairings(G, x, y), M)
+
+
+def orbit_em_table(P: ParameterK, orbit: OrbitPairings, M: int) -> np.ndarray:
+    """Components E_0 .. E_M from precomputed orbit pairings: the first state
+    entry at each degree divided by (1+gamma)_m."""
     poch = pochhammer_table(P, M).values
-    if not np.all(np.isfinite(poch.view(float))):
-        raise DomainError(
-            f"(1+gamma)_m overflows double precision before m = {M}; reduce M",
-            code="range-error",
-        )
     out = np.empty(M + 1, dtype=complex)
-    it = _state_iter(P, orbit)
+    Y = initial_state(orbit.n)
     for m in range(M + 1):
-        out[m] = next(it).values[0] / poch[m]
+        if m > 0:
+            Y = y_step(Y, P, orbit)
+        out[m] = Y.values[0] / poch[m]
     return out
 
 

@@ -13,14 +13,13 @@ solution and the generating function collapse to closed product forms.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dihedral import DihedralGroup, OrbitPairings, PlanePoint, is_sigma_invariant, orbit_pairings
 from .errors import DomainError
-from .polyalg import ParameterK, pochhammer_table, rising_factorials
+from .polyalg import ParameterK, factorial_table, pochhammer_table, rising_factorials
 
 
 @dataclass(frozen=True)
@@ -156,10 +155,10 @@ def em_genseries(
     (gamma/2n) * Phi against the geometric series of <x,y>."""
     if M < 0:
         raise DomainError("component count M must be nonnegative")
+    poch = pochhammer_table(P, M).values
     orbit = orbit_pairings(G, x, y)
     S = a_coeffs(P, orbit, M)
     pref = P.gamma / (2.0 * P.n)
-    poch = pochhammer_table(P, M).values
     return np.array(
         [pref * acc / p for acc, p in zip(_cauchy_prefixes(S.phi, orbit.xy), poch)]
     )
@@ -205,14 +204,14 @@ def em_closed_sigma(
     P.require_regular()
     orbit = orbit_pairings(G, x, y)
     _require_sigma_invariant(orbit)
+    factorials = factorial_table(M)
+    poch = pochhammer_table(P, M).values
 
     inner = np.zeros(M + 1, dtype=complex)
     inner[0] = 1.0
     k_rising = rising_factorials(P.k, M)
-    factorials = np.array([math.factorial(v) for v in range(M + 1)], dtype=float)
     for c in orbit.rot_pairings:
         term = (k_rising / factorials) * np.power(c, np.arange(M + 1))
         inner = np.convolve(inner, term)[: M + 1]
 
-    poch = pochhammer_table(P, M).values
     return np.array([acc / p for acc, p in zip(_cauchy_prefixes(inner, orbit.xy), poch)])

@@ -214,11 +214,41 @@ def test_complex_x_rejected():
         ["kernel", "--n", "3", "--k", "0.5", "--x", "1,0", "--y", "1,1", "--tol", "nan"],
         ["kernel", "--n", "3", "--k", "0.5", "--x", "1,0", "--y", "1,1", "--tol", "inf",
          "--method", "integral"],
+        ["bounds", "--n", "3", "--k", "0.5", "--x", "0,0", "--y", "1,1", "--m-max", "-1"],
     ],
 )
 def test_malformed_input_is_a_domain_error(argv, capsys):
     assert run_cli(argv)[0] == EXIT_DOMAIN_ERROR
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_crosscheck_rejects_bad_tol(tol, capsys):
+    code, out = run_cli(["crosscheck", "--seed", "7", "--samples", "3", f"--tol={tol}"])
+    assert code == EXIT_DOMAIN_ERROR
+    assert out == ""
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["recurrence", "genseries", "oracle", "sigma"])
+def test_degree_past_double_range_is_a_range_error(method, capsys):
+    # (1+gamma)_m and m! overflow a double near m = 170
+    code, out = run_cli(
+        ["em", "--n", "3", "--k", "0.5", "--x", "0.9,0", "--y", "0.5,0.8",
+         "--m-max", "190", "--method", method]
+    )
+    assert code == EXIT_DOMAIN_ERROR
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error[range-error]")
+
+
+def test_bounds_without_components_is_a_vacuous_pass():
+    code, out = run_cli(
+        ["bounds", "--n", "3", "--k", "0.5", "--x", "1,0", "--y", "1,1", "--m-max", "0"]
+    )
+    assert code == EXIT_OK
+    _, rows = parse_csv(out)
+    assert rows[0] == ["component_bound_max_ratio", "0", "1.0000000010000001", "1"]
 
 
 @pytest.mark.parametrize("method", ["recurrence", "genseries", "oracle", "sigma"])

@@ -8,6 +8,7 @@ from conftest import rel_err
 from dunkl_dihedral.dihedral import make_group, orbit_pairings
 from dunkl_dihedral.errors import ConvergenceError, DomainError
 from dunkl_dihedral.kernel import (
+    _log_component_bound,
     certified_terms,
     check_ek_bound,
     check_em_bound,
@@ -102,6 +103,18 @@ def test_tail_certificate_sound(rng):
         tight = ek_series(G, P, inst.x, inst.y, 1e-7 / 10)
         assert abs(loose.value - tight.value) <= loose.tail_estimate
         assert loose.tail_estimate < 1e-6
+
+
+@pytest.mark.parametrize("k, delta_a", [(0.5, 3.0), (-0.3 + 0.2j, 40.0), (1.7, 0.25)])
+def test_component_bound_matches_scalar_formula(k, delta_a):
+    # (e^2/2)(m+2)^2 (delta a)^m / |(1+gamma)_m|, term by term
+    P = ParameterK(k, 3)
+    log_bound = _log_component_bound(P, delta_a, 120)
+    poch = 1.0
+    for m in range(121):
+        expected = (math.e**2 / 2.0) * (m + 2) ** 2 * delta_a**m / poch
+        assert math.exp(log_bound[m]) == pytest.approx(expected, rel=1e-12)
+        poch *= abs(1.0 + P.gamma + m)
 
 
 def test_certified_terms_rejects_hopeless_scale():

@@ -11,9 +11,12 @@ from dunkl_dihedral.errors import DomainError
 from dunkl_dihedral.polyalg import (
     ParameterK,
     _vk_cache,
+    _vk_matrices,
     Poly2,
     a_op,
     dunkl_apply,
+    factorial_table,
+    h_matrix,
     h_op,
     intertwine,
     oracle_em,
@@ -284,6 +287,35 @@ def test_vk_cache_stays_bounded():
     for i in range(maxsize + 8):
         oracle_em(G, ParameterK(0.3 + 0.001 * i, 3), (1.0, 0.5), (0.3, 0.4), 3)
     assert _vk_cache.cache_info().currsize <= maxsize
+
+
+@pytest.mark.parametrize("n, k", [(2, 0.4 + 0.2j), (3, -0.2 + 0.3j), (5, 0.6 - 0.2j)])
+def test_vk_step_matches_dense_shift_matrices(n, k):
+    # reference: V_m = (x1 V_{m-1} d1 + x2 V_{m-1} d2) H_m with the
+    # multiplication and partial-derivative maps as dense matrices
+    G, P = make_group(n), ParameterK(k, n)
+    mats = _vk_matrices(G, P, 16)
+    for m in range(1, 17):
+        d1 = np.zeros((m, m + 1), dtype=complex)
+        d2 = np.zeros((m, m + 1), dtype=complex)
+        x1 = np.zeros((m + 1, m), dtype=complex)
+        x2 = np.zeros((m + 1, m), dtype=complex)
+        for a in range(m):
+            d1[a, a + 1] = a + 1
+            d2[a, a] = m - a
+            x1[a + 1, a] = 1.0
+            x2[a, a] = 1.0
+        prev = mats[m - 1]
+        expected = (x1 @ prev @ d1 + x2 @ prev @ d2) @ h_matrix(G, P, m)
+        np.testing.assert_array_equal(mats[m], expected)
+
+
+def test_factorial_table_is_exact_and_guarded():
+    table = factorial_table(170)
+    assert all(table[m] == float(math.factorial(m)) for m in range(171))
+    with pytest.raises(DomainError, match="m!") as info:
+        factorial_table(171)
+    assert info.value.code == "range-error"
 
 
 def test_oracle_rejects_complex_x():

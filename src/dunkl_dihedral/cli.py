@@ -4,8 +4,12 @@ coefficients, in CSV or JSON.
 
 Exit codes: 0 success, 1 check failure, 2 domain error, 3 convergence error.
 Data goes to stdout, diagnostics to stderr.  Output is deterministic for a
-fixed argument list (including --seed).
+fixed argument list (including --seed, a nonnegative integer).  The
+crosscheck sweep's ``max_rel_disc`` column is the measure ``_crosscheck_one``
+defines: scaled by a^m / |(1+gamma)_m| where components nearly vanish.
 
+One parser, built at import, reads every argument list.  ``main`` converts
+--k, --x and --y in place and passes the namespace to a ``cmd_*`` function.
 Each component route returns the whole table E_0..E_M from one call with the
 signature (G, P, x, y, M) -> complex ndarray: ``recurrence.em_sequence``,
 ``series.em_genseries``, ``polyalg.oracle_em`` and ``series.em_closed_sigma``
@@ -18,7 +22,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +34,8 @@ from .dihedral import (
     orbit_pairings,
 )
 from .errors import ConsistencyError, ConvergenceError, DomainError
-from .kernel import _require_tol, check_ek_bound, check_em_bound, ek_series, ek_integral
+from .kernel import _log_abs_pochhammer, _require_tol, check_ek_bound, check_em_bound
+from .kernel import ek_integral, ek_series
 from .polyalg import ParameterK, oracle_em
 from .recurrence import em_sequence
 from .sampling import draw_instance
@@ -42,21 +46,11 @@ EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_DOMAIN_ERROR = 2
 EXIT_CONVERGENCE_ERROR = 3
-
-
-@dataclass
-class JobSpec:
-    n: int
-    k: complex
-    x: np.ndarray | None
-    y: np.ndarray | None
-    m_max: int
-    tol: float
-    method: str
-    seed: int
-    samples: int
-    fmt: str
-    nu: int
+_EXIT_CODES = {
+    DomainError: EXIT_DOMAIN_ERROR,
+    ConvergenceError: EXIT_CONVERGENCE_ERROR,
+    ConsistencyError: EXIT_CHECK_FAILURE,
+}
 
 
 def _parse_floats(text: str, what: str, usage: str, counts: tuple[int, ...]) -> list[float]:
@@ -84,33 +78,28 @@ def _parse_point(text: str, *, allow_complex: bool) -> np.ndarray:
     return pt.real if not allow_complex else pt
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
-def _meta(spec: JobSpec) -> dict:
+def _meta(args: argparse.Namespace) -> dict:
     def point_fields(p):
         if p is None:
             return None
-        arr = np.asarray(p, dtype=complex)
-        return {"re": [arr[0].real, arr[1].real], "im": [arr[0].imag, arr[1].imag]}
+        return {"re": [p[0].real, p[1].real], "im": [p[0].imag, p[1].imag]}
 
     return {
-        "n": spec.n,
-        "k_re": spec.k.real,
-        "k_im": spec.k.imag,
-        "x": point_fields(spec.x),
-        "y": point_fields(spec.y),
-        "method": spec.method,
-        "tol": spec.tol,
-        "seed": spec.seed,
+        "n": args.n,
+        "k_re": args.k.real,
+        "k_im": args.k.imag,
+        "x": point_fields(args.x),
+        "y": point_fields(args.y),
+        "method": args.method,
+        "tol": args.tol,
+        "seed": args.seed,
     }
 
 
-def _emit(spec: JobSpec, header: list[str], rows: list[list], out) -> None:
-    if spec.fmt == "json":
+def _emit(args: argparse.Namespace, header: list[str], rows: list[list], out) -> None:
+    if args.fmt == "json":
         payload = {
-            "meta": _meta(spec),
+            "meta": _meta(args),
             "rows": [dict(zip(header, row)) for row in rows],
         }
         out.write(json.dumps(payload) + "\n")
@@ -118,7 +107,7 @@ def _emit(spec: JobSpec, header: list[str], rows: list[list], out) -> None:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
 
 
 # ---------------------------------------------------------------------------
@@ -147,21 +136,21 @@ def _em_values(
     raise DomainError(f"unknown component method {method!r}")
 
 
-def cmd_em(spec: JobSpec, out) -> int:
-    G, P = make_group(spec.n), ParameterK(spec.k, spec.n)
-    values = _em_values(spec.method, G, P, spec.x, spec.y, spec.m_max)
+def cmd_em(args: argparse.Namespace, out) -> int:
+    G, P = make_group(args.n), ParameterK(args.k, args.n)
+    values = _em_values(args.method, G, P, args.x, args.y, args.m_max)
     rows = [[m, float(values[m].real), float(values[m].imag)] for m in range(len(values))]
-    _emit(spec, ["m", "re", "im"], rows, out)
+    _emit(args, ["m", "re", "im"], rows, out)
     return EXIT_OK
 
 
-def cmd_kernel(spec: JobSpec, out) -> int:
-    G = make_group(spec.n)
-    P = ParameterK(spec.k, spec.n)
-    if spec.method == "integral":
-        res = ek_integral(G, P, spec.x, spec.y, spec.tol)
+def cmd_kernel(args: argparse.Namespace, out) -> int:
+    G = make_group(args.n)
+    P = ParameterK(args.k, args.n)
+    if args.method == "integral":
+        res = ek_integral(G, P, args.x, args.y, args.tol)
     else:
-        res = ek_series(G, P, spec.x, spec.y, spec.tol)
+        res = ek_series(G, P, args.x, args.y, args.tol)
     rows = [
         [
             float(res.value.real),
@@ -173,7 +162,7 @@ def cmd_kernel(spec: JobSpec, out) -> int:
         ]
     ]
     _emit(
-        spec,
+        args,
         ["value_re", "value_im", "method", "terms_used", "nodes_used", "tail_estimate"],
         rows,
         out,
@@ -181,46 +170,46 @@ def cmd_kernel(spec: JobSpec, out) -> int:
     return EXIT_OK
 
 
-def _rel_disc(a: complex, b: complex) -> float:
-    scale = max(abs(a), abs(b))
-    return abs(a - b) / scale if scale > 0 else 0.0
-
-
 def _crosscheck_one(
     G: DihedralGroup, P: ParameterK, x: PlanePoint, y: PlanePoint, m_max: int
 ) -> tuple[float, bool]:
-    """Worst relative discrepancy between the applicable routes' tables, and
-    whether the mirror-axis route was among them."""
-    methods = _methods(orbit_pairings(G, x, y))
-    table = {method: _em_values(method, G, P, x, y, m_max) for method in methods}
-    names = sorted(table)
-    worst = 0.0
-    for i, u in enumerate(names):
-        for v in names[i + 1 :]:
-            for m in range(m_max + 1):
-                worst = max(worst, _rel_disc(table[u][m], table[v][m]))
-    return worst, "sigma" in table
+    """Worst discrepancy |u_m - v_m| / max(|u_m|, |v_m|, a^m / |(1+gamma)_m|)
+    between the applicable routes' tables u, v, and whether the mirror-axis
+    route was among them.  The third term is the size of the unscaled
+    recurrence state, which sets the rounding error where E_m passes near
+    zero."""
+    orbit = orbit_pairings(G, x, y)
+    methods = _methods(orbit)
+    tables = np.array([_em_values(method, G, P, x, y, m_max) for method in methods])
+    m = np.arange(m_max + 1)
+    scale = np.exp(m * np.log(orbit.a_bound) - _log_abs_pochhammer(P.gamma, m_max))
+    u, v = tables[:, None, :], tables[None, :, :]
+    denom = np.maximum(np.maximum(np.abs(u), np.abs(v)), scale)
+    disc = np.divide(np.abs(u - v), denom, out=np.zeros(denom.shape), where=denom > 0)
+    return float(np.max(disc)), "sigma" in methods
 
 
-def cmd_crosscheck(spec: JobSpec, out) -> int:
-    if spec.x is not None and spec.y is not None:
+def cmd_crosscheck(args: argparse.Namespace, out) -> int:
+    if args.x is not None and args.y is not None:
         # Single explicit instance: echo the per-method values.
-        G, P = make_group(spec.n), ParameterK(spec.k, spec.n)
+        G, P = make_group(args.n), ParameterK(args.k, args.n)
         rows = []
-        for method in _methods(orbit_pairings(G, spec.x, spec.y)):
-            values = _em_values(method, G, P, spec.x, spec.y, spec.m_max)
-            for m in range(spec.m_max + 1):
+        for method in _methods(orbit_pairings(G, args.x, args.y)):
+            values = _em_values(method, G, P, args.x, args.y, args.m_max)
+            for m in range(args.m_max + 1):
                 rows.append([method, m, float(values[m].real), float(values[m].imag)])
-        _emit(spec, ["method", "m", "re", "im"], rows, out)
+        _emit(args, ["method", "m", "re", "im"], rows, out)
         return EXIT_OK
 
-    _require_tol(spec.tol)
-    rng = np.random.default_rng(spec.seed)
+    _require_tol(args.tol)
+    if args.seed < 0:
+        raise DomainError("the sweep seed must be a nonnegative integer")
+    rng = np.random.default_rng(args.seed)
     rows = []
     worst_overall = 0.0
-    for idx in range(spec.samples):
+    for idx in range(args.samples):
         inst = draw_instance(rng, sigma_invariant=(idx % 5 == 4), min_xy=1e-3)
-        worst, sigma = _crosscheck_one(inst.group(), inst.parameter(), inst.x, inst.y, spec.m_max)
+        worst, sigma = _crosscheck_one(inst.group(), inst.parameter(), inst.x, inst.y, args.m_max)
         worst_overall = max(worst_overall, worst)
         rows.append(
             [
@@ -233,42 +222,42 @@ def cmd_crosscheck(spec: JobSpec, out) -> int:
             ]
         )
     rows.append(["overall", "", "", "", float(worst_overall), ""])
-    _emit(spec, ["sample", "n", "k_re", "k_im", "max_rel_disc", "sigma_checked"], rows, out)
-    if worst_overall > spec.tol:
+    _emit(args, ["sample", "n", "k_re", "k_im", "max_rel_disc", "sigma_checked"], rows, out)
+    if worst_overall > args.tol:
         print(
             f"check-failure: max cross-method discrepancy {worst_overall:.3e} "
-            f"exceeds tolerance {spec.tol:.3e}",
+            f"exceeds tolerance {args.tol:.3e}",
             file=sys.stderr,
         )
         return EXIT_CHECK_FAILURE
     return EXIT_OK
 
 
-def cmd_bounds(spec: JobSpec, out) -> int:
-    G = make_group(spec.n)
-    P = ParameterK(spec.k, spec.n)
-    em_rep = check_em_bound(G, P, spec.x, spec.y, spec.m_max, spec.nu)
-    ek_rep = check_ek_bound(G, P, spec.x, spec.y, max(1, spec.nu))
+def cmd_bounds(args: argparse.Namespace, out) -> int:
+    G = make_group(args.n)
+    P = ParameterK(args.k, args.n)
+    em_rep = check_em_bound(G, P, args.x, args.y, args.m_max, args.nu)
+    ek_rep = check_ek_bound(G, P, args.x, args.y, max(1, args.nu))
     rows = [
         ["component_bound_max_ratio", float(em_rep.max_ratio), 1.0 + 1e-9, int(em_rep.passed)],
         ["kernel_bound_ratio", float(ek_rep.ratio), float(ek_rep.constant), int(ek_rep.passed)],
     ]
-    _emit(spec, ["check", "value", "limit", "passed"], rows, out)
+    _emit(args, ["check", "value", "limit", "passed"], rows, out)
     if not (em_rep.passed and ek_rep.passed):
         print("check-failure: a growth bound was violated", file=sys.stderr)
         return EXIT_CHECK_FAILURE
     return EXIT_OK
 
 
-def cmd_phi(spec: JobSpec, out) -> int:
-    G = make_group(spec.n)
-    P = ParameterK(spec.k, spec.n)
-    orbit = orbit_pairings(G, spec.x, spec.y)
-    S = a_coeffs(P, orbit, spec.m_max)
+def cmd_phi(args: argparse.Namespace, out) -> int:
+    G = make_group(args.n)
+    P = ParameterK(args.k, args.n)
+    orbit = orbit_pairings(G, args.x, args.y)
+    S = a_coeffs(P, orbit, args.m_max)
     rows = [
         [p, float(S.phi[p].real), float(S.phi[p].imag)] for p in range(S.order + 1)
     ]
-    _emit(spec, ["p", "re", "im"], rows, out)
+    _emit(args, ["p", "re", "im"], rows, out)
     return EXIT_OK
 
 
@@ -284,26 +273,28 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_xy: bool):
+    def common(p):
         p.add_argument("--n", type=int, required=True, help="dihedral order parameter")
         p.add_argument("--k", type=str, required=True, help="parameter k: 're' or 're,im'")
-        p.add_argument("--x", type=str, required=need_xy, default=None)
-        p.add_argument("--y", type=str, required=need_xy, default=None)
+        p.add_argument("--x", type=str, required=True)
+        p.add_argument("--y", type=str, required=True)
         p.add_argument("--tol", type=float, default=1e-10)
         p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
 
     p_em = sub.add_parser("em", help="table of components E_0..E_m")
-    common(p_em, need_xy=True)
+    common(p_em)
     p_em.add_argument("--m-max", type=int, default=10)
     p_em.add_argument(
         "--method",
         choices=("recurrence", "genseries", "oracle", "sigma"),
         default="recurrence",
     )
+    p_em.set_defaults(seed=0, func=cmd_em)
 
     p_k = sub.add_parser("kernel", help="full kernel value")
-    common(p_k, need_xy=True)
+    common(p_k)
     p_k.add_argument("--method", choices=("series", "integral"), default="series")
+    p_k.set_defaults(seed=0, func=cmd_kernel)
 
     p_cc = sub.add_parser("crosscheck", help="cross-method agreement sweep")
     p_cc.add_argument("--n", type=int, default=0)
@@ -315,62 +306,36 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cc.add_argument("--m-max", type=int, default=12)
     p_cc.add_argument("--tol", type=float, default=1e-8)
     p_cc.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+    p_cc.set_defaults(method="auto", func=cmd_crosscheck)
 
     p_b = sub.add_parser("bounds", help="component/kernel growth-bound checks")
-    common(p_b, need_xy=True)
+    common(p_b)
     p_b.add_argument("--m-max", type=int, default=60)
     p_b.add_argument("--nu", type=int, default=1)
+    p_b.set_defaults(method="auto", seed=0, func=cmd_bounds)
 
     p_phi = sub.add_parser("phi", help="generating-function coefficients")
-    common(p_phi, need_xy=True)
-    p_phi.add_argument("--pmax", type=int, default=40)
+    common(p_phi)
+    p_phi.add_argument("--pmax", dest="m_max", metavar="PMAX", type=int, default=40)
+    p_phi.set_defaults(method="auto", seed=0, func=cmd_phi)
 
     return parser
 
 
-def _job_from_args(args: argparse.Namespace) -> JobSpec:
-    x = _parse_point(args.x, allow_complex=False) if args.x else None
-    y = _parse_point(args.y, allow_complex=True) if args.y else None
-    m_max = getattr(args, "m_max", getattr(args, "pmax", 10))
-    return JobSpec(
-        n=args.n,
-        k=_parse_complex(args.k),
-        x=x,
-        y=y,
-        m_max=m_max,
-        tol=getattr(args, "tol", 1e-10),
-        method=getattr(args, "method", "auto"),
-        seed=getattr(args, "seed", 0),
-        samples=getattr(args, "samples", 0),
-        fmt=args.fmt,
-        nu=getattr(args, "nu", 1),
-    )
-
-
-_COMMANDS = {
-    "em": cmd_em,
-    "kernel": cmd_kernel,
-    "crosscheck": cmd_crosscheck,
-    "bounds": cmd_bounds,
-    "phi": cmd_phi,
-}
+_PARSER = _build_parser()
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        spec = _job_from_args(args)
-        return _COMMANDS[args.command](spec, out)
-    except DomainError as exc:
+        args.x = _parse_point(args.x, allow_complex=False) if args.x else None
+        args.y = _parse_point(args.y, allow_complex=True) if args.y else None
+        args.k = _parse_complex(args.k)
+        return args.func(args, out)
+    except tuple(_EXIT_CODES) as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN_ERROR
-    except ConvergenceError as exc:
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE_ERROR
-    except ConsistencyError as exc:
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILURE
+        return _EXIT_CODES[type(exc)]
 
 
 def entrypoint() -> None:

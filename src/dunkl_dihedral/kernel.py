@@ -22,7 +22,9 @@ from .recurrence import coeff_matrix_norms, em_sequence, orbit_em_table
 from .series import SeriesData, a_coeffs, em_closed_sigma
 
 MAX_TERMS = 500
-MAX_CONTOUR_NODES = 2**14
+# Elements of the e^{t/z} matrix built at once by kernel_K (64 MB of complex).
+# Blocks of hundreds of rows keep the BLAS row sums' bits; one-row blocks do not.
+_CONTOUR_BLOCK = 2**22
 _LOG_E2_HALF = 2.0 - math.log(2.0)  # log(e^2 / 2)
 _LOG_HALF = math.log(0.5)
 # Terms of the bound-constant summation scanned before giving up.
@@ -222,7 +224,8 @@ def kernel_K(
     the mean over N equally spaced points of rho * e^{i theta} of
     Phi(z) e^{t/z} / (1 - z <x,y>) (the trapezoidal rule, spectrally accurate
     for periodic analytic data).  Returns a complex for scalar t, else an
-    array shaped like t."""
+    array shaped like t.  The times x nodes matrix is built in row blocks, so
+    memory stays bounded however many times and nodes a pass asks for."""
     if N < 8:
         raise DomainError("contour rule needs at least 8 nodes")
     t = np.asarray(t, dtype=float)
@@ -240,8 +243,13 @@ def kernel_K(
         / denom
         / N
     )
-    vals = np.exp(np.multiply.outer(t, 1.0 / nodes)) @ pref
-    return complex(vals) if t.ndim == 0 else vals
+    inv = 1.0 / nodes
+    flat = t.reshape(-1)
+    rows = max(1, _CONTOUR_BLOCK // N)
+    vals = np.empty(flat.size, dtype=complex)
+    for i in range(0, flat.size, rows):
+        vals[i : i + rows] = np.exp(np.multiply.outer(flat[i : i + rows], inv)) @ pref
+    return complex(vals[0]) if t.ndim == 0 else vals.reshape(t.shape)
 
 
 def _panel_nodes(levels: int, splits: int, gl_order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -312,21 +320,19 @@ def ek_integral(
     N, splits = 64, 1
     prev = one_pass(N, splits)
     for _ in range(7):
-        N2, splits2 = min(2 * N, MAX_CONTOUR_NODES), 2 * splits
-        cur = one_pass(N2, splits2)
+        N, splits = 2 * N, 2 * splits
+        cur = one_pass(N, splits)
         if abs(cur - prev) <= 0.3 * tol * max(1.0, abs(cur)):
             return KernelResult(
                 value=cur,
                 method="integral",
-                nodes_used=N2,
+                nodes_used=N,
                 tail_estimate=abs(cur - prev),
             )
-        if N2 == N and splits2 == splits:
-            break
-        N, splits, prev = N2, splits2, cur
+        prev = cur
     raise ConvergenceError(
-        f"integral representation did not stabilize within node cap "
-        f"{MAX_CONTOUR_NODES} (delta * a = {delta * a:.6g})"
+        f"integral representation did not stabilize within {N} contour nodes "
+        f"(delta * a = {delta * a:.6g})"
     )
 
 

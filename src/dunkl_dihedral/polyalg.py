@@ -455,11 +455,11 @@ def oracle_em(
     xa = _as_point(x)
     if xa.dtype.kind == "c" and np.max(np.abs(xa.imag)) > 0:
         raise DomainError("the first argument must be a real plane point")
+    P.require_regular()
     out = np.empty(M + 1, dtype=complex)
     out[0] = 1.0
     if M == 0:
         return out
-    P.require_regular()
     factorials = factorial_table(M)
     mats = _vk_matrices(G, P, M)
     ya = _as_point(y).astype(complex)

@@ -1,9 +1,17 @@
+import contextlib
 import io
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dunkl_dihedral.cli import (
     EXIT_CHECK_FAILURE,
@@ -132,6 +140,14 @@ def test_crosscheck_single_instance_echo():
     assert methods == {"recurrence", "genseries", "oracle", "sigma"}  # x on mirror axis
 
 
+def test_crosscheck_measure_scales_near_vanishing_components():
+    # A mirror-axis sample with <x,y> near 1e-3 a: its odd components nearly
+    # vanish, and the routes agree only relative to a^m / |(1+gamma)_m|.
+    code, out = run_cli(["crosscheck", "--seed", "455284181", "--samples", "5", "--m-max", "12"])
+    assert code == EXIT_OK
+    assert float(parse_csv(out)[1][-1][4]) <= 1e-8
+
+
 def test_crosscheck_check_failure_exit():
     code, _ = run_cli(["crosscheck", "--seed", "7", "--samples", "10", "--tol", "1e-18"])
     assert code == EXIT_CHECK_FAILURE
@@ -215,6 +231,7 @@ def test_complex_x_rejected():
         ["kernel", "--n", "3", "--k", "0.5", "--x", "1,0", "--y", "1,1", "--tol", "inf",
          "--method", "integral"],
         ["bounds", "--n", "3", "--k", "0.5", "--x", "0,0", "--y", "1,1", "--m-max", "-1"],
+        ["crosscheck", "--seed", "-1", "--samples", "2"],
     ],
 )
 def test_malformed_input_is_a_domain_error(argv, capsys):
@@ -249,6 +266,96 @@ def test_bounds_without_components_is_a_vacuous_pass():
     assert code == EXIT_OK
     _, rows = parse_csv(out)
     assert rows[0] == ["component_bound_max_ratio", "0", "1.0000000010000001", "1"]
+
+
+@pytest.mark.parametrize("k", ["0", "-0.25"])
+@pytest.mark.parametrize("method", ["recurrence", "genseries", "oracle", "sigma"])
+def test_inadmissible_k_is_rejected_at_degree_zero(method, k):
+    # n = 2: k = 0 gives gamma = 0 and k = -1/4 gives 2 gamma = -1
+    code, out = run_cli(
+        ["em", "--n", "2", f"--k={k}", "--x", "1,0", "--y", "0.5,0.5", "--m-max", "0",
+         "--method", method]
+    )
+    assert code == EXIT_DOMAIN_ERROR
+    assert out == ""
+
+
+def test_unsettled_contour_is_a_convergence_error_in_bounded_memory():
+    # The doubling passes never settle here and reach 8192 contour nodes;
+    # a whole times x nodes matrix would exceed the address-space limit.
+    limit = 3 << 30
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "dunkl_dihedral", "kernel", "--n", "7", "--k", "2.0",
+         "--x", "0.3,0.9", "--y", "1.2,0.1", "--method", "integral", "--tol", "1e-8"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        timeout=300,
+    )
+    assert proc.returncode == EXIT_CONVERGENCE_ERROR
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error[convergence-error]: ")
+    assert "8192 contour nodes" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+# Fuzzed argument lists: numbers in a bounded domain, with at most one of
+# --k, --x, --y, --tol replaced by non-finite or malformed text.  Huge |k|
+# stays out: delta_effective's scan grows with |k|.
+_REAL = st.floats(-3.0, 3.0).map(repr)
+_COORDS = st.floats(-4.0, 4.0).map(repr)
+_FIELDS = {
+    "--k": st.one_of(_REAL, st.tuples(_REAL, _REAL).map(",".join)),
+    "--x": st.lists(_COORDS, min_size=2, max_size=2).map(",".join),
+    "--y": st.one_of(st.lists(_COORDS, min_size=2, max_size=2), st.lists(_COORDS, min_size=4, max_size=4)).map(",".join),
+    "--tol": st.sampled_from(["1e-10", "1e-8", "1e-3", "0", "-1"]),
+}
+_BAD = st.sampled_from(["nan", "inf", "-inf", "", "x", "1e", "1,,2", "0x1"])
+_DEGREE = st.integers(-2, 30).map(str)
+
+
+def _instance(n):
+    def argv(fields, bad_field, bad_text):
+        return ["--n", str(n)] + [
+            f"{name}={bad_text if name == bad_field else value}" for name, value in fields.items()
+        ]
+
+    # about half the lists keep every field well-formed
+    bad_field = st.sampled_from([*_FIELDS, None, None, None, None])
+    return st.builds(argv, st.fixed_dictionaries(_FIELDS), bad_field, _BAD)
+
+
+_ARGV = st.integers(-2, 12).flatmap(
+    lambda n: st.one_of(
+        st.tuples(st.just(("em",)), _instance(n), st.tuples(
+            st.just("--m-max"), _DEGREE, st.just("--method"),
+            st.sampled_from(["recurrence", "genseries", "oracle", "sigma"]))),
+        st.tuples(st.just(("kernel", "--method", "series")), _instance(n)),
+        st.tuples(st.just(("bounds",)), _instance(n), st.tuples(
+            st.just("--m-max"), _DEGREE, st.just("--nu"), st.integers(-1, 3).map(str))),
+        st.tuples(st.just(("phi",)), _instance(n), st.tuples(st.just("--pmax"), _DEGREE)),
+        st.tuples(st.just(("crosscheck",)), st.one_of(st.just(()), _instance(n)), st.tuples(
+            st.just("--seed"), st.integers(-2, 99).map(str), st.just("--samples"),
+            st.integers(0, 2).map(str), st.just("--m-max"), _DEGREE)),
+    )
+).map(lambda parts: [a for part in parts for a in part])
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_ARGV)
+def test_fuzzed_arguments_exit_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main(argv, out=out)
+        except SystemExit as exc:  # argparse rejected the argument list
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_CHECK_FAILURE, EXIT_DOMAIN_ERROR, EXIT_CONVERGENCE_ERROR)
+    if code in (EXIT_DOMAIN_ERROR, EXIT_CONVERGENCE_ERROR):
+        assert out.getvalue() == ""
+    assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize("method", ["recurrence", "genseries", "oracle", "sigma"])

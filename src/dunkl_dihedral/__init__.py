@@ -10,9 +10,7 @@ __version__ = "0.1.0"
 
 from .dihedral import (
     DihedralGroup,
-    GroupElement,
     OrbitPairings,
-    act,
     is_sigma_invariant,
     make_group,
     orbit_pairings,
@@ -32,7 +30,6 @@ from .kernel import (
 )
 from .polyalg import (
     ParameterK,
-    Pochhammer,
     Poly2,
     a_op,
     dunkl_apply,
@@ -41,14 +38,7 @@ from .polyalg import (
     oracle_em,
     pochhammer_table,
 )
-from .recurrence import (
-    CoeffMatrices,
-    StateVector,
-    coeff_matrix_norms,
-    em_scalar_check,
-    em_sequence,
-    y_step,
-)
+from .recurrence import em_sequence, y_step
 from .series import (
     SeriesData,
     a_coeffs,
@@ -56,14 +46,11 @@ from .series import (
     em_genseries,
     g_values,
     phi_sigma_invariant,
-    residual_check,
 )
 
 __all__ = [
     "DihedralGroup",
-    "GroupElement",
     "OrbitPairings",
-    "act",
     "is_sigma_invariant",
     "make_group",
     "orbit_pairings",
@@ -73,7 +60,6 @@ __all__ = [
     "ConvergenceError",
     "ConsistencyError",
     "ParameterK",
-    "Pochhammer",
     "Poly2",
     "dunkl_apply",
     "a_op",
@@ -81,16 +67,11 @@ __all__ = [
     "intertwine",
     "oracle_em",
     "pochhammer_table",
-    "StateVector",
-    "CoeffMatrices",
     "y_step",
     "em_sequence",
-    "em_scalar_check",
-    "coeff_matrix_norms",
     "SeriesData",
     "a_coeffs",
     "g_values",
-    "residual_check",
     "em_genseries",
     "phi_sigma_invariant",
     "em_closed_sigma",

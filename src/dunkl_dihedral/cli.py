@@ -190,7 +190,9 @@ def _crosscheck_one(
 
 
 def cmd_crosscheck(args: argparse.Namespace, out) -> int:
-    if args.x is not None and args.y is not None:
+    if (args.x is None) != (args.y is None):
+        raise DomainError("give both --x and --y for one instance, or neither for the sweep")
+    if args.x is not None:
         # Single explicit instance: echo the per-method values.
         G, P = make_group(args.n), ParameterK(args.k, args.n)
         rows = []
@@ -204,6 +206,8 @@ def cmd_crosscheck(args: argparse.Namespace, out) -> int:
     _require_tol(args.tol)
     if args.seed < 0:
         raise DomainError("the sweep seed must be a nonnegative integer")
+    if args.samples < 0:
+        raise DomainError("the sweep sample count must be a nonnegative integer")
     rng = np.random.default_rng(args.seed)
     rows = []
     worst_overall = 0.0

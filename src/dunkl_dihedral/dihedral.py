@@ -1,11 +1,12 @@
-"""Dihedral group geometry: group elements acting on the plane, bilinear
+"""Dihedral group geometry: group elements as 2x2 matrices, bilinear
 pairings, orbit pairing data and the orbit growth bound.
 
 The plane is identified with the complex numbers, z = x1 + i*x2.  The group
 of order 2n consists of the rotations z -> z*w^(2j) and the reflections
-z -> conj(z)*w^(2j) with w = exp(i*pi/n).  Both act on points with complex
-coordinates through their real 2x2 matrices, which is the bilinear extension
-used everywhere in this package (no complex conjugation in pairings).
+z -> conj(z)*w^(2j) with w = exp(i*pi/n).  An element is its real 2x2
+matrix, rotation_matrix(n, j) or reflection_matrix(n, j), and acts on a
+point with complex coordinates by the matrix product (the bilinear extension
+used everywhere in this package: no complex conjugation in pairings).
 """
 
 from __future__ import annotations
@@ -36,30 +37,9 @@ def _as_point(x: PlanePoint) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GroupElement:
-    """A rotation r^j or reflection r^j*sigma of the order-2n dihedral group."""
-
-    kind: str  # "rotation" | "reflection"
-    index: int
-    n: int
-
-
-@dataclass(frozen=True)
 class DihedralGroup:
     n: int
-    rotation_angle: float
     positive_roots: tuple[tuple[float, float], ...]
-
-    def rotation(self, j: int) -> GroupElement:
-        return GroupElement("rotation", j % self.n, self.n)
-
-    def reflection(self, j: int) -> GroupElement:
-        return GroupElement("reflection", j % self.n, self.n)
-
-    def elements(self) -> list[GroupElement]:
-        return [self.rotation(j) for j in range(self.n)] + [
-            self.reflection(j) for j in range(self.n)
-        ]
 
 
 def make_group(n: int) -> DihedralGroup:
@@ -73,7 +53,7 @@ def make_group(n: int) -> DihedralGroup:
     roots = tuple(
         (-math.sin(j * math.pi / n), math.cos(j * math.pi / n)) for j in range(n)
     )
-    return DihedralGroup(n=n, rotation_angle=2.0 * math.pi / n, positive_roots=roots)
+    return DihedralGroup(n=n, positive_roots=roots)
 
 
 def rotation_matrix(n: int, j: int) -> np.ndarray:
@@ -88,19 +68,6 @@ def reflection_matrix(n: int, j: int) -> np.ndarray:
     t = 2.0 * math.pi * (j % n) / n
     c, s = math.cos(t), math.sin(t)
     return np.array([[c, s], [s, -c]])
-
-
-def element_matrix(g: GroupElement) -> np.ndarray:
-    if g.kind == "rotation":
-        return rotation_matrix(g.n, g.index)
-    if g.kind == "reflection":
-        return reflection_matrix(g.n, g.index)
-    raise DomainError(f"unknown group element kind {g.kind!r}")
-
-
-def act(g: GroupElement, x: PlanePoint) -> np.ndarray:
-    """Apply a group element to a plane point (complex coordinates allowed)."""
-    return element_matrix(g) @ _as_point(x)
 
 
 def pairing(x: PlanePoint, y: PlanePoint) -> complex:
@@ -149,8 +116,9 @@ def orbit_pairings(G: DihedralGroup, x: PlanePoint, y: PlanePoint) -> OrbitPairi
     )
 
 
-def is_sigma_invariant(orbit: OrbitPairings, tol: float = 1e-12) -> bool:
-    """True when the rotation and reflection pairings agree as multisets.
+def is_sigma_invariant(orbit: OrbitPairings) -> bool:
+    """True when the rotation and reflection pairings agree as multisets,
+    within 1e-12 times max(1, a).
 
     This is the operational test that x or y lies on the base mirror axis;
     the closed product forms are valid exactly in that case.
@@ -162,6 +130,6 @@ def is_sigma_invariant(orbit: OrbitPairings, tol: float = 1e-12) -> bool:
             order(orbit.rot_pairings),
             order(orbit.refl_pairings),
             rtol=0.0,
-            atol=tol * scale,
+            atol=1e-12 * scale,
         )
     )

@@ -17,8 +17,8 @@ import numpy as np
 
 from .dihedral import DihedralGroup, OrbitPairings, PlanePoint, orbit_pairings
 from .errors import ConvergenceError, DomainError
-from .polyalg import ParameterK
-from .recurrence import coeff_matrix_norms, em_sequence, orbit_em_table
+from .polyalg import ParameterK, h_coefficients
+from .recurrence import em_sequence, orbit_em_table
 from .series import SeriesData, a_coeffs, em_closed_sigma
 
 MAX_TERMS = 500
@@ -47,9 +47,13 @@ class DeltaConstant:
     delta_effective: float
 
 
-def _norm_sum(P: ParameterK, m: int) -> float:
-    norms = coeff_matrix_norms(P, m)
-    return norms.a_mat_norm + norms.b_mat_norm
+def transition_norm_sum(P: ParameterK, m: int) -> float:
+    """Sup norm of the degree-(m+1) rotation-block transition matrix plus
+    that of the reflection block, m >= 0.  With (a, b) = h_coefficients(P,
+    m+1), the rotation block is 1/(m+1+gamma) times the identity plus a[1]
+    times all ones, and the reflection block is b[0] times all ones."""
+    a, b = h_coefficients(P, m + 1)
+    return abs(1.0 / (m + 1 + P.gamma)) + P.n * abs(complex(a[1])) + P.n * abs(complex(b[0]))
 
 
 @lru_cache(maxsize=256)
@@ -75,9 +79,9 @@ def delta_effective(P: ParameterK) -> DeltaConstant:
     delta_series = mod2g * max(1.0, sup_term)
 
     span = math.ceil(10.0 * (1.0 + abs(g))) + 2
-    sums = [_norm_sum(P, m) for m in range(span)]
+    sums = [transition_norm_sum(P, m) for m in range(span)]
     while not (sums[-1] <= sums[-2] <= sums[-3]):
-        sums.extend(_norm_sum(P, m) for m in range(len(sums), 2 * len(sums)))
+        sums.extend(transition_norm_sum(P, m) for m in range(len(sums), 2 * len(sums)))
     delta_matrix = float(max(sums))
 
     return DeltaConstant(
@@ -113,10 +117,8 @@ def _log_component_bound(P: ParameterK, delta_a: float, M: int) -> np.ndarray:
     )
 
 
-def certified_terms(
-    P: ParameterK, delta_a: float, tol: float, max_terms: int = MAX_TERMS
-) -> tuple[int, float]:
-    """Smallest M with a certified component tail below tol.
+def certified_terms(P: ParameterK, delta_a: float, tol: float) -> tuple[int, float]:
+    """Smallest M <= MAX_TERMS with a certified component tail below tol.
 
     The degree-m component is bounded by _log_component_bound; once the term
     ratio falls below 1/2 (it is decreasing from degree ceil(-Re gamma) on)
@@ -127,8 +129,8 @@ def certified_terms(
     if delta_a == 0.0:
         return 0, 0.0
     m_mono = max(0, math.ceil(-P.gamma.real))
-    log_term = _log_component_bound(P, delta_a, max_terms + 2)
-    for M in range(max_terms + 1):
+    log_term = _log_component_bound(P, delta_a, MAX_TERMS + 2)
+    for M in range(MAX_TERMS + 1):
         m1 = M + 1
         if m1 <= m_mono or log_term[m1 + 1] - log_term[m1] >= _LOG_HALF:
             continue
@@ -137,7 +139,7 @@ def certified_terms(
         if tail < tol:
             return M, tail
     raise ConvergenceError(
-        f"component tail not certified within {max_terms} terms "
+        f"component tail not certified within {MAX_TERMS} terms "
         f"(delta * a = {delta_a:.6g}); the argument pair is too large "
         "for double-precision series summation"
     )
@@ -343,7 +345,6 @@ def ek_integral(
 @dataclass(frozen=True)
 class EmBoundReport:
     max_ratio: float
-    ratios: np.ndarray
     passed: bool
 
 
@@ -359,7 +360,8 @@ def check_em_bound(
 ) -> EmBoundReport:
     """Verify the component bound |E_m| <= (e^2/2)(m+2)^2 (delta a)^m /
     |(1+gamma)_m| for m = 1..M; reports the worst ratio (0 when there is
-    nothing to check)."""
+    nothing to check).  A bound past the double range gives ratio 0; one
+    that underflows to 0 gives ratio 0 where |E_m| = 0 too, else inf."""
     if M < 0:
         raise DomainError("component count M must be nonnegative")
     if nu < 0:
@@ -368,13 +370,14 @@ def check_em_bound(
         raise DomainError(f"bound check requires Re(gamma) > -nu = {-nu}")
     orbit = orbit_pairings(G, x, y)
     if orbit.a_bound == 0.0:
-        ratios = np.zeros(M)
-        return EmBoundReport(max_ratio=0.0, ratios=ratios, passed=True)
+        return EmBoundReport(max_ratio=0.0, passed=True)
     da = delta_effective(P).delta_effective * orbit.a_bound
-    ems = em_sequence(G, P, x, y, M)
-    ratios = np.abs(ems[1:]) / np.exp(_log_component_bound(P, da, M)[1:])
+    abs_em = np.abs(em_sequence(G, P, x, y, M)[1:])
+    with np.errstate(over="ignore"):  # a bound past the double range holds
+        bound = np.exp(_log_component_bound(P, da, M)[1:])
+    ratios = np.divide(abs_em, bound, out=np.where(abs_em > 0, np.inf, 0.0), where=bound > 0)
     max_ratio = float(np.max(ratios, initial=0.0))
-    return EmBoundReport(max_ratio=max_ratio, ratios=ratios, passed=max_ratio <= 1.0 + 1e-9)
+    return EmBoundReport(max_ratio=max_ratio, passed=max_ratio <= 1.0 + 1e-9)
 
 
 def ek_bound_constant(P: ParameterK, nu: int, delta_a: float) -> float:

@@ -59,33 +59,20 @@ class ParameterK:
         d = min(abs(two_g + j), abs(two_g + j + 1), abs(two_g + max(1, j - 1)))
         return min(abs(self.gamma), d)
 
-    def is_regular(self, tol: float = 1e-12) -> bool:
-        return self.regularity_margin() > tol
-
-    def require_regular(self, tol: float = 1e-12) -> None:
-        if abs(self.gamma) <= tol:
+    def require_regular(self) -> None:
+        """Raise a domain error unless the margin exceeds 1e-12."""
+        if abs(self.gamma) <= 1e-12:
             raise DomainError(
                 f"gamma = {self.gamma} is zero: series-based evaluation routes "
                 "are undefined (use the k = 0 exponential shortcut)"
             )
-        if not self.is_regular(tol):
+        if not self.regularity_margin() > 1e-12:
             two_g = 2.0 * self.gamma
             j = max(1, round(-two_g.real))
             raise DomainError(
                 f"gamma = {self.gamma} is inadmissible: p + 2*gamma vanishes "
-                f"(within {tol:g}) at the positive integer p = {j}"
+                f"(within 1e-12) at the positive integer p = {j}"
             )
-
-
-@dataclass(frozen=True)
-class Pochhammer:
-    """Rising factorial table p_m = (1+gamma)_m for m = 0..M."""
-
-    gamma: complex
-    values: np.ndarray
-
-    def __getitem__(self, m: int) -> complex:
-        return complex(self.values[m])
 
 
 def rising_factorials(z: complex, M: int) -> np.ndarray:
@@ -102,7 +89,7 @@ def rising_factorials(z: complex, M: int) -> np.ndarray:
     return out
 
 
-def pochhammer_table(P: ParameterK, M: int) -> Pochhammer:
+def pochhammer_table(P: ParameterK, M: int) -> np.ndarray:
     """The table (1+gamma)_0 .. (1+gamma)_M that normalises the components.
 
     The one overflow guard for it: a non-finite entry is a range error.
@@ -113,7 +100,7 @@ def pochhammer_table(P: ParameterK, M: int) -> Pochhammer:
             f"(1+gamma)_m overflows double precision before m = {M}; reduce M",
             code="range-error",
         )
-    return Pochhammer(gamma=P.gamma, values=values)
+    return values
 
 
 def factorial_table(M: int) -> np.ndarray:
@@ -166,8 +153,8 @@ class Poly2:
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
-    def zero(degree: int = 0) -> "Poly2":
-        return Poly2(np.zeros((degree + 1, degree + 1)))
+    def zero() -> "Poly2":
+        return Poly2(np.zeros((1, 1)))
 
     @staticmethod
     def constant(value: complex) -> "Poly2":

@@ -90,53 +90,6 @@ def g_values(orbit: OrbitPairings, z: complex) -> tuple[complex, complex]:
     return complex(rot + refl), complex(rot - refl)
 
 
-def eval_q(S: SeriesData, z: complex) -> np.ndarray:
-    """The truncated vanishing-at-zero solution Q(z) = sum_{p>=1} A[p] z^p."""
-    z = complex(z)
-    q = np.zeros(2, dtype=complex)
-    for p in range(S.order, 0, -1):
-        q = (q + S.A[p]) * z
-    return q
-
-
-def eval_q_prime(S: SeriesData, z: complex) -> np.ndarray:
-    z = complex(z)
-    q = np.zeros(2, dtype=complex)
-    for p in range(S.order, 1, -1):
-        q = (q + p * S.A[p]) * z
-    if S.order >= 1:
-        q = q + S.A[1]
-    return q
-
-
-def eval_phi(S: SeriesData, z: complex) -> complex:
-    """Generating-function value by Horner on the phi coefficients."""
-    z = complex(z)
-    acc = 0.0 + 0.0j
-    for p in range(S.order, -1, -1):
-        acc = acc * z + S.phi[p]
-    return complex(acc)
-
-
-def residual_check(
-    P: ParameterK, orbit: OrbitPairings, S: SeriesData, z: complex
-) -> float:
-    """Euclidean norm of the differential-system residual of the truncated
-    solution at z.  Test instrumentation, not a production path."""
-    z = complex(z)
-    if z == 0:
-        raise DomainError("residual is evaluated away from the origin")
-    g_val, gs_val = g_values(orbit, z)
-    q = eval_q(S, z)
-    qp = eval_q_prime(S, z)
-    lam = (P.gamma / (2.0 * P.n)) * np.array(
-        [[g_val, -gs_val], [gs_val, -g_val]], dtype=complex
-    )
-    rhs = np.array([g_val, gs_val], dtype=complex) + lam @ q
-    rhs[1] -= (2.0 * P.gamma / z) * q[1]
-    return float(np.linalg.norm(qp - rhs))
-
-
 def _cauchy_prefixes(c: np.ndarray, s: complex) -> list[complex]:
     """sum_{j<=m} c[j] s^(m-j) for every m: the Cauchy products of c with the
     geometric series of s, by one cumulative Horner pass
@@ -155,7 +108,7 @@ def em_genseries(
     (gamma/2n) * Phi against the geometric series of <x,y>."""
     if M < 0:
         raise DomainError("component count M must be nonnegative")
-    poch = pochhammer_table(P, M).values
+    poch = pochhammer_table(P, M)
     orbit = orbit_pairings(G, x, y)
     S = a_coeffs(P, orbit, M)
     pref = P.gamma / (2.0 * P.n)
@@ -205,7 +158,7 @@ def em_closed_sigma(
     orbit = orbit_pairings(G, x, y)
     _require_sigma_invariant(orbit)
     factorials = factorial_table(M)
-    poch = pochhammer_table(P, M).values
+    poch = pochhammer_table(P, M)
 
     inner = np.zeros(M + 1, dtype=complex)
     inner[0] = 1.0

@@ -11,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from conftest import poly_rel_err, random_poly, rel_err
+from conftest import poly_rel_err, random_poly, rel_err, residual_check
 from dunkl_dihedral.cli import EXIT_OK, main
 from dunkl_dihedral.dihedral import is_sigma_invariant, make_group, orbit_pairings, pairing
 from dunkl_dihedral.kernel import (
@@ -32,7 +32,7 @@ from dunkl_dihedral.polyalg import (
 )
 from dunkl_dihedral.recurrence import em_sequence
 from dunkl_dihedral.sampling import draw_instance
-from dunkl_dihedral.series import a_coeffs, em_closed_sigma, em_genseries, residual_check
+from dunkl_dihedral.series import a_coeffs, em_closed_sigma, em_genseries
 
 E1, E2 = (1.0, 0.0), (0.0, 1.0)
 

@@ -232,6 +232,8 @@ def test_complex_x_rejected():
          "--method", "integral"],
         ["bounds", "--n", "3", "--k", "0.5", "--x", "0,0", "--y", "1,1", "--m-max", "-1"],
         ["crosscheck", "--seed", "-1", "--samples", "2"],
+        ["crosscheck", "--seed", "1", "--samples", "2", "--x", "1,0"],
+        ["crosscheck", "--seed", "1", "--samples", "-3"],
     ],
 )
 def test_malformed_input_is_a_domain_error(argv, capsys):
@@ -266,6 +268,19 @@ def test_bounds_without_components_is_a_vacuous_pass():
     assert code == EXIT_OK
     _, rows = parse_csv(out)
     assert rows[0] == ["component_bound_max_ratio", "0", "1.0000000010000001", "1"]
+
+
+def test_bounds_with_underflowing_component_bound_passes():
+    # a = 1e-160: from m = 2 on, the bound e^2/2 (m+2)^2 (delta a)^m / |(1+gamma)_m|
+    # and |E_m| both underflow to 0, which is no violation
+    code, out = run_cli(
+        ["bounds", "--n", "3", "--k", "0.5", "--x", "1e-160,0", "--y", "1,0", "--m-max", "3"]
+    )
+    assert code == EXIT_OK
+    _, rows = parse_csv(out)
+    ratio = float(rows[0][1])
+    assert rows[0][0] == "component_bound_max_ratio" and rows[0][3] == "1"
+    assert math.isfinite(ratio) and ratio <= 1.0
 
 
 @pytest.mark.parametrize("k", ["0", "-0.25"])

@@ -6,16 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dunkl_dihedral.dihedral import (
-    act,
-    element_matrix,
     is_sigma_invariant,
     make_group,
     orbit_pairings,
     pairing,
+    reflection_matrix,
+    rotation_matrix,
 )
 from dunkl_dihedral.errors import DomainError
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
+
+
+def _elements(n):
+    """The 2n group elements as matrices: rotations, then reflections."""
+    return [rotation_matrix(n, j) for j in range(n)] + [reflection_matrix(n, j) for j in range(n)]
 
 
 def test_make_group_rejects_small_order():
@@ -24,16 +29,15 @@ def test_make_group_rejects_small_order():
 
 
 def test_n2_actions():
-    G = make_group(2)
-    assert np.allclose(act(G.reflection(0), (3.0, 4.0)), (3.0, -4.0))
-    assert np.allclose(act(G.reflection(1), (3.0, 4.0)), (-3.0, 4.0), atol=1e-14)
-    assert np.allclose(act(G.rotation(1), (3.0, 4.0)), (-3.0, -4.0), atol=1e-14)
-    assert np.allclose(act(G.rotation(0), (3.0, 4.0)), (3.0, 4.0))
+    x = np.array([3.0, 4.0])
+    assert np.allclose(reflection_matrix(2, 0) @ x, (3.0, -4.0))
+    assert np.allclose(reflection_matrix(2, 1) @ x, (-3.0, 4.0), atol=1e-14)
+    assert np.allclose(rotation_matrix(2, 1) @ x, (-3.0, -4.0), atol=1e-14)
+    assert np.allclose(rotation_matrix(2, 0) @ x, (3.0, 4.0))
 
 
 def test_n4_quarter_turn():
-    G = make_group(4)
-    assert np.allclose(act(G.rotation(1), (1.0, 0.0)), (0.0, 1.0), atol=1e-15)
+    assert np.allclose(rotation_matrix(4, 1) @ np.array([1.0, 0.0]), (0.0, 1.0), atol=1e-15)
 
 
 def test_n3_positive_roots():
@@ -62,30 +66,29 @@ def test_pairing_is_bilinear(x1, x2, y1, y2, s):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 7])
 def test_group_relations(n, rng):
-    G = make_group(n)
+    r, s = rotation_matrix(n, 1), reflection_matrix(n, 0)
     for _ in range(5):
         x = rng.uniform(-2, 2, size=2)
         # r^n = identity
         z = x.copy()
         for _ in range(n):
-            z = act(G.rotation(1), z)
+            z = r @ z
         assert np.allclose(z, x, atol=1e-14 * max(1, np.linalg.norm(x)))
         # reflections are involutions
         for j in range(n):
             assert np.allclose(
-                act(G.reflection(j), act(G.reflection(j), x)), x, atol=1e-14
+                reflection_matrix(n, j) @ (reflection_matrix(n, j) @ x), x, atol=1e-14
             )
         # sigma r sigma = r^{-1}
-        srs = act(G.reflection(0), act(G.rotation(1), act(G.reflection(0), x)))
-        rinv = act(G.rotation(n - 1), x)
+        srs = s @ (r @ (s @ x))
+        rinv = rotation_matrix(n, n - 1) @ x
         assert np.allclose(srs, rinv, atol=1e-14 * max(1, np.linalg.norm(x)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_elements_pairwise_distinct(n, rng):
-    G = make_group(n)
     x = rng.uniform(-1, 1, size=2)
-    images = [tuple(np.round(act(g, x), 9)) for g in G.elements()]
+    images = [tuple(np.round(g @ x, 9)) for g in _elements(n)]
     # distinct as plane maps: distinct images of a generic point
     assert len(set(images)) == 2 * n
 
@@ -115,22 +118,20 @@ def test_orbit_n3_trig():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 7])
 def test_rotation_adjoint(n, rng):
-    G = make_group(n)
     for _ in range(10):
         x = rng.uniform(-2, 2, size=2)
         y = rng.uniform(-2, 2, size=2) + 1j * rng.uniform(-1, 1, size=2)
         for j in range(n):
-            lhs = pairing(act(G.rotation(j), x), y)
-            rhs = pairing(x, act(G.rotation(n - j), y))
+            lhs = pairing(rotation_matrix(n, j) @ x, y)
+            rhs = pairing(x, rotation_matrix(n, n - j) @ y)
             assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(lhs), abs(rhs))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 7])
 def test_rotation_sum_vanishes(n, rng):
-    G = make_group(n)
     for _ in range(10):
         x = rng.uniform(-3, 3, size=2)
-        total = sum(act(G.rotation(j), x) for j in range(n))
+        total = sum(rotation_matrix(n, j) @ x for j in range(n))
         assert np.linalg.norm(total) <= 1e-13 * n * np.linalg.norm(x) + 1e-300
 
 
@@ -168,7 +169,5 @@ def test_sigma_invariance_detection(rng):
 
 
 def test_element_matrices_orthogonal():
-    G = make_group(6)
-    for g in G.elements():
-        M = element_matrix(g)
+    for M in _elements(6):
         assert np.allclose(M @ M.T, np.eye(2), atol=1e-15)

@@ -18,6 +18,7 @@ from dunkl_dihedral.kernel import (
     ek_sigma_closed,
     kernel_K,
     series_for_radius,
+    transition_norm_sum,
 )
 from dunkl_dihedral.polyalg import ParameterK, oracle_em
 from dunkl_dihedral.sampling import draw_instance, draw_parameter
@@ -49,14 +50,9 @@ def test_delta_frozen_negative_gamma():
 
 
 def test_delta_matrix_dominates_norm_sums(rng):
-    from dunkl_dihedral.recurrence import coeff_matrix_norms
-
     P = draw_parameter(rng, 4)
     dc = delta_effective(P)
-    sums = [
-        (lambda c: c.a_mat_norm + c.b_mat_norm)(coeff_matrix_norms(P, m))
-        for m in range(200)
-    ]
+    sums = [transition_norm_sum(P, m) for m in range(200)]
     assert dc.delta_matrix >= max(sums) - 1e-12
 
 
@@ -261,6 +257,18 @@ def test_em_bound_negative_real_gamma(rng):
         y = rng.uniform(-1, 1, size=2)
         rep = check_em_bound(G, P, x, y, 60, 1)
         assert rep.passed
+
+
+@pytest.mark.parametrize(
+    "k, x, M",
+    [
+        (0.5, (1e-160, 0.0), 3),  # a tiny: bound and |E_m| underflow to 0
+        (-0.166666, (1.0, 0.0), 100),  # 2 gamma near -1: delta a = 2.5e5, bound overflows
+    ],
+)
+def test_em_bound_outside_double_range_is_no_violation(k, x, M):
+    rep = check_em_bound(make_group(3), ParameterK(k, 3), x, (1.0, 0.0), M, 1)
+    assert math.isfinite(rep.max_ratio) and rep.max_ratio <= 1.0 and rep.passed
 
 
 def test_em_bound_rejects_wrong_nu():

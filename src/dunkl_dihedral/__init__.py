@@ -25,7 +25,6 @@ from .kernel import (
     delta_effective,
     ek_integral,
     ek_series,
-    ek_sigma_closed,
     kernel_K,
 )
 from .polyalg import (
@@ -79,7 +78,6 @@ __all__ = [
     "DeltaConstant",
     "delta_effective",
     "ek_series",
-    "ek_sigma_closed",
     "kernel_K",
     "ek_integral",
     "check_em_bound",

@@ -36,7 +36,7 @@ from .dihedral import (
 from .errors import ConsistencyError, ConvergenceError, DomainError
 from .kernel import _log_abs_pochhammer, _require_tol, check_ek_bound, check_em_bound
 from .kernel import ek_integral, ek_series
-from .polyalg import ParameterK, oracle_em
+from .polyalg import ParameterK, oracle_em, require_degree
 from .recurrence import em_sequence
 from .sampling import draw_instance
 from .series import a_coeffs, em_closed_sigma, em_genseries
@@ -175,8 +175,8 @@ def _crosscheck_one(
 ) -> tuple[float, bool]:
     """Worst discrepancy |u_m - v_m| / max(|u_m|, |v_m|, a^m / |(1+gamma)_m|)
     between the applicable routes' tables u, v, and whether the mirror-axis
-    route was among them.  The third term is the size of the unscaled
-    recurrence state, which sets the rounding error where E_m passes near
+    route was among them.  The third term is the a-priori size
+    a^m / |(1+gamma)_m|, which sets the rounding error where E_m passes near
     zero."""
     orbit = orbit_pairings(G, x, y)
     methods = _methods(orbit)
@@ -257,6 +257,7 @@ def cmd_phi(args: argparse.Namespace, out) -> int:
     G = make_group(args.n)
     P = ParameterK(args.k, args.n)
     orbit = orbit_pairings(G, args.x, args.y)
+    require_degree(args.m_max)
     S = a_coeffs(P, orbit, args.m_max)
     rows = [
         [p, float(S.phi[p].real), float(S.phi[p].imag)] for p in range(S.order + 1)

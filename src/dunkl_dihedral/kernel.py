@@ -1,4 +1,4 @@
-"""Full kernel evaluation with certified truncation tails, the contour /
+"""Full kernel evaluation by a certified series sum, the contour /
 weighted-time integral representation, and the growth-bound checks.
 
 Also owns the effective radius-safety constant delta: the maximum of the
@@ -12,16 +12,16 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
 from .dihedral import DihedralGroup, OrbitPairings, PlanePoint, orbit_pairings
 from .errors import ConvergenceError, DomainError
-from .polyalg import ParameterK, h_coefficients
-from .recurrence import em_sequence, orbit_em_table
-from .series import SeriesData, a_coeffs, em_closed_sigma
+from .polyalg import MAX_DEGREE, ParameterK, h_coefficients, require_degree
+from .recurrence import em_sequence, scaled_states
+from .series import SeriesData, a_coeffs
 
-MAX_TERMS = 500
 # Elements of the e^{t/z} matrix built at once by kernel_K (64 MB of complex).
 # Blocks of hundreds of rows keep the BLAS row sums' bits; one-row blocks do not.
 _CONTOUR_BLOCK = 2**22
@@ -34,7 +34,7 @@ _BOUND_SUM_TERMS = 5001
 @dataclass(frozen=True)
 class KernelResult:
     value: complex
-    method: str  # "series-sum" | "integral" | "sigma-closed" | "exp-shortcut"
+    method: str  # "series-sum" | "integral" | "exp-shortcut"
     terms_used: int | None = None
     nodes_used: int | None = None
     tail_estimate: float = 0.0
@@ -117,54 +117,52 @@ def _log_component_bound(P: ParameterK, delta_a: float, M: int) -> np.ndarray:
     )
 
 
-def certified_terms(P: ParameterK, delta_a: float, tol: float) -> tuple[int, float]:
-    """Smallest M <= MAX_TERMS with a certified component tail below tol.
+def certified_terms(P: ParameterK, orbit: OrbitPairings, tol: float) -> tuple[complex, int, float]:
+    """Sum E_0 + ... + E_M of the scaled orbit states; returns the sum, the
+    term count M+1 and the tail estimate.
 
-    The degree-m component is bounded by _log_component_bound; once the term
-    ratio falls below 1/2 (it is decreasing from degree ceil(-Re gamma) on)
-    the tail closes geometrically, so the tail beyond M is at most twice the
-    first omitted bound.
+    A step multiplies the state's sup norm by at most
+    a (1 + |gamma|/(m+1) + |gamma|/|m+1+2 gamma|) / |m+1+gamma|, and once
+    M+1 > 2|gamma| every later factor is at most envelope(M).  The sum stops
+    at the first M with envelope(M) <= 1/2 and truncation tail
+    2 envelope(M) |state_M| < tol.  2^-53 times the summed state norms is a
+    floor under the sum's rounding error, not a proof of it: the value is
+    refused when the floor exceeds tol * max(1, |sum|), as when no M up to
+    MAX_DEGREE certifies.  The tail estimate is truncation tail plus floor.
     """
-    _require_tol(tol)
-    if delta_a == 0.0:
-        return 0, 0.0
-    m_mono = max(0, math.ceil(-P.gamma.real))
-    log_term = _log_component_bound(P, delta_a, MAX_TERMS + 2)
-    for M in range(MAX_TERMS + 1):
-        m1 = M + 1
-        if m1 <= m_mono or log_term[m1 + 1] - log_term[m1] >= _LOG_HALF:
-            continue
-        lt = log_term[m1]
-        tail = 2.0 * math.exp(lt) if lt < 700.0 else math.inf
-        if tail < tol:
-            return M, tail
+    a, g = orbit.a_bound, abs(P.gamma)
+
+    def envelope(M: int) -> float:
+        return a * (1.0 + g / (M + 1) + g / (M + 1 - 2.0 * g)) / (M + 1 - g)
+
+    total, mass = 0.0j, 0.0
+    # An envelope above 1/2 at the cap certifies no M, and the states could
+    # overflow before the cap: refuse without stepping.
+    closable = MAX_DEGREE + 1 > 2.0 * g and envelope(MAX_DEGREE) <= 0.5
+    states = islice(scaled_states(P, orbit), MAX_DEGREE + 1 if closable else 0)
+    for M, state in enumerate(states):
+        total += state[0]
+        norm = float(np.max(np.abs(state)))
+        mass += norm
+        if M + 1 > 2.0 * g and (rho := envelope(M)) <= 0.5 and 2.0 * rho * norm < tol:
+            floor = 2.0**-53 * mass
+            if floor > tol * max(1.0, abs(total)):
+                raise ConvergenceError(
+                    f"rounding floor {floor:.3g} of the component sum exceeds the tolerance "
+                    f"(sum {abs(total):.3g}); the terms cancel too much for double precision"
+                )
+            return complex(total), M + 1, 2.0 * rho * norm + floor
     raise ConvergenceError(
-        f"component tail not certified within {MAX_TERMS} terms "
-        f"(delta * a = {delta_a:.6g}); the argument pair is too large "
-        "for double-precision series summation"
-    )
-
-
-def _certified_sum(
-    P: ParameterK, orbit: OrbitPairings, tol: float, method: str, table
-) -> KernelResult:
-    """Sum of the component table E_0..E_M, table(M), over the certified term
-    count; a vanishing orbit bound gives 1 exactly."""
-    if orbit.a_bound == 0.0:
-        return KernelResult(value=1.0 + 0.0j, method=method, terms_used=1)
-    da = delta_effective(P).delta_effective * orbit.a_bound
-    M, tail = certified_terms(P, da, tol)
-    return KernelResult(
-        value=complex(sum(table(M))), method=method, terms_used=M + 1, tail_estimate=tail
+        f"component tail not certified within {MAX_DEGREE} terms (a = {a:.6g}, "
+        f"|gamma| = {g:.6g}); the argument pair is too large for double-precision series summation"
     )
 
 
 def ek_series(
     G: DihedralGroup, P: ParameterK, x: PlanePoint, y: PlanePoint, tol: float
 ) -> KernelResult:
-    """Kernel value by summing components until the certified tail is below
-    tol.  Shortcuts: k = 0 gives exp(<x,y>) exactly; a vanishing orbit bound
-    gives 1 exactly."""
+    """Kernel value by the certified sum of certified_terms.  Shortcuts:
+    k = 0 gives exp(<x,y>) exactly; a vanishing orbit bound gives 1 exactly."""
     _require_tol(tol)
     if P.k == 0:
         orbit = orbit_pairings(G, x, y)
@@ -173,20 +171,10 @@ def ek_series(
         )
     P.require_regular()
     orbit = orbit_pairings(G, x, y)
-    return _certified_sum(P, orbit, tol, "series-sum", lambda M: orbit_em_table(P, orbit, M))
-
-
-def ek_sigma_closed(
-    G: DihedralGroup, P: ParameterK, x: PlanePoint, y: PlanePoint, tol: float
-) -> KernelResult:
-    """Kernel value by summing the closed-form components (mirror-axis
-    arguments only), with the same certified tail rule as ek_series."""
-    _require_tol(tol)
-    P.require_regular()
-    orbit = orbit_pairings(G, x, y)
-    return _certified_sum(
-        P, orbit, tol, "sigma-closed", lambda M: em_closed_sigma(G, P, x, y, M)
-    )
+    if orbit.a_bound == 0.0:
+        return KernelResult(value=1.0 + 0.0j, method="series-sum", terms_used=1)
+    value, terms, tail = certified_terms(P, orbit, tol)
+    return KernelResult(value=value, method="series-sum", terms_used=terms, tail_estimate=tail)
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +350,7 @@ def check_em_bound(
     |(1+gamma)_m| for m = 1..M; reports the worst ratio (0 when there is
     nothing to check).  A bound past the double range gives ratio 0; one
     that underflows to 0 gives ratio 0 where |E_m| = 0 too, else inf."""
-    if M < 0:
-        raise DomainError("component count M must be nonnegative")
+    require_degree(M)
     if nu < 0:
         raise DomainError("nu must be a nonnegative integer")
     if P.gamma.real <= -nu:
@@ -380,10 +367,9 @@ def check_em_bound(
     return EmBoundReport(max_ratio=max_ratio, passed=max_ratio <= 1.0 + 1e-9)
 
 
-def ek_bound_constant(P: ParameterK, nu: int, delta_a: float) -> float:
+def ek_bound_constant(P: ParameterK, delta_a: float) -> float:
     """Constant assembled from the component-bound summation: the numeric
-    closure of (e^2/2) sum_m (m+2)^2 (delta a)^m / |(1+gamma)_m|, divided by
-    (delta a + 1)^(nu+2) e^(delta a)."""
+    closure of (e^2/2) sum_m (m+2)^2 (delta a)^m / |(1+gamma)_m|."""
     if delta_a == 0.0:
         return 2.0 * math.e**2
     log_term = _log_component_bound(P, delta_a, _BOUND_SUM_TERMS)
@@ -393,7 +379,7 @@ def ek_bound_constant(P: ParameterK, nu: int, delta_a: float) -> float:
         total += term
         closing = m > -P.gamma.real and log_term[m + 1] - log_term[m] < _LOG_HALF
         if closing and term < 1e-16 * max(total, 1.0):
-            return total / ((delta_a + 1.0) ** (nu + 2) * math.exp(delta_a))
+            return total
         if not math.isfinite(total):
             break
     raise ConvergenceError(
@@ -405,7 +391,9 @@ def check_ek_bound(
     G: DihedralGroup, P: ParameterK, x: PlanePoint, y: PlanePoint, nu: int
 ) -> EkBoundReport:
     """Ratio |E_k| / ((delta a + 1)^(nu+2) e^(delta a)) at one grid point,
-    against the assembled summation constant."""
+    against the assembled summation constant over the same scale.  A scale
+    past the double range is inf, so the ratios against it read 0, as in
+    check_em_bound."""
     if nu < 1:
         raise DomainError("nu must be a positive integer for the kernel bound")
     if P.gamma.real <= -nu:
@@ -414,10 +402,11 @@ def check_ek_bound(
     if P.k == 0:
         value = cmath.exp(orbit.xy)
         da = orbit.a_bound
-        constant = 2.0 * math.e**2
     else:
         da = delta_effective(P).delta_effective * orbit.a_bound
         value = ek_series(G, P, x, y, 1e-10).value
-        constant = ek_bound_constant(P, nu, da)
-    ratio = abs(value) / ((da + 1.0) ** (nu + 2) * math.exp(da))
+    too_large = (nu + 2) * math.log1p(da) + da > 709.0
+    scale = math.inf if too_large else (da + 1.0) ** (nu + 2) * math.exp(da)
+    constant = 2.0 * math.e**2 if P.k == 0 else ek_bound_constant(P, da) / scale
+    ratio = abs(value) / scale
     return EkBoundReport(ratio=float(ratio), constant=float(constant), passed=ratio <= constant)

@@ -48,6 +48,8 @@ class ParameterK:
         if not cmath.isfinite(self.k):
             raise DomainError(f"parameter k = {self.k} must be finite")
         object.__setattr__(self, "gamma", self.n * complex(self.k))
+        if not cmath.isfinite(self.gamma):
+            raise DomainError(f"gamma = n*k = {self.gamma} must be finite")
 
     def regularity_margin(self) -> float:
         """Distance of the parameter from the inadmissible set.
@@ -73,6 +75,20 @@ class ParameterK:
                 f"gamma = {self.gamma} is inadmissible: p + 2*gamma vanishes "
                 f"(within 1e-12) at the positive integer p = {j}"
             )
+
+
+# The largest component degree any route evaluates, and the term cap of the
+# certified kernel series sum.
+MAX_DEGREE = 500
+
+
+def require_degree(M: int) -> None:
+    """The one degree guard: a negative M is a domain error, and M above
+    MAX_DEGREE a range error, before any table is allocated."""
+    if M < 0:
+        raise DomainError("degree M must be nonnegative")
+    if M > MAX_DEGREE:
+        raise DomainError(f"degree {M} exceeds the limit {MAX_DEGREE}", code="range-error")
 
 
 def rising_factorials(z: complex, M: int) -> np.ndarray:
@@ -437,8 +453,7 @@ def oracle_em(
 ) -> np.ndarray:
     """Components E_0 .. E_M evaluated symbolically: for each degree m, apply
     the intertwining map to <., y>^m, evaluate at x, divide by m!."""
-    if M < 0:
-        raise DomainError("component count M must be nonnegative")
+    require_degree(M)
     xa = _as_point(x)
     if xa.dtype.kind == "c" and np.max(np.abs(xa.imag)) > 0:
         raise DomainError("the first argument must be a real plane point")

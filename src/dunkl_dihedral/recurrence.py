@@ -1,27 +1,25 @@
 """Kernel components by the vectorized orbit recurrence.
 
 The state is a plain complex array of length 2n: entry i holds the
-component at r^i x for i < n and at r^(i-n) sigma x for i >= n, multiplied
-by the rising factorial (1+gamma)_m.  It starts as all ones at degree 0, and
-y_step(values, m, P, orbit) raises its degree from m to m+1.  The component
-itself is the first entry divided by (1+gamma)_m.  Division is deferred: the
-state is propagated unscaled and divided once per requested degree to avoid
-repeated rounding.  The divisor table comes from polyalg.pochhammer_table,
-which owns the overflow guard: a degree whose (1+gamma)_m is not a finite
-double is a range error there.
+component at r^i x for i < n and at r^(i-n) sigma x for i >= n.
+y_step(values, m, P, orbit) raises the degree of the unscaled state
+Y_m = (1+gamma)_m * components from m to m+1.  scaled_states carries the
+components themselves, Y_m / (1+gamma)_m, dividing by m+1+gamma at each
+step, so the state stays on the scale of the components and no rising
+factorial is formed; its first entry is E_m.  It owns the overflow guard: a
+state that is not finite is a range error.
 """
 
 from __future__ import annotations
+
+from itertools import count, islice
+from typing import Iterator
 
 import numpy as np
 
 from .dihedral import DihedralGroup, OrbitPairings, PlanePoint, orbit_pairings
 from .errors import DomainError
-from .polyalg import ParameterK, pochhammer_table
-
-# Beyond this degree the unscaled state would need renormalization; the
-# operations error instead of silently rescaling.
-MAX_DEGREE = 200
+from .polyalg import ParameterK, require_degree
 
 
 def y_step(values: np.ndarray, m: int, P: ParameterK, orbit: OrbitPairings) -> np.ndarray:
@@ -45,30 +43,28 @@ def y_step(values: np.ndarray, m: int, P: ParameterK, orbit: OrbitPairings) -> n
     return out
 
 
+def scaled_states(P: ParameterK, orbit: OrbitPairings) -> Iterator[np.ndarray]:
+    """The scaled states at degrees 0, 1, 2, ...: all ones, then
+    y_step(state / (m+1+gamma), m, P, orbit), which is the unscaled step
+    divided by m+1+gamma since y_step is linear.  Entry i is the component
+    at the i-th orbit point, so entry 0 is E_m."""
+    state = np.ones(2 * orbit.n, dtype=complex)
+    for m in count():
+        yield state
+        with np.errstate(over="ignore", invalid="ignore"):
+            state = y_step(state / (m + 1 + P.gamma), m, P, orbit)
+        if not np.isfinite(state).all():
+            raise DomainError(
+                f"the orbit state overflows double precision at degree {m + 1}", code="range-error"
+            )
+
+
 def em_sequence(
     G: DihedralGroup, P: ParameterK, x: PlanePoint, y: PlanePoint, M: int
 ) -> np.ndarray:
-    """Components E_0 .. E_M at (x, y) as a complex array."""
-    if M < 0:
-        raise DomainError("component count M must be nonnegative")
-    if M > MAX_DEGREE:
-        raise DomainError(
-            f"degree {M} exceeds the renormalization-free limit {MAX_DEGREE}; "
-            "reduce M",
-            code="range-error",
-        )
+    """Components E_0 .. E_M at (x, y) as a complex array: entry 0 of the
+    first M+1 scaled states."""
+    require_degree(M)
     P.require_regular()
-    return orbit_em_table(P, orbit_pairings(G, x, y), M)
-
-
-def orbit_em_table(P: ParameterK, orbit: OrbitPairings, M: int) -> np.ndarray:
-    """Components E_0 .. E_M from precomputed orbit pairings: the first state
-    entry at each degree divided by (1+gamma)_m."""
-    poch = pochhammer_table(P, M)
-    out = np.empty(M + 1, dtype=complex)
-    Y = np.ones(2 * orbit.n, dtype=complex)
-    out[0] = Y[0] / poch[0]
-    for m in range(M):
-        Y = y_step(Y, m, P, orbit)
-        out[m + 1] = Y[0] / poch[m + 1]
-    return out
+    states = scaled_states(P, orbit_pairings(G, x, y))
+    return np.array([state[0] for state in islice(states, M + 1)], dtype=complex)

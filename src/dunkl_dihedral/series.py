@@ -19,7 +19,8 @@ import numpy as np
 
 from .dihedral import DihedralGroup, OrbitPairings, PlanePoint, is_sigma_invariant, orbit_pairings
 from .errors import DomainError
-from .polyalg import ParameterK, factorial_table, pochhammer_table, rising_factorials
+from .polyalg import ParameterK, factorial_table, pochhammer_table
+from .polyalg import require_degree, rising_factorials
 
 
 @dataclass(frozen=True)
@@ -106,8 +107,7 @@ def em_genseries(
 ) -> np.ndarray:
     """Components E_0 .. E_M as the Cauchy-product coefficients of
     (gamma/2n) * Phi against the geometric series of <x,y>."""
-    if M < 0:
-        raise DomainError("component count M must be nonnegative")
+    require_degree(M)
     poch = pochhammer_table(P, M)
     orbit = orbit_pairings(G, x, y)
     S = a_coeffs(P, orbit, M)
@@ -152,8 +152,7 @@ def em_closed_sigma(
     n univariate binomial series sum_v (k)_v / v! c_i^v z^v up to order M,
     which produces identical coefficients at polynomial cost.
     """
-    if M < 0:
-        raise DomainError("component count M must be nonnegative")
+    require_degree(M)
     P.require_regular()
     orbit = orbit_pairings(G, x, y)
     _require_sigma_invariant(orbit)

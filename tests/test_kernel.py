@@ -9,20 +9,18 @@ from dunkl_dihedral.dihedral import make_group, orbit_pairings
 from dunkl_dihedral.errors import ConvergenceError, DomainError
 from dunkl_dihedral.kernel import (
     _log_component_bound,
-    certified_terms,
     check_ek_bound,
     check_em_bound,
     delta_effective,
     ek_integral,
     ek_series,
-    ek_sigma_closed,
     kernel_K,
     series_for_radius,
     transition_norm_sum,
 )
 from dunkl_dihedral.polyalg import ParameterK, oracle_em
 from dunkl_dihedral.sampling import draw_instance, draw_parameter
-from dunkl_dihedral.series import a_coeffs
+from dunkl_dihedral.series import a_coeffs, em_closed_sigma
 
 
 # ---------------------------------------------------------------------------
@@ -114,19 +112,21 @@ def test_component_bound_matches_scalar_formula(k, delta_a):
 
 
 def test_certified_terms_rejects_hopeless_scale():
-    P = ParameterK(0.55, 2)
-    with pytest.raises(ConvergenceError, match="delta \\* a"):
-        certified_terms(P, 3000.0, 1e-8)
+    # a = 200: the envelope closes below 1/2 before the term cap, but the
+    # components a^m/m! are still far above tol at degree 500
+    G, P = make_group(2), ParameterK(0.55, 2)
+    with pytest.raises(ConvergenceError, match="not certified within 500 terms"):
+        ek_series(G, P, (20.0, 0.0), (10.0, 0.0), 1e-8)
 
 
 def test_ek_sigma_closed_matches_series(rng):
+    # the closed-form components summed over the series route's term count
     for _ in range(4):
         inst = draw_instance(rng, sigma_invariant=True)
         G, P = inst.group(), inst.parameter()
         a = ek_series(G, P, inst.x, inst.y, 1e-10)
-        b = ek_sigma_closed(G, P, inst.x, inst.y, 1e-10)
-        assert b.method == "sigma-closed"
-        assert rel_err(a.value, b.value) <= 1e-8
+        b = sum(em_closed_sigma(G, P, inst.x, inst.y, a.terms_used - 1))
+        assert rel_err(a.value, b) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +293,18 @@ def test_ek_bound_along_scaling_ray():
     for s in (1.0, 2.0, 4.0, 6.0 / 0.85):
         rep = check_ek_bound(G, P, s * x0, y, 1)
         assert rep.passed
+
+
+@pytest.mark.parametrize(
+    "n, k, x, y, nu",
+    [
+        (6, 1.4843, (-5.7, 0.0), (7.2, 0.0), 1),  # delta a = 731: e^(delta a) overflows
+        (3, 0.5, (1.0, 0.0), (1.0, 1.0), 1000),  # (delta a + 1)^(nu+2) overflows
+    ],
+)
+def test_ek_bound_past_double_range_reads_zero(n, k, x, y, nu):
+    rep = check_ek_bound(make_group(n), ParameterK(k, n), x, y, nu)
+    assert rep.ratio == 0.0 and rep.constant == 0.0 and rep.passed
 
 
 def test_ek_bound_k_zero_shortcut():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -209,13 +211,33 @@ def test_oracle_agreement(rng):
 
 def test_degree_cap_is_enforced():
     G = make_group(2)
-    with pytest.raises(DomainError, match="renormalization-free"):
-        em_sequence(G, ParameterK(0.5, 2), (1, 0), (1, 0), 201)
+    with pytest.raises(DomainError, match="exceeds the limit 500") as info:
+        em_sequence(G, ParameterK(0.5, 2), (1, 0), (1, 0), 501)
+    assert info.value.code == "range-error"
 
 
-def test_pochhammer_overflow_reported():
-    # gamma = 30: |(1+gamma)_200| overflows double precision
-    G = make_group(5)
-    P = ParameterK(6.0, 5)
-    with pytest.raises(DomainError, match="reduce M"):
-        em_sequence(G, P, (1.0, 0.0), (1.0, 0.0), 200)
+def test_state_overflow_is_a_range_error():
+    # a = 30 |y| ~ 949: a^m / m! passes the double range near m = 394
+    G, P = make_group(3), ParameterK(0.5, 3)
+    assert np.all(np.isfinite(em_sequence(G, P, (30.0, 0.0), (30.0, 10.0), 300)))
+    with pytest.raises(DomainError, match="overflows double precision at degree 394") as info:
+        em_sequence(G, P, (30.0, 0.0), (30.0, 10.0), 400)
+    assert info.value.code == "range-error"
+
+
+def test_components_obey_roesler_bound(rng):
+    # Roesler (Duke Math. J. 98, 1999): for real k >= 0 the kernel is the
+    # Laplace transform of a probability measure on the convex hull of the
+    # orbit of x, so |E_m(x, y)| <= a^m / m! for real x and complex y.
+    # The bound is independent of all four routes.
+    M = 60
+    m = np.arange(M + 1)
+    for _ in range(200):
+        n = int(rng.integers(2, 9))
+        G, P = make_group(n), ParameterK(rng.uniform(0.01, 3.0), n)
+        x = rng.uniform(-2.0, 2.0, size=2)
+        y = rng.uniform(-4.0, 4.0, size=2) + 1j * rng.uniform(-4.0, 4.0, size=2)
+        a = orbit_pairings(G, x, y).a_bound
+        bound = np.exp(m * np.log(a) - np.array([math.lgamma(j + 1) for j in m]))
+        ems = em_sequence(G, P, x, y, M)
+        assert np.all(np.abs(ems) <= (1.0 + 1e-12) * bound)

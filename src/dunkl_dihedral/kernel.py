@@ -121,37 +121,42 @@ def certified_terms(P: ParameterK, orbit: OrbitPairings, tol: float) -> tuple[co
     """Sum E_0 + ... + E_M of the scaled orbit states; returns the sum, the
     term count M+1 and the tail estimate.
 
-    A step multiplies the state's sup norm by at most
-    a (1 + |gamma|/(m+1) + |gamma|/|m+1+2 gamma|) / |m+1+gamma|, and once
-    M+1 > 2|gamma| every later factor is at most envelope(M).  The sum stops
-    at the first M with envelope(M) <= 1/2 and truncation tail
-    2 envelope(M) |state_M| < tol.  2^-53 times the summed state norms is a
-    floor under the sum's rounding error, not a proof of it: the value is
-    refused when the floor exceeds tol * max(1, |sum|), as when no M up to
-    MAX_DEGREE certifies.  The tail estimate is truncation tail plus floor.
+    Since |m+1+c gamma| >= m+1+c Re(gamma), each step from degree M on
+    multiplies the state's sup norm by at most envelope(M), which falls with
+    M, once M+1 > -2 Re(gamma).  The sum stops at the first such M with
+    envelope(M) <= 1/2 and truncation tail 2 envelope(M) |state_M| < tol.
+    It is refused when no M up to MAX_DEGREE certifies, or when the rounding
+    floor exceeds tol * max(1, |sum|).  The floor, an estimate and not a
+    proof, is 2^-53 times the sum of w_m max(|state_m|, a^m / |(1+gamma)_m|):
+    the a-priori size is the scale of rounding that the steps amplify when
+    Re(gamma) < 0, and w_m >= 1 the largest sensitivity to the rounding of
+    gamma, |gamma| (1/|j+1+gamma| + 2/|j+1+2 gamma|) for j < m, of the
+    divisions that formed state m.  The tail estimate adds the floor.
     """
-    a, g = orbit.a_bound, abs(P.gamma)
+    a, g, r = orbit.a_bound, abs(P.gamma), P.gamma.real
 
     def envelope(M: int) -> float:
-        return a * (1.0 + g / (M + 1) + g / (M + 1 - 2.0 * g)) / (M + 1 - g)
+        return a * (1.0 + g / (M + 1) + g / (M + 1 + 2.0 * r)) / (M + 1 + r)
 
-    total, mass = 0.0j, 0.0
+    total, mass, prior, weight = 0.0j, 0.0, 1.0, 1.0
     # An envelope above 1/2 at the cap certifies no M, and the states could
     # overflow before the cap: refuse without stepping.
-    closable = MAX_DEGREE + 1 > 2.0 * g and envelope(MAX_DEGREE) <= 0.5
+    closable = MAX_DEGREE + 1 > -2.0 * r and envelope(MAX_DEGREE) <= 0.5
     states = islice(scaled_states(P, orbit), MAX_DEGREE + 1 if closable else 0)
     for M, state in enumerate(states):
         total += state[0]
         norm = float(np.max(np.abs(state)))
-        mass += norm
-        if M + 1 > 2.0 * g and (rho := envelope(M)) <= 0.5 and 2.0 * rho * norm < tol:
+        mass += weight * max(norm, prior)
+        if M + 1 > -2.0 * r and (rho := envelope(M)) <= 0.5 and 2.0 * rho * norm < tol:
             floor = 2.0**-53 * mass
             if floor > tol * max(1.0, abs(total)):
                 raise ConvergenceError(
-                    f"rounding floor {floor:.3g} of the component sum exceeds the tolerance "
-                    f"(sum {abs(total):.3g}); the terms cancel too much for double precision"
+                    f"rounding floor {floor:.3g} of the component sum exceeds the tolerance (sum "
+                    f"{abs(total):.3g}); the terms cancel, or gamma is near a singular value"
                 )
             return complex(total), M + 1, 2.0 * rho * norm + floor
+        prior *= a / abs(M + 1 + P.gamma)
+        weight = max(weight, g / abs(M + 1 + P.gamma) + 2.0 * g / abs(M + 1 + 2.0 * P.gamma))
     raise ConvergenceError(
         f"component tail not certified within {MAX_DEGREE} terms (a = {a:.6g}, "
         f"|gamma| = {g:.6g}); the argument pair is too large for double-precision series summation"

@@ -45,11 +45,9 @@ class ParameterK:
 
     def __post_init__(self):
         object.__setattr__(self, "k", complex(self.k))
-        if not cmath.isfinite(self.k):
-            raise DomainError(f"parameter k = {self.k} must be finite")
-        object.__setattr__(self, "gamma", self.n * complex(self.k))
-        if not cmath.isfinite(self.gamma):
-            raise DomainError(f"gamma = n*k = {self.gamma} must be finite")
+        object.__setattr__(self, "gamma", self.n * self.k)
+        if not (cmath.isfinite(self.k) and cmath.isfinite(self.gamma)):
+            raise DomainError(f"parameter k = {self.k} and gamma = n*k must be finite")
 
     def regularity_margin(self) -> float:
         """Distance of the parameter from the inadmissible set.

@@ -4,10 +4,8 @@ The state is a plain complex array of length 2n: entry i holds the
 component at r^i x for i < n and at r^(i-n) sigma x for i >= n.
 y_step(values, m, P, orbit) raises the degree of the unscaled state
 Y_m = (1+gamma)_m * components from m to m+1.  scaled_states carries the
-components themselves, Y_m / (1+gamma)_m, dividing by m+1+gamma at each
-step, so the state stays on the scale of the components and no rising
-factorial is formed; its first entry is E_m.  It owns the overflow guard: a
-state that is not finite is a range error.
+components themselves, so no rising factorial is formed, and owns the
+overflow guard: a state that is not finite is a range error.
 """
 
 from __future__ import annotations

@@ -34,23 +34,34 @@ def reference():
 
 
 # Large mirror-axis points with real k: the series needs 96 to 193 terms.
+# Then large |gamma| (300, 40 and 41.6): the stop rule bounds |m+1+gamma|
+# from below by m+1+Re(gamma), so these close in a few dozen terms; a bound
+# by m+1-|gamma| could not close before 2|gamma| terms, nor at all past 250.
 @pytest.mark.parametrize(
-    "n, k, x, y",
+    "n, k, x, y, max_terms",
     [
-        (3, 0.5, (8.0, 0.0), (8.0, 3.0)),
-        (2, 1.0, (9.0, 0.0), (-5.0, 6.0)),
-        (4, 1.0, (6.0, 0.0), (5.0, 4.0)),
-        (4, 0.5, (7.0, 0.0), (6.0, -4.0)),
+        (3, 0.5, (8.0, 0.0), (8.0, 3.0), 193),
+        (2, 1.0, (9.0, 0.0), (-5.0, 6.0), 141),
+        (4, 1.0, (6.0, 0.0), (5.0, 4.0), 96),
+        (4, 0.5, (7.0, 0.0), (6.0, -4.0), 132),
+        (3, 100.0, (1.0, 0.0), (1.0, 1.0), 12),
+        (4, 10.0, (3.0, 0.0), (-2.0, 5.0), 40),
+        (5, 8 + 3j, (1.0, 0.0), (2.0, 2.0), 20),
     ],
 )
-def test_series_sum_matches_mpmath(n, k, x, y, reference):
+def test_series_sum_matches_mpmath(n, k, x, y, max_terms, reference):
     res = ek_series(make_group(n), ParameterK(k, n), x, y, 1e-12)
     ref = reference.mirror_kernel(n, k, x, y)
+    assert res.terms_used <= max_terms
     assert abs(res.value - ref) <= 1e-13 * abs(ref)
 
 
 # Mirror-axis points whose components cancel: a sum of terms up to about
 # 2^53 tol |E_k| would carry a rounding error above tol, so the sum is refused.
+# Then two with Re(gamma) < 0, where the double sum is off by more than tol:
+# gamma = -10 - 1.9e-8, near a singular value, off by 2.4e-8 of |E_k| from
+# the rounding of gamma = n k; and gamma = -28.4994, where the recurrence
+# amplifies rounding by the a-priori size, off by 5.1e-9.
 @pytest.mark.parametrize(
     "n, k, x, y",
     [
@@ -59,12 +70,14 @@ def test_series_sum_matches_mpmath(n, k, x, y, reference):
         (3, 0.5, (6.0, 0.0), (-6.0, 0.0)),
         (3, 0.5, (8.0, 0.0), (-4.0, 0.0)),
         (5, 0.3, (8.0, 0.0), (-7.0, 0.0)),
+        (3, -3.3333333395157525, (2.5036160556174667, 0.0), (-0.009911683781689329, 1.1003232595248034)),
+        (7, -4.0713466623923456, (2.6633667663995095, 0.0), (3.9833260803830366, -2.2285750769237263)),
     ],
 )
-def test_cancelling_series_sum_is_a_convergence_error(n, k, x, y, capsys):
+def test_ill_conditioned_series_sum_is_a_convergence_error(n, k, x, y, capsys):
     out = io.StringIO()
     code = main(
-        ["kernel", "--n", str(n), f"--k={k}", f"--x={x[0]},{x[1]}", f"--y={y[0]},{y[1]}",
+        ["kernel", "--n", str(n), f"--k={k!r}", f"--x={x[0]!r},{x[1]!r}", f"--y={y[0]!r},{y[1]!r}",
          "--tol", "1e-12"],
         out=out,
     )

@@ -58,31 +58,27 @@ def transition_norm_sum(P: ParameterK, m: int) -> float:
 
 @lru_cache(maxsize=256)
 def delta_effective(P: ParameterK) -> DeltaConstant:
-    """Radius-safety constant for the given parameter.
-
-    delta_series = 2|gamma| * sup_p max(1, p / |p + 2 gamma|), with the sup
-    scanned over p = 1..P* and, when Re(gamma) < 0, closed by the decreasing
-    tail envelope p/(p - 2|gamma|); for Re(gamma) >= 0 the ratio never
-    exceeds 1.  delta_matrix is the largest transition-norm sum, scanned
-    until the (eventually decreasing) sums are verified to be falling.
+    """Radius-safety constant for the given parameter, read where each
+    supremum is attained.  p / |p + 2 gamma| stays below 1 when
+    Re(gamma) >= 0, else peaks once over p > 0, at p* = |2 gamma|^2 /
+    (-2 Re gamma), cut at 2^512 (past it the peak is 1 to rounding).  Each
+    term of transition_norm_sum falls once m+1 >= -2 Re(gamma).  Refused
+    when -2 Re(gamma) >= MAX_DEGREE + 1: no certified sum closes there.
     """
     P.require_regular()
     g = P.gamma
+    if -2.0 * g.real >= MAX_DEGREE + 1:
+        raise ConvergenceError(
+            f"-2 Re(gamma) = {-2.0 * g.real:.6g} exceeds the degree limit {MAX_DEGREE}"
+        )
     mod2g = 2.0 * abs(g)
-
-    p_star = math.ceil(mod2g * 101.0) + 1
-    p = np.arange(1, p_star + 1, dtype=float)
-    ratios = p / np.abs(p + 2.0 * g)
-    sup_term = float(np.max(ratios))
+    p = np.ones(1)
     if g.real < 0:
-        sup_term = max(sup_term, p_star / (p_star - mod2g))
-    delta_series = mod2g * max(1.0, sup_term)
-
-    span = math.ceil(10.0 * (1.0 + abs(g))) + 2
-    sums = [transition_norm_sum(P, m) for m in range(span)]
-    while not (sums[-1] <= sums[-2] <= sums[-3]):
-        sums.extend(transition_norm_sum(P, m) for m in range(len(sums), 2 * len(sums)))
-    delta_matrix = float(max(sums))
+        p_star = min(mod2g * (mod2g / (-2.0 * g.real)), 2.0**512)
+        p = np.maximum(1.0, [np.floor(p_star), np.ceil(p_star)])
+    delta_series = mod2g * max(1.0, float(np.max(p / np.abs(p + 2.0 * g))))
+    span = max(1, math.ceil(-2.0 * g.real))
+    delta_matrix = max(transition_norm_sum(P, m) for m in range(span))
 
     return DeltaConstant(
         delta_series=delta_series,
@@ -107,7 +103,10 @@ def _log_abs_pochhammer(gamma: complex, M: int) -> np.ndarray:
 
 def _log_component_bound(P: ParameterK, delta_a: float, M: int) -> np.ndarray:
     """log of the component bound (e^2/2) (m+2)^2 (delta a)^m / |(1+gamma)_m|
-    for m = 0..M (delta a > 0), in log space so no scan overflows."""
+    for m = 0..M (delta a > 0), in log space so no scan overflows.  A
+    delta a past the double range is a convergence error."""
+    if not math.isfinite(delta_a):
+        raise ConvergenceError(f"delta * a = {delta_a:.6g} is past the double range")
     m = np.arange(M + 1)
     return (
         _LOG_E2_HALF
@@ -233,7 +232,7 @@ def kernel_K(
     if np.min(np.abs(denom)) < 1e-12:
         raise DomainError("contour passes through the geometric-series pole")
     pref = (
-        (P.gamma**2 / (2.0 * P.n))
+        (P.gamma * P.gamma / (2.0 * P.n))
         * np.polynomial.polynomial.polyval(nodes, S.phi)
         / denom
         / N
@@ -247,10 +246,10 @@ def kernel_K(
     return complex(vals[0]) if t.ndim == 0 else vals.reshape(t.shape)
 
 
-def _panel_nodes(levels: int, splits: int, gl_order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on geometrically graded panels of (0, 1].
-    Grading handles the endpoint behaviour of the substituted weight."""
-    base_x, base_w = np.polynomial.legendre.leggauss(gl_order)
+def _panel_nodes(levels: int, splits: int) -> tuple[np.ndarray, np.ndarray]:
+    """16-point Gauss-Legendre nodes/weights on geometrically graded panels of
+    (0, 1].  Grading handles the endpoint behaviour of the substituted weight."""
+    base_x, base_w = np.polynomial.legendre.leggauss(16)
     xs, ws = [], []
     for j in range(levels):
         hi = 2.0 ** (-j)
@@ -307,10 +306,19 @@ def ek_integral(
     L = min(60, max(6, math.ceil(math.log2(100.0 / tol) / (q * g.real))))
 
     def one_pass(N: int, splits: int) -> complex:
-        u, w = _panel_nodes(L, splits, 16)
-        k_vals = kernel_K(P, orbit, S, 1.0 - u**q, rho, N)
-        weight = q * np.exp((qg - 1.0) * np.log(u))
-        return complex(np.sum(w * weight * k_vals))
+        u, w = _panel_nodes(L, splits)
+        with np.errstate(over="ignore", invalid="ignore"):
+            k_vals = kernel_K(P, orbit, S, 1.0 - u**q, rho, N)
+            weight = q * np.exp((qg - 1.0) * np.log(u))
+            value = complex(np.sum(w * weight * k_vals))
+        # An overflowing integrand leaves the sum inf or nan; the headroom of
+        # 4 keeps |cur - prev| in the double range.
+        if not cmath.isfinite(4.0 * value):
+            raise ConvergenceError(
+                f"a contour pass with {N} nodes overflows double precision "
+                f"(delta * a = {delta * a:.6g})"
+            )
+        return value
 
     N, splits = 64, 1
     prev = one_pass(N, splits)
@@ -408,7 +416,8 @@ def check_ek_bound(
         value = cmath.exp(orbit.xy)
         da = orbit.a_bound
     else:
-        da = delta_effective(P).delta_effective * orbit.a_bound
+        # delta * 0 = 0: a vanishing orbit bound skips delta and its refusal
+        da = delta_effective(P).delta_effective * orbit.a_bound if orbit.a_bound else 0.0
         value = ek_series(G, P, x, y, 1e-10).value
     too_large = (nu + 2) * math.log1p(da) + da > 709.0
     scale = math.inf if too_large else (da + 1.0) ** (nu + 2) * math.exp(da)

@@ -10,7 +10,6 @@ primary correctness argument.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -46,8 +45,9 @@ class ParameterK:
     def __post_init__(self):
         object.__setattr__(self, "k", complex(self.k))
         object.__setattr__(self, "gamma", self.n * self.k)
-        if not (cmath.isfinite(self.k) and cmath.isfinite(self.gamma)):
-            raise DomainError(f"parameter k = {self.k} and gamma = n*k must be finite")
+        two_g = 2.0 * self.gamma  # its modulus is finite only if k is
+        if not math.isfinite(math.hypot(two_g.real, two_g.imag)):
+            raise DomainError(f"parameter k = {self.k} and |2 gamma| = |2 n k| must be finite")
 
     def regularity_margin(self) -> float:
         """Distance of the parameter from the inadmissible set.
@@ -412,12 +412,7 @@ def _vk_matrices(G: DihedralGroup, P: ParameterK, mmax: int) -> list[np.ndarray]
     Degree m is built from degree m-1 through V p = sum_i x_i V(d_i(H p)),
     assembled as (m+1)x(m+1) matrices so repeated evaluations are cheap.
     """
-    return _extend_vk(G, P, _vk_cache(G.n, complex(P.k)), mmax)
-
-
-def _extend_vk(
-    G: DihedralGroup, P: ParameterK, mats: list[np.ndarray], mmax: int
-) -> list[np.ndarray]:
+    mats = _vk_cache(G.n, complex(P.k))
     for m in range(len(mats), mmax + 1):
         # x1 V(d1 p) + x2 V(d2 p): d1 scales the x1-power a by a and lowers
         # it, d2 scales by m - a; multiplying by x1 raises the output index.

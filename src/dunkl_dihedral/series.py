@@ -44,38 +44,46 @@ def a_coeffs(P: ParameterK, orbit: OrbitPairings, Pmax: int) -> SeriesData:
 
     A[0] = (2n/gamma, 0); for p >= 1,
     A[p] = diag(1/p, 1/(p+2*gamma)) * sum_{i<p} B[p-1-i] A[i].
-    The orbit sum rule forces B[0] ~ 0 and hence A[1] ~ 0.
+    The orbit sum rule forces B[0] ~ 0 and hence A[1] ~ 0.  The one
+    overflow guard for the series: a coefficient that is not finite is a
+    range error.
     """
     if Pmax < 0:
         raise DomainError("truncation order must be nonnegative")
     P.require_regular()
     n, g = P.n, P.gamma
 
-    if Pmax >= 1:
-        rot_pows = orbit.rot_pairings[None, :] ** np.arange(1, Pmax + 1)[:, None]
-        refl_pows = orbit.refl_pairings[None, :] ** np.arange(1, Pmax + 1)[:, None]
-        rp = rot_pows.sum(axis=1)
-        sp = refl_pows.sum(axis=1)
-    else:
-        rp = sp = np.zeros(0, dtype=complex)
-    pref = g / (2.0 * n)
-    B = np.empty((Pmax, 2, 2), dtype=complex)
-    for p in range(Pmax):
-        s_plus, s_minus = rp[p] + sp[p], rp[p] - sp[p]
-        B[p] = pref * np.array([[s_plus, -s_minus], [s_minus, -s_plus]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if Pmax >= 1:
+            rot_pows = orbit.rot_pairings[None, :] ** np.arange(1, Pmax + 1)[:, None]
+            refl_pows = orbit.refl_pairings[None, :] ** np.arange(1, Pmax + 1)[:, None]
+            rp = rot_pows.sum(axis=1)
+            sp = refl_pows.sum(axis=1)
+        else:
+            rp = sp = np.zeros(0, dtype=complex)
+        pref = g / (2.0 * n)
+        B = np.empty((Pmax, 2, 2), dtype=complex)
+        for p in range(Pmax):
+            s_plus, s_minus = rp[p] + sp[p], rp[p] - sp[p]
+            B[p] = pref * np.array([[s_plus, -s_minus], [s_minus, -s_plus]])
 
-    A = np.zeros((Pmax + 1, 2), dtype=complex)
-    A[0] = (2.0 * n / g, 0.0)
-    for p in range(1, Pmax + 1):
-        acc = np.zeros(2, dtype=complex)
-        for i in range(p):
-            acc += B[p - 1 - i] @ A[i]
-        A[p, 0] = acc[0] / p
-        A[p, 1] = acc[1] / (p + 2 * g)
+        A = np.zeros((Pmax + 1, 2), dtype=complex)
+        A[0] = (2.0 * n / g, 0.0)
+        for p in range(1, Pmax + 1):
+            acc = np.zeros(2, dtype=complex)
+            for i in range(p):
+                acc += B[p - 1 - i] @ A[i]
+            A[p, 0] = acc[0] / p
+            A[p, 1] = acc[1] / (p + 2 * g)
 
-    phi = np.empty(Pmax + 1, dtype=complex)
-    phi[0] = 2.0 * n / g
-    phi[1:] = A[1:, 0] - A[1:, 1]
+        phi = np.empty(Pmax + 1, dtype=complex)
+        phi[0] = 2.0 * n / g
+        phi[1:] = A[1:, 0] - A[1:, 1]
+    if not (np.isfinite(A).all() and np.isfinite(phi).all()):
+        raise DomainError(
+            f"the series coefficients overflow double precision before order {Pmax}",
+            code="range-error",
+        )
     return SeriesData(order=Pmax, B=B, A=A, phi=phi)
 
 

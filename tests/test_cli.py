@@ -6,6 +6,8 @@ import os
 import resource
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -338,13 +340,56 @@ def test_unsettled_contour_is_a_convergence_error_in_bounded_memory():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        # huge |k|: delta_effective is read in closed form, not scanned
+        ("bounds --n 3 --k 1e300 --x 1,0 --y 1,1", EXIT_CONVERGENCE_ERROR),
+        ("kernel --method integral --n 3 --k 1e300 --x 1,0 --y 1,1", EXIT_DOMAIN_ERROR),
+        ("bounds --n 3 --k 1e6 --x 1,0 --y 1,1", EXIT_CONVERGENCE_ERROR),
+        ("kernel --method integral --n 3 --k 1e6 --x 1,0 --y 1,1", EXIT_CONVERGENCE_ERROR),
+        ("bounds --n 3 --k=-0.1,1e200 --x 1,0 --y 1,1", EXIT_CONVERGENCE_ERROR),
+        # delta * a past the double range
+        ("bounds --n 4 --k=2.6,-1.08e307 --x=-2.7,1.25 --y=0.59,-3.8", EXIT_CONVERGENCE_ERROR),
+        # 2 gamma past the double range
+        ("em --n 2 --k 8.5e307 --x 1,0 --y 1,1", EXIT_DOMAIN_ERROR),
+        ("kernel --n 2 --k 8.5e307 --x 1,0 --y 1,1", EXIT_DOMAIN_ERROR),
+        ("em --n 9 --k=-1e+307 --x 1,0 --y 1,1", EXIT_DOMAIN_ERROR),
+        ("em --n 2 --k 4e307,4e307 --x 1,0 --y 1,1", EXIT_DOMAIN_ERROR),
+        # series coefficients past the double range
+        ("phi --n 3 --k 1 --x 10,0 --y 10,0 --pmax 400", EXIT_DOMAIN_ERROR),
+        ("phi --n 2 --k=0,-1e21 --x=0,2 --y=0,4 --pmax 30", EXIT_DOMAIN_ERROR),
+        # an overflowing contour pass
+        ("kernel --method integral --n 3 --k 100 --x 1,0 --y 1,1", EXIT_CONVERGENCE_ERROR),
+        ("kernel --method integral --n 3 --k 1e200 --x 0,0 --y 1,1", EXIT_CONVERGENCE_ERROR),
+        # -2 Re(gamma) above the degree limit: refused before any delta sum
+        ("bounds --n 3 --k=-100000.1234,0.01 --nu 1000000 --x 1,0 --y 1,1",
+         EXIT_CONVERGENCE_ERROR),
+    ],
+)
+def test_out_of_range_parameters_exit_with_a_documented_code(argv, expected, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        start = time.perf_counter()
+        code, out = run_cli(argv.split())
+        elapsed = time.perf_counter() - start
+    assert code == expected
+    assert out == ""
+    assert "Traceback" not in capsys.readouterr().err
+    assert elapsed < 5.0
+
+
 # Fuzzed argument lists: numbers in a bounded domain, with at most one of
-# --k, --x, --y, --tol replaced by non-finite or malformed text.  Huge |k|
-# stays out: delta_effective's scan grows with |k|.
+# --k, --x, --y, --tol replaced by non-finite or malformed text.  The parts
+# of --k also range over +-10^e up to the double range.
 _REAL = st.floats(-3.0, 3.0).map(repr)
+_HUGE = st.builds(
+    lambda sign, e: repr(sign * 10.0**e), st.sampled_from([1.0, -1.0]), st.floats(-3.0, 308.0)
+)
+_PART = st.one_of(_REAL, _HUGE)
 _COORDS = st.floats(-4.0, 4.0).map(repr)
 _FIELDS = {
-    "--k": st.one_of(_REAL, st.tuples(_REAL, _REAL).map(",".join)),
+    "--k": st.one_of(_PART, st.tuples(_PART, _PART).map(",".join)),
     "--x": st.lists(_COORDS, min_size=2, max_size=2).map(",".join),
     "--y": st.one_of(st.lists(_COORDS, min_size=2, max_size=2), st.lists(_COORDS, min_size=4, max_size=4)).map(",".join),
     "--tol": st.sampled_from(["1e-10", "1e-8", "1e-3", "0", "-1"]),

@@ -47,6 +47,35 @@ def test_delta_frozen_negative_gamma():
     assert dc.delta_series == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize(
+    "k, n",
+    [
+        (0.4 + 0.3j, 3),  # Re gamma >= 0: one term of each supremum
+        (-0.2 + 0.5j, 2),  # p/|p + 2 gamma| peaks at p* = 5.8, the sup at ceil(p*)
+        (-1.3 + 0.1j, 4),  # -2 Re gamma = 10.4: the norm sums peak at m = 4
+        (-0.01 + 1.5j, 2),  # |gamma|/|Re gamma| = 150: p* = 900, past 202 |gamma|
+    ],
+)
+def test_delta_matches_a_brute_force_scan(k, n):
+    P = ParameterK(k, n)
+    g = P.gamma
+    mod2g = 2.0 * abs(g)
+    p = np.arange(1, 20001, dtype=float)
+    brute_series = mod2g * max(1.0, float(np.max(p / np.abs(p + 2.0 * g))))
+    brute_matrix = max(transition_norm_sum(P, m) for m in range(400))
+    dc = delta_effective(P)
+    assert dc.delta_series == brute_series
+    assert dc.delta_matrix == brute_matrix
+    assert dc.delta_effective == max(1.0, brute_series, brute_matrix)
+
+
+def test_delta_refuses_beyond_the_degree_limit():
+    # -2 Re gamma = 501: the certified sum could not close either
+    with pytest.raises(ConvergenceError):
+        delta_effective(ParameterK(-83.5 + 0.1j, 3))
+    assert math.isfinite(delta_effective(ParameterK(-83.3 + 0.1j, 3)).delta_effective)
+
+
 def test_delta_matrix_dominates_norm_sums(rng):
     P = draw_parameter(rng, 4)
     dc = delta_effective(P)

@@ -22,8 +22,10 @@ from .polyalg import MAX_DEGREE, ParameterK, h_coefficients, require_degree
 from .recurrence import em_sequence, scaled_states
 from .series import SeriesData, a_coeffs
 
-# Elements of the e^{t/z} matrix built at once by kernel_K (64 MB of complex).
-# Blocks of hundreds of rows keep the BLAS row sums' bits; one-row blocks do not.
+# Elements of the e^{t/z} matrix built at once by kernel_K (64 MB of complex):
+# a block holds _CONTOUR_BLOCK // (N//2 + 1) times against the half of the N
+# nodes that is exponentiated, so memory stays bounded for any N and any
+# number of times.
 _CONTOUR_BLOCK = 2**22
 _LOG_E2_HALF = 2.0 - math.log(2.0)  # log(e^2 / 2)
 _LOG_HALF = math.log(0.5)
@@ -206,6 +208,46 @@ def series_for_radius(
     return a_coeffs(P, orbit, order)
 
 
+def _contour_rule(
+    P: ParameterK, orbit: OrbitPairings, S: SeriesData, rho: float, N: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The N-point trapezoidal rule on |z| = rho for kernel_K: the
+    reciprocals of nodes 0..N//2, and the weights of all N nodes,
+    (gamma^2/2n) Phi(z) / (N (1 - z <x,y>)).  Node N-j is built as the
+    conjugate of node j, so the pairs are exact conjugates."""
+    if N < 8:
+        raise DomainError("contour rule needs at least 8 nodes")
+    if not (rho > 0.0 and math.isfinite(rho)):
+        raise DomainError("contour radius must be positive and finite")
+    half = rho * np.exp(2j * np.pi * np.arange(N // 2 + 1) / N)
+    nodes = np.concatenate([half, np.conj(half[(N - 1) // 2 : 0 : -1])])
+    denom = 1.0 - nodes * orbit.xy
+    if np.min(np.abs(denom)) < 1e-12:
+        raise DomainError("contour passes through the geometric-series pole")
+    pref = (
+        (P.gamma * P.gamma / (2.0 * P.n))
+        * np.polynomial.polynomial.polyval(nodes, S.phi)
+        / denom
+        / N
+    )
+    return 1.0 / half, pref
+
+
+def _contour_sum(t: np.ndarray, inv: np.ndarray, pref: np.ndarray) -> np.ndarray:
+    """sum_j pref_j e^{t/z_j} for each time of the flat array t.  Since t is
+    real, e^{t/conj z} = conj(e^{t/z}): only the nodes 0..N//2 are
+    exponentiated, and node N-j enters as the conjugate of node j."""
+    N, h = pref.size, inv.size
+    lo = (N - 1) // 2
+    mirrored = np.conj(pref[N - 1 : N - 1 - lo : -1])
+    rows = max(1, _CONTOUR_BLOCK // h)
+    vals = np.empty(t.size, dtype=complex)
+    for i in range(0, t.size, rows):
+        e = np.exp(np.multiply.outer(t[i : i + rows], inv))
+        vals[i : i + rows] = e @ pref[:h] + np.conj(e[:, 1 : 1 + lo] @ mirrored)
+    return vals
+
+
 def kernel_K(
     P: ParameterK,
     orbit: OrbitPairings,
@@ -218,48 +260,34 @@ def kernel_K(
     the mean over N equally spaced points of rho * e^{i theta} of
     Phi(z) e^{t/z} / (1 - z <x,y>) (the trapezoidal rule, spectrally accurate
     for periodic analytic data).  Returns a complex for scalar t, else an
-    array shaped like t.  The times x nodes matrix is built in row blocks, so
-    memory stays bounded however many times and nodes a pass asks for."""
-    if N < 8:
-        raise DomainError("contour rule needs at least 8 nodes")
+    array shaped like t.  The nodes come in conjugate pairs and t is real, so
+    the times x nodes exponential is built for nodes 0..N//2 only, in row
+    blocks: memory stays bounded however many times and nodes a pass asks
+    for."""
     t = np.asarray(t, dtype=float)
     if not np.all((0.0 <= t) & (t <= 1.0)):
         raise DomainError("time parameter t must lie in [0, 1]")
-    if not (rho > 0.0 and math.isfinite(rho)):
-        raise DomainError("contour radius must be positive and finite")
-    nodes = rho * np.exp(2j * np.pi * np.arange(N) / N)
-    denom = 1.0 - nodes * orbit.xy
-    if np.min(np.abs(denom)) < 1e-12:
-        raise DomainError("contour passes through the geometric-series pole")
-    pref = (
-        (P.gamma * P.gamma / (2.0 * P.n))
-        * np.polynomial.polynomial.polyval(nodes, S.phi)
-        / denom
-        / N
-    )
-    inv = 1.0 / nodes
-    flat = t.reshape(-1)
-    rows = max(1, _CONTOUR_BLOCK // N)
-    vals = np.empty(flat.size, dtype=complex)
-    for i in range(0, flat.size, rows):
-        vals[i : i + rows] = np.exp(np.multiply.outer(flat[i : i + rows], inv)) @ pref
+    inv, pref = _contour_rule(P, orbit, S, rho, N)
+    vals = _contour_sum(t.reshape(-1), inv, pref)
     return complex(vals[0]) if t.ndim == 0 else vals.reshape(t.shape)
 
 
+@lru_cache(maxsize=64)
 def _panel_nodes(levels: int, splits: int) -> tuple[np.ndarray, np.ndarray]:
     """16-point Gauss-Legendre nodes/weights on geometrically graded panels of
-    (0, 1].  Grading handles the endpoint behaviour of the substituted weight."""
+    (0, 1], built once per (levels, splits) and returned read-only.  Grading
+    handles the endpoint behaviour of the substituted weight.  One ek_integral
+    call asks for at most 8 splits at one depth; 64 entries hold eight depths
+    in full, at most 4 MB each."""
     base_x, base_w = np.polynomial.legendre.leggauss(16)
-    xs, ws = [], []
-    for j in range(levels):
-        hi = 2.0 ** (-j)
-        lo = 2.0 ** (-j - 1) if j < levels - 1 else 0.0
-        edges = np.linspace(lo, hi, splits + 1)
-        for a, b in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            xs.append(mid + half * base_x)
-            ws.append(half * base_w)
-    return np.concatenate(xs), np.concatenate(ws)
+    hi = 2.0 ** -np.arange(levels)
+    lo = np.append(hi[1:], 0.0)
+    edges = np.linspace(lo, hi, splits + 1, axis=1)
+    mid = (0.5 * (edges[:, :-1] + edges[:, 1:]))[..., None]
+    half = (0.5 * (edges[:, 1:] - edges[:, :-1]))[..., None]
+    xs, ws = (mid + half * base_x).reshape(-1), (half * base_w).reshape(-1)
+    xs.flags.writeable = ws.flags.writeable = False
+    return xs, ws
 
 
 def ek_integral(
@@ -271,7 +299,7 @@ def ek_integral(
     rho_scale: float = 1.0,
 ) -> KernelResult:
     """Kernel value by the weighted-time integral of the contour kernel,
-    valid for Re(gamma) > 0.
+    valid for Re(gamma) > 0.  A vanishing orbit bound gives 1 exactly.
 
     The endpoint weight (1-t)^(gamma-1) is removed by substituting
     s = 1 - t, s = u^q with q = max(1, ceil(1/Re gamma)); the remaining
@@ -279,10 +307,11 @@ def ek_integral(
     graded Gauss-Legendre panels.  Contour nodes and panel splits are doubled
     together until two successive passes agree within tol.
 
-    Conditioning note: the contour integrand oscillates with magnitude about
-    e^(2 delta a) against a much smaller result, so for delta * a beyond
-    roughly 10 double precision cannot reach tight tolerances; use the series
-    route there.
+    Conditioning: the contour integrand oscillates with magnitude about
+    e^(2 delta a) against a much smaller result.  Each pass bounds its
+    rounding by 2^-53 sum_i |w_i weight_i| e^(t_i/rho) sum_j |pref_j|, since
+    |e^{t/z}| <= e^(t/rho) on the circle, and is refused when that floor
+    exceeds tol * max(1, |value|); use the series route there.
     """
     _require_tol(tol)
     P.require_regular()
@@ -293,9 +322,11 @@ def ek_integral(
         raise DomainError("rho_scale must keep the contour inside the guarded disk")
 
     orbit = orbit_pairings(G, x, y)
-    delta = delta_effective(P).delta_effective
     a = orbit.a_bound
-    rho = rho_scale / (2.0 * delta * a) if a > 0.0 else 1.0
+    if a == 0.0:
+        return KernelResult(value=1.0 + 0.0j, method="integral", nodes_used=0)
+    delta = delta_effective(P).delta_effective
+    rho = rho_scale / (2.0 * delta * a)
     S = series_for_radius(P, orbit, rho, tol * 1e-3)
 
     q = max(1, math.ceil(1.0 / g.real))
@@ -307,16 +338,25 @@ def ek_integral(
 
     def one_pass(N: int, splits: int) -> complex:
         u, w = _panel_nodes(L, splits)
+        t = 1.0 - u**q
+        inv, pref = _contour_rule(P, orbit, S, rho, N)
         with np.errstate(over="ignore", invalid="ignore"):
-            k_vals = kernel_K(P, orbit, S, 1.0 - u**q, rho, N)
-            weight = q * np.exp((qg - 1.0) * np.log(u))
-            value = complex(np.sum(w * weight * k_vals))
+            weight = w * (q * np.exp((qg - 1.0) * np.log(u)))
+            value = complex(np.sum(weight * _contour_sum(t, inv, pref)))
+            floor = 2.0**-53 * float(np.sum(np.abs(weight) * np.exp(t / rho)))
+            floor *= float(np.sum(np.abs(pref)))
         # An overflowing integrand leaves the sum inf or nan; the headroom of
         # 4 keeps |cur - prev| in the double range.
         if not cmath.isfinite(4.0 * value):
             raise ConvergenceError(
                 f"a contour pass with {N} nodes overflows double precision "
                 f"(delta * a = {delta * a:.6g})"
+            )
+        if floor > tol * max(1.0, abs(value)):
+            raise ConvergenceError(
+                f"rounding floor {floor:.3g} of the contour pass with {N} nodes exceeds the "
+                f"tolerance (value {abs(value):.3g}, delta * a = {delta * a:.6g}); "
+                "use the series route"
             )
         return value
 

@@ -44,9 +44,11 @@ def a_coeffs(P: ParameterK, orbit: OrbitPairings, Pmax: int) -> SeriesData:
 
     A[0] = (2n/gamma, 0); for p >= 1,
     A[p] = diag(1/p, 1/(p+2*gamma)) * sum_{i<p} B[p-1-i] A[i].
-    The orbit sum rule forces B[0] ~ 0 and hence A[1] ~ 0.  The one
-    overflow guard for the series: a coefficient that is not finite is a
-    range error.
+    With r_p, s_p the rotation and reflection power sums, B[p] A[i] is
+    (gamma/2n) (r_p u_i + s_p v_i, r_p u_i - s_p v_i) in u = A0 - A1,
+    v = A0 + A1, so each order takes two dot products.  The orbit sum rule
+    forces B[0] ~ 0 and hence A[1] ~ 0.  The one overflow guard for the
+    series: a coefficient that is not finite is a range error.
     """
     if Pmax < 0:
         raise DomainError("truncation order must be nonnegative")
@@ -54,31 +56,26 @@ def a_coeffs(P: ParameterK, orbit: OrbitPairings, Pmax: int) -> SeriesData:
     n, g = P.n, P.gamma
 
     with np.errstate(over="ignore", invalid="ignore"):
-        if Pmax >= 1:
-            rot_pows = orbit.rot_pairings[None, :] ** np.arange(1, Pmax + 1)[:, None]
-            refl_pows = orbit.refl_pairings[None, :] ** np.arange(1, Pmax + 1)[:, None]
-            rp = rot_pows.sum(axis=1)
-            sp = refl_pows.sum(axis=1)
-        else:
-            rp = sp = np.zeros(0, dtype=complex)
+        powers = np.arange(1, Pmax + 1)[:, None]
+        rp = (orbit.rot_pairings[None, :] ** powers).sum(axis=1)
+        sp = (orbit.refl_pairings[None, :] ** powers).sum(axis=1)
         pref = g / (2.0 * n)
-        B = np.empty((Pmax, 2, 2), dtype=complex)
-        for p in range(Pmax):
-            s_plus, s_minus = rp[p] + sp[p], rp[p] - sp[p]
-            B[p] = pref * np.array([[s_plus, -s_minus], [s_minus, -s_plus]])
+        s_plus, s_minus = rp + sp, rp - sp
+        B = pref * np.stack([s_plus, -s_minus, s_minus, -s_plus], axis=-1).reshape(Pmax, 2, 2)
 
+        # u and v stored by order, the power sums reversed: the convolution
+        # sum_{i<p} r_{p-1-i} u_i is one dot product of contiguous slices.
+        rev_r, rev_s = rp[::-1].copy(), sp[::-1].copy()
         A = np.zeros((Pmax + 1, 2), dtype=complex)
-        A[0] = (2.0 * n / g, 0.0)
+        u = np.empty(Pmax + 1, dtype=complex)
+        v = np.empty(Pmax + 1, dtype=complex)
+        A[0, 0] = u[0] = v[0] = 2.0 * n / g
         for p in range(1, Pmax + 1):
-            acc = np.zeros(2, dtype=complex)
-            for i in range(p):
-                acc += B[p - 1 - i] @ A[i]
-            A[p, 0] = acc[0] / p
-            A[p, 1] = acc[1] / (p + 2 * g)
-
-        phi = np.empty(Pmax + 1, dtype=complex)
-        phi[0] = 2.0 * n / g
-        phi[1:] = A[1:, 0] - A[1:, 1]
+            ru = pref * (rev_r[Pmax - p :] @ u[:p])
+            sv = pref * (rev_s[Pmax - p :] @ v[:p])
+            A[p, 0], A[p, 1] = (ru + sv) / p, (ru - sv) / (p + 2 * g)
+            u[p], v[p] = A[p, 0] - A[p, 1], A[p, 0] + A[p, 1]
+        phi = u
     if not (np.isfinite(A).all() and np.isfinite(phi).all()):
         raise DomainError(
             f"the series coefficients overflow double precision before order {Pmax}",

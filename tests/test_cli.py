@@ -23,6 +23,7 @@ from dunkl_dihedral.cli import (
     _em_values,
     main,
 )
+from dunkl_dihedral import kernel
 from dunkl_dihedral.dihedral import make_group
 from dunkl_dihedral.polyalg import ParameterK
 
@@ -320,13 +321,16 @@ def test_inadmissible_k_is_rejected_at_degree_zero(method, k):
 
 
 def test_unsettled_contour_is_a_convergence_error_in_bounded_memory():
-    # The doubling passes never settle here and reach 8192 contour nodes;
-    # a whole times x nodes matrix would exceed the address-space limit.
+    # Im(gamma) = 5000 against Re(gamma) = 2: the weight u^(gamma - 1)
+    # oscillates too fast for the panels, so the doubling passes never settle
+    # and reach 8192 contour nodes, while delta * a = 0.51 keeps the rounding
+    # floor far below the tolerance.  A whole times x half-nodes matrix of the
+    # last pass (34816 x 4097) would exceed the address-space limit.
     limit = 3 << 30
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
-        [sys.executable, "-m", "dunkl_dihedral", "kernel", "--n", "7", "--k", "2.0",
-         "--x", "0.3,0.9", "--y", "1.2,0.1", "--method", "integral", "--tol", "1e-8"],
+        [sys.executable, "-m", "dunkl_dihedral", "kernel", "--n", "3", "--k=0.66667,1666.7",
+         "--x", "1e-4,0", "--y", "0.5,0.3", "--method", "integral", "--tol", "1e-8"],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},
@@ -361,7 +365,6 @@ def test_unsettled_contour_is_a_convergence_error_in_bounded_memory():
         ("phi --n 2 --k=0,-1e21 --x=0,2 --y=0,4 --pmax 30", EXIT_DOMAIN_ERROR),
         # an overflowing contour pass
         ("kernel --method integral --n 3 --k 100 --x 1,0 --y 1,1", EXIT_CONVERGENCE_ERROR),
-        ("kernel --method integral --n 3 --k 1e200 --x 0,0 --y 1,1", EXIT_CONVERGENCE_ERROR),
         # -2 Re(gamma) above the degree limit: refused before any delta sum
         ("bounds --n 3 --k=-100000.1234,0.01 --nu 1000000 --x 1,0 --y 1,1",
          EXIT_CONVERGENCE_ERROR),
@@ -377,6 +380,41 @@ def test_out_of_range_parameters_exit_with_a_documented_code(argv, expected, cap
     assert out == ""
     assert "Traceback" not in capsys.readouterr().err
     assert elapsed < 5.0
+
+
+def test_integral_at_a_vanishing_orbit_bound_is_exactly_one():
+    # gamma^2 overflows the contour weights, but x = 0 makes the kernel 1
+    code, out = run_cli("kernel --method integral --n 3 --k 1e200 --x 0,0 --y 1,1".split())
+    assert code == EXIT_OK
+    header, rows = parse_csv(out)
+    assert dict(zip(header, rows[0])) == {
+        "value_re": "1", "value_im": "0", "method": "integral", "terms_used": "",
+        "nodes_used": "0", "tail_estimate": "0",
+    }
+
+
+def test_integral_past_its_rounding_floor_exits_after_one_pass(monkeypatch):
+    # delta * a = 12.6: the contour integrand's rounding, about 2^-53 e^(2 delta a),
+    # exceeds the tolerance, so the first pass refuses instead of doubling on
+    passes, rule = [], kernel._contour_rule
+
+    def counted_rule(*args):
+        passes.append(args[-1])  # the pass's node count
+        return rule(*args)
+
+    monkeypatch.setattr(kernel, "_contour_rule", counted_rule)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(
+            ["kernel", "--method", "integral", "--n", "5",
+             "--k=0.005860860732461618,0.2734695957862945",
+             "--x=0.33782456080258694,-2.716860265708026",
+             "--y=-1.6924930838458128,-0.10597114666236163"]
+        )
+    assert code == EXIT_CONVERGENCE_ERROR
+    assert out == ""
+    assert passes == [64]
+    assert "rounding floor" in err.getvalue()
 
 
 # Fuzzed argument lists: numbers in a bounded domain, with at most one of

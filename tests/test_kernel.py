@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import rel_err
+from dunkl_dihedral import kernel
 from dunkl_dihedral.dihedral import make_group, orbit_pairings
 from dunkl_dihedral.errors import ConvergenceError, DomainError
 from dunkl_dihedral.kernel import (
     _log_component_bound,
+    _panel_nodes,
     check_ek_bound,
     check_em_bound,
     delta_effective,
@@ -206,15 +208,78 @@ def test_kernel_K_validates_inputs():
         kernel_K(P, orbit, S, 0.5, 1.0, 64)  # contour through the pole
 
 
+def _kernel_K_full(P, orbit, S, t, rho, N):
+    """The contour sum over all N nodes, each exponentiated on its own."""
+    nodes = rho * np.exp(2j * np.pi * np.arange(N) / N)
+    phi = np.polyval(S.phi[::-1], nodes)
+    pref = (P.gamma**2 / (2.0 * P.n)) * phi / (1.0 - nodes * orbit.xy) / N
+    return np.exp(np.multiply.outer(np.asarray(t, dtype=float), 1.0 / nodes)) @ pref
+
+
+@pytest.mark.parametrize("N", [8, 9, 64, 128])
+def test_kernel_K_half_nodes_match_the_full_node_sum(N, rng):
+    for _ in range(4):
+        inst = draw_instance(rng, delta_a_cap=2.0)
+        P = inst.parameter()
+        orbit = orbit_pairings(inst.group(), inst.x, inst.y)
+        rho = 1.0 / (2.0 * delta_effective(P).delta_effective * orbit.a_bound)
+        S = a_coeffs(P, orbit, 40)
+        t = np.linspace(0.0, 1.0, 7)
+        half = kernel_K(P, orbit, S, t, rho, N)
+        full = _kernel_K_full(P, orbit, S, t, rho, N)
+        assert max(rel_err(h, f) for h, f in zip(half, full)) <= 1e-13
+        scalar = kernel_K(P, orbit, S, 0.3, rho, N)
+        assert rel_err(scalar, _kernel_K_full(P, orbit, S, 0.3, rho, N)) <= 1e-13
+
+
+def test_kernel_K_blocks_match_a_split_by_hand(monkeypatch):
+    G, P = make_group(4), ParameterK(0.25 + 0.5j, 4)
+    orbit = orbit_pairings(G, (0.6, 0.2), (0.3, -0.5))
+    rho = 1.0 / (2.0 * delta_effective(P).delta_effective * orbit.a_bound)
+    S = a_coeffs(P, orbit, 40)
+    N, rows = 64, 200
+    monkeypatch.setattr(kernel, "_CONTOUR_BLOCK", rows * (N // 2 + 1))
+    t = np.linspace(0.0, 1.0, 2 * rows + 37)
+    pieces = [kernel_K(P, orbit, S, t[i : i + rows], rho, N) for i in range(0, t.size, rows)]
+    by_hand = np.concatenate(pieces)
+    np.testing.assert_allclose(kernel_K(P, orbit, S, t, rho, N), by_hand, rtol=1e-15, atol=0)
+
+
+def _panel_nodes_per_panel(levels, splits):
+    """The panel rule built one panel at a time."""
+    base_x, base_w = np.polynomial.legendre.leggauss(16)
+    xs, ws = [], []
+    for j in range(levels):
+        lo = 2.0 ** (-j - 1) if j < levels - 1 else 0.0
+        edges = np.linspace(lo, 2.0**-j, splits + 1)
+        for a, b in zip(edges[:-1], edges[1:]):
+            xs.append(0.5 * (a + b) + 0.5 * (b - a) * base_x)
+            ws.append(0.5 * (b - a) * base_w)
+    return np.concatenate(xs), np.concatenate(ws)
+
+
+@pytest.mark.parametrize("levels, splits", [(6, 1), (7, 4), (34, 128)])
+def test_panel_nodes_built_once_and_read_only(levels, splits):
+    rule = _panel_nodes(levels, splits)
+    assert _panel_nodes(levels, splits) is rule
+    xs, ws = rule
+    for arr in (xs, ws):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+    ref_x, ref_w = _panel_nodes_per_panel(levels, splits)
+    np.testing.assert_array_equal(xs, ref_x)
+    np.testing.assert_array_equal(ws, ref_w)
+
+
 # ---------------------------------------------------------------------------
 # integral representation
 
 
 def test_ek_integral_at_origin():
-    # K is constant gamma, so the weighted-time integral is a plain Beta value
+    # a vanishing orbit bound gives 1 exactly, with no contour pass
     G = make_group(3)
     res = ek_integral(G, ParameterK(0.5, 3), (0.0, 0.0), (1.0, 1.0), 1e-9)
-    assert abs(res.value - 1.0) <= 1e-9
+    assert res.value == 1.0 and res.nodes_used == 0
 
 
 def test_ek_integral_requires_positive_real_gamma():

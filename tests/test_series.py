@@ -188,6 +188,46 @@ def test_closed_form_solves_system(rng):
         assert abs(r1) <= 1e-8 and abs(r2) <= 1e-8
 
 
+def _recur_by_loop(B, A, gamma, start):
+    """Fill A[start:] by the convolution recursion as the double loop over
+    B[p-1-i] @ A[i]."""
+    for p in range(start, len(A)):
+        acc = np.zeros(2, dtype=complex)
+        for i in range(p):
+            acc += B[p - 1 - i] @ A[i]
+        A[p, 0] = acc[0] / p
+        A[p, 1] = acc[1] / (p + 2 * gamma)
+
+
+def _a_coeffs_by_loop(P, orbit, Pmax):
+    """B and A with each B[p] built from its own power sums and A by the loop."""
+    g = P.gamma
+    B = np.empty((Pmax, 2, 2), dtype=complex)
+    for p in range(Pmax):
+        rp, sp = np.sum(orbit.rot_pairings ** (p + 1)), np.sum(orbit.refl_pairings ** (p + 1))
+        B[p] = (g / (2.0 * P.n)) * np.array([[rp + sp, -(rp - sp)], [rp - sp, -(rp + sp)]])
+    A = np.zeros((Pmax + 1, 2), dtype=complex)
+    A[0] = (2.0 * P.n / g, 0.0)
+    _recur_by_loop(B, A, g, 1)
+    return B, A
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 60, 400])
+def test_a_coeffs_matches_the_double_loop(order, rng):
+    for _ in range(3):
+        inst = draw_instance(rng, delta_a_cap=2.0)
+        P = inst.parameter()
+        orbit = orbit_pairings(inst.group(), inst.x, inst.y)
+        S = a_coeffs(P, orbit, order)
+        B, A = _a_coeffs_by_loop(P, orbit, order)
+        np.testing.assert_array_equal(S.B, B)
+        # per order, on the scale max(|A_p|, max over the table)
+        scale = np.maximum(np.max(np.abs(A), axis=1), np.max(np.abs(A)))
+        assert np.all(np.max(np.abs(S.A - A), axis=1) <= 1e-13 * scale)
+        np.testing.assert_array_equal(S.phi[1:], S.A[1:, 0] - S.A[1:, 1])
+        assert S.phi[0] == 2.0 * P.n / P.gamma
+
+
 def test_uniqueness_regression(rng):
     # perturbing the forced-zero first coefficient and re-running the forward
     # recursion must leave a visible residual: the vanishing-at-zero solution
@@ -198,12 +238,7 @@ def test_uniqueness_regression(rng):
     S = a_coeffs(P, orbit, 60)
     A = S.A.copy()
     A[1] = (0.7, -0.4)
-    for p in range(2, 61):
-        acc = np.zeros(2, dtype=complex)
-        for i in range(p):
-            acc += S.B[p - 1 - i] @ A[i]
-        A[p, 0] = acc[0] / p
-        A[p, 1] = acc[1] / (p + 2 * P.gamma)
+    _recur_by_loop(S.B, A, P.gamma, 2)
     phi = S.phi.copy()
     phi[1:] = A[1:, 0] - A[1:, 1]
     perturbed = SeriesData(order=60, B=S.B, A=A, phi=phi)

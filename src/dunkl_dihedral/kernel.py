@@ -272,22 +272,23 @@ def kernel_K(
     return complex(vals[0]) if t.ndim == 0 else vals.reshape(t.shape)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
+def _gauss_legendre_16() -> tuple[np.ndarray, np.ndarray]:
+    """16-point Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
+    return np.polynomial.legendre.leggauss(16)
+
+
 def _panel_nodes(levels: int, splits: int) -> tuple[np.ndarray, np.ndarray]:
     """16-point Gauss-Legendre nodes/weights on geometrically graded panels of
-    (0, 1], built once per (levels, splits) and returned read-only.  Grading
-    handles the endpoint behaviour of the substituted weight.  One ek_integral
-    call asks for at most 8 splits at one depth; 64 entries hold eight depths
-    in full, at most 4 MB each."""
-    base_x, base_w = np.polynomial.legendre.leggauss(16)
+    (0, 1], each level split into `splits` equal panels.  Grading handles the
+    endpoint behaviour of the substituted weight."""
+    base_x, base_w = _gauss_legendre_16()
     hi = 2.0 ** -np.arange(levels)
     lo = np.append(hi[1:], 0.0)
     edges = np.linspace(lo, hi, splits + 1, axis=1)
     mid = (0.5 * (edges[:, :-1] + edges[:, 1:]))[..., None]
     half = (0.5 * (edges[:, 1:] - edges[:, :-1]))[..., None]
-    xs, ws = (mid + half * base_x).reshape(-1), (half * base_w).reshape(-1)
-    xs.flags.writeable = ws.flags.writeable = False
-    return xs, ws
+    return (mid + half * base_x).reshape(-1), (half * base_w).reshape(-1)
 
 
 def ek_integral(
@@ -308,10 +309,13 @@ def ek_integral(
     together until two successive passes agree within tol.
 
     Conditioning: the contour integrand oscillates with magnitude about
-    e^(2 delta a) against a much smaller result.  Each pass bounds its
-    rounding by 2^-53 sum_i |w_i weight_i| e^(t_i/rho) sum_j |pref_j|, since
-    |e^{t/z}| <= e^(t/rho) on the circle, and is refused when that floor
-    exceeds tol * max(1, |value|); use the series route there.
+    e^(2 delta a) against a much smaller result.  Each pass estimates its
+    rounding by the floor 2^-53 sum_i |w_i weight_i| f0^(1-t_i) f1^(t_i),
+    with f0 = sum_j |pref_j| and f1 = sum_j |pref_j| e^(Re(1/z_j)), and is
+    refused when that floor exceeds tol * max(1, |value|); use the series
+    route there.  The floor is at least 2^-53 times the sum of the terms'
+    magnitudes, but it is an estimate, not a bound on the rounding error: it
+    ignores the growth of summation error with the number of terms.
     """
     _require_tol(tol)
     P.require_regular()
@@ -343,8 +347,12 @@ def ek_integral(
         with np.errstate(over="ignore", invalid="ignore"):
             weight = w * (q * np.exp((qg - 1.0) * np.log(u)))
             value = complex(np.sum(weight * _contour_sum(t, inv, pref)))
-            floor = 2.0**-53 * float(np.sum(np.abs(weight) * np.exp(t / rho)))
-            floor *= float(np.sum(np.abs(pref)))
+            # sum_j |pref_j| e^{t Re(1/z_j)} is log-convex in t, so it lies
+            # below its chord f0^(1-t) f1^t between t = 0 and t = 1.
+            mag = np.abs(pref)
+            f0 = float(np.sum(mag))
+            f1 = float(mag @ np.exp(np.cos(2.0 * np.pi * np.arange(N) / N) / rho))
+            floor = 2.0**-53 * f0 * float(np.sum(np.abs(weight) * (f1 / f0) ** t))
         # An overflowing integrand leaves the sum inf or nan; the headroom of
         # 4 keeps |cur - prev| in the double range.
         if not cmath.isfinite(4.0 * value):

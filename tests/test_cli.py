@@ -417,6 +417,26 @@ def test_integral_past_its_rounding_floor_exits_after_one_pass(monkeypatch):
     assert "rounding floor" in err.getvalue()
 
 
+@pytest.mark.parametrize(
+    "point",
+    [
+        ["--n", "7", "--k=1.1238159194109265", "--x=-0.7739131088176108,0.13900525869159575",
+         "--y=-0.9035621655467843,-0.8421384252037463"],
+        ["--n", "3", "--k=0.5050818596872082,-0.03396901839125991",
+         "--x=1.2225424253631791,-1.6675875005706917", "--y=-1.1514209076578976,1.1037303254536468"],
+    ],
+)
+def test_integral_rounding_floor_passes_a_value_correct_to_tol(point):
+    # delta * a = 15.3 and 9.9: charging every contour node the circle's
+    # maximum e^(t/rho) put the floor 1.2 and 6.1 times over the tolerance,
+    # about 12 times the terms' magnitudes, and refused these settled values.
+    code_i, out_i = run_cli(["kernel", "--method", "integral", *point])
+    code_s, out_s = run_cli(["kernel", "--method", "series", *point])
+    assert code_i == code_s == EXIT_OK
+    vi, vs = (complex(*map(float, parse_csv(o)[1][0][:2])) for o in (out_i, out_s))
+    assert abs(vi - vs) <= 1e-9 * max(1.0, abs(vs))
+
+
 # Fuzzed argument lists: numbers in a bounded domain, with at most one of
 # --k, --x, --y, --tol replaced by non-finite or malformed text.  The parts
 # of --k also range over +-10^e up to the double range.

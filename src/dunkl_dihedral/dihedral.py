@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -102,15 +103,28 @@ class OrbitPairings:
         return complex(self.rot_pairings[0])
 
 
+@lru_cache(maxsize=32)
+def _orbit_matrices(n: int) -> np.ndarray:
+    """The 2n group matrices stacked, rotations r^0..r^(n-1) first, then
+    the reflections r^j sigma.  Read-only, since the cache shares it."""
+    mats = np.array(
+        [rotation_matrix(n, j) for j in range(n)] + [reflection_matrix(n, j) for j in range(n)]
+    )
+    mats.setflags(write=False)
+    return mats
+
+
 def orbit_pairings(G: DihedralGroup, x: PlanePoint, y: PlanePoint) -> OrbitPairings:
+    """The orbit pairings of (x, y).  The orbit points come from one stacked
+    product with the group matrices, which rounds as the product with each
+    matrix does; each is then paired with y by its own 1-D product, because
+    one stacked product with y rounds differently."""
     xa = _as_point(x)
     ya = _as_point(y).astype(complex)
-    rot = np.array([(rotation_matrix(G.n, j) @ xa) @ ya for j in range(G.n)])
-    refl = np.array([(reflection_matrix(G.n, j) @ xa) @ ya for j in range(G.n)])
-    big = np.concatenate([rot, refl])
+    big = np.array([row @ ya for row in _orbit_matrices(G.n) @ xa])
     return OrbitPairings(
-        rot_pairings=rot,
-        refl_pairings=refl,
+        rot_pairings=big[: G.n],
+        refl_pairings=big[G.n :],
         a_bound=float(np.max(np.abs(big))),
         big_diag=big,
     )

@@ -146,7 +146,7 @@ def certified_terms(P: ParameterK, orbit: OrbitPairings, tol: float) -> tuple[co
     states = islice(scaled_states(P, orbit), MAX_DEGREE + 1 if closable else 0)
     for M, state in enumerate(states):
         total += state[0]
-        norm = float(np.max(np.abs(state)))
+        norm = float(np.abs(state).max())
         mass += weight * max(norm, prior)
         if M + 1 > -2.0 * r and (rho := envelope(M)) <= 0.5 and 2.0 * rho * norm < tol:
             floor = 2.0**-53 * mass
@@ -291,6 +291,17 @@ def _panel_nodes(levels: int, splits: int) -> tuple[np.ndarray, np.ndarray]:
     return (mid + half * base_x).reshape(-1), (half * base_w).reshape(-1)
 
 
+def _pass_floor(weight: np.ndarray, t: np.ndarray, pref: np.ndarray, rho: float) -> float:
+    """The rounding floor of one contour pass (see ek_integral).
+    sum_j |pref_j| e^(t Re(1/z_j)) is log-convex in t, so it lies below its
+    chord f0^(1-t) f1^t between t = 0 and t = 1."""
+    N = pref.size
+    mag = np.abs(pref)
+    f0 = float(np.sum(mag))
+    f1 = float(mag @ np.exp(np.cos(2.0 * np.pi * np.arange(N) / N) / rho))
+    return 2.0**-53 * f0 * float(np.sum(np.abs(weight) * (f1 / f0) ** t))
+
+
 def ek_integral(
     G: DihedralGroup,
     P: ParameterK,
@@ -315,7 +326,9 @@ def ek_integral(
     refused when that floor exceeds tol * max(1, |value|); use the series
     route there.  The floor is at least 2^-53 times the sum of the terms'
     magnitudes, but it is an estimate, not a bound on the rounding error: it
-    ignores the growth of summation error with the number of terms.
+    ignores the growth of summation error with the number of terms.  The
+    tail estimate is |cur - prev| of the last two passes plus the last
+    pass's floor.
     """
     _require_tol(tol)
     P.require_regular()
@@ -340,19 +353,14 @@ def ek_integral(
     # quadrature error) sits below tolerance at this depth.
     L = min(60, max(6, math.ceil(math.log2(100.0 / tol) / (q * g.real))))
 
-    def one_pass(N: int, splits: int) -> complex:
+    def one_pass(N: int, splits: int) -> tuple[complex, float]:
         u, w = _panel_nodes(L, splits)
         t = 1.0 - u**q
         inv, pref = _contour_rule(P, orbit, S, rho, N)
         with np.errstate(over="ignore", invalid="ignore"):
             weight = w * (q * np.exp((qg - 1.0) * np.log(u)))
             value = complex(np.sum(weight * _contour_sum(t, inv, pref)))
-            # sum_j |pref_j| e^{t Re(1/z_j)} is log-convex in t, so it lies
-            # below its chord f0^(1-t) f1^t between t = 0 and t = 1.
-            mag = np.abs(pref)
-            f0 = float(np.sum(mag))
-            f1 = float(mag @ np.exp(np.cos(2.0 * np.pi * np.arange(N) / N) / rho))
-            floor = 2.0**-53 * f0 * float(np.sum(np.abs(weight) * (f1 / f0) ** t))
+            floor = _pass_floor(weight, t, pref, rho)
         # An overflowing integrand leaves the sum inf or nan; the headroom of
         # 4 keeps |cur - prev| in the double range.
         if not cmath.isfinite(4.0 * value):
@@ -366,19 +374,19 @@ def ek_integral(
                 f"tolerance (value {abs(value):.3g}, delta * a = {delta * a:.6g}); "
                 "use the series route"
             )
-        return value
+        return value, floor
 
     N, splits = 64, 1
-    prev = one_pass(N, splits)
+    prev, _ = one_pass(N, splits)
     for _ in range(7):
         N, splits = 2 * N, 2 * splits
-        cur = one_pass(N, splits)
+        cur, floor = one_pass(N, splits)
         if abs(cur - prev) <= 0.3 * tol * max(1.0, abs(cur)):
             return KernelResult(
                 value=cur,
                 method="integral",
                 nodes_used=N,
-                tail_estimate=abs(cur - prev),
+                tail_estimate=abs(cur - prev) + floor,
             )
         prev = cur
     raise ConvergenceError(

@@ -290,16 +290,8 @@ def pairing_power(y: PlanePoint, m: int) -> Poly2:
     return from_homogeneous_vector(_pairing_power_vector(_as_point(y).astype(complex), m), m)
 
 
-# Per-degree matrices of x -> f(Mx) on homogeneous coefficient vectors,
-# keyed by the matrix bytes (matrices are rebuilt deterministically from n).
-_ACTION_CACHE: dict[tuple[bytes, int], np.ndarray] = {}
-
-
-def _action_matrix(M: np.ndarray, m: int) -> np.ndarray:
-    key = (M.tobytes(), m)
-    hit = _ACTION_CACHE.get(key)
-    if hit is not None:
-        return hit
+def _build_action_matrix(M: np.ndarray, m: int) -> np.ndarray:
+    """Matrix of x -> f(Mx) on degree-m homogeneous coefficient vectors."""
 
     def binom_pow(c1: float, c2: float, p: int) -> np.ndarray:
         return np.array([math.comb(p, i) * c1**i * c2 ** (p - i) for i in range(p + 1)])
@@ -309,8 +301,21 @@ def _action_matrix(M: np.ndarray, m: int) -> np.ndarray:
         p1 = binom_pow(M[0, 0], M[0, 1], a_in)
         p2 = binom_pow(M[1, 0], M[1, 1], m - a_in)
         mat[:, a_in] = np.convolve(p1, p2)
-    _ACTION_CACHE[key] = mat
     return mat
+
+
+# Action matrices for Poly2.compose, keyed by the matrix bytes and the degree.
+# Only compose fills it: h_matrix reads the k-independent orbit sums of
+# _orbit_action_sums, whose per-element matrices are built and dropped.
+_ACTION_CACHE: dict[tuple[bytes, int], np.ndarray] = {}
+
+
+def _action_matrix(M: np.ndarray, m: int) -> np.ndarray:
+    key = (M.tobytes(), m)
+    hit = _ACTION_CACHE.get(key)
+    if hit is None:
+        hit = _ACTION_CACHE[key] = _build_action_matrix(M, m)
+    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -382,15 +387,32 @@ def h_op(G: DihedralGroup, P: ParameterK, m: int, f: Poly2) -> Poly2:
     return from_homogeneous_vector(h_matrix(G, P, m) @ f.homogeneous_vector(m), m)
 
 
+@lru_cache(maxsize=256)
+def _orbit_action_sums(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sums over j of the degree-m action matrices of the rotations
+    rotation_matrix(n, j) and of the reflections reflection_matrix(n, j).
+    They do not depend on k.  Read-only, since the cache hands the same
+    arrays to every caller.  An entry is as large as the complex
+    intertwining matrix of its degree; the degrees 1..60 of one order take
+    1.2 MB, so 256 entries hold them for four orders."""
+    rot = sum(_build_action_matrix(rotation_matrix(n, j), m) for j in range(n))
+    refl = sum(_build_action_matrix(reflection_matrix(n, j), m) for j in range(n))
+    rot.setflags(write=False)
+    refl.setflags(write=False)
+    return rot, refl
+
+
 def h_matrix(G: DihedralGroup, P: ParameterK, m: int) -> np.ndarray:
     """Matrix of the inverse of (m + gamma - A) on degree-m homogeneous
     coefficient vectors: sum_j a_j(m) R_j + b_j(m) S_j over the rotation and
-    reflection action matrices.  h_op and the intertwining build share it."""
+    reflection action matrices.  Since a_j = a_1 for j >= 1, b_j = b_0 and
+    R_0 is the identity, it is a_1 sum_j R_j + b_0 sum_j S_j + (a_0 - a_1) I,
+    from the orbit sums of _orbit_action_sums.  h_op and the intertwining
+    build share it."""
     a, b = h_coefficients(P, m)
-    h = np.zeros((m + 1, m + 1), dtype=complex)
-    for j in range(G.n):
-        h += a[j] * _action_matrix(rotation_matrix(G.n, j), m)
-        h += b[j] * _action_matrix(reflection_matrix(G.n, j), m)
+    rot, refl = _orbit_action_sums(G.n, m)
+    h = a[1] * rot + b[0] * refl
+    h[np.diag_indices(m + 1)] += a[0] - a[1]
     return h
 
 
@@ -459,8 +481,14 @@ def oracle_em(
     mats = _vk_matrices(G, P, M)
     ya = _as_point(y).astype(complex)
     xr = xa.astype(float)
+    # <x, y>^m has the coefficient C(m, a) y1^a y2^(m-a) at x1^a x2^(m-a):
+    # the powers 0..M of each coordinate are formed once, and the binomial
+    # row of degree m is raised from that of m-1 by Pascal's rule.
+    y1p, y2p, x1p, x2p = (np.cumprod(np.r_[1.0, np.full(M, c)]) for c in (*ya, *xr))
+    binom = np.zeros(M + 1)
+    binom[0] = 1.0
     for m in range(1, M + 1):
-        v = _pairing_power_vector(ya, m)
-        powers = np.array([xr[0] ** a * xr[1] ** (m - a) for a in range(m + 1)])
-        out[m] = np.dot(mats[m] @ v, powers) / factorials[m]
+        binom[1 : m + 1] = binom[1 : m + 1] + binom[:m]
+        v = binom[: m + 1] * y1p[: m + 1] * y2p[m::-1]
+        out[m] = np.dot(mats[m] @ v, x1p[: m + 1] * x2p[m::-1]) / factorials[m]
     return out

@@ -31,10 +31,9 @@ def y_step(values: np.ndarray, m: int, P: ParameterK, orbit: OrbitPairings) -> n
     """
     n, g = orbit.n, P.gamma
     dy = orbit.big_diag * values
-    s_w = np.sum(dy)
-    s_ws = np.sum(dy[:n]) - np.sum(dy[n:])
-    out = dy.copy()
-    out += (g / (2 * n * (m + 1))) * s_w
+    s_w = dy.sum()
+    s_ws = dy[:n].sum() - dy[n:].sum()
+    out = dy + (g / (2 * n * (m + 1))) * s_w
     corr = (g / (2 * n * (m + 1 + 2 * g))) * s_ws
     out[:n] -= corr
     out[n:] += corr

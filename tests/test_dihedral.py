@@ -171,3 +171,24 @@ def test_sigma_invariance_detection(rng):
 def test_element_matrices_orthogonal():
     for M in _elements(6):
         assert np.allclose(M @ M.T, np.eye(2), atol=1e-15)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("complex_x, complex_y", [(False, False), (False, True), (True, True)])
+def test_orbit_pairings_match_per_element_loop(n, complex_x, complex_y):
+    # The stacked orbit product and per-row pairing round as the loop does.
+    rng = np.random.default_rng(100 * n + 10 * complex_x + complex_y)
+
+    def point(imag):
+        return rng.uniform(-5, 5, size=2) + (1j * rng.uniform(-5, 5, size=2) if imag else 0)
+
+    for _ in range(50):
+        x, y = point(complex_x), point(complex_y)
+        ya = np.asarray(y, dtype=complex)
+        rot = np.array([(rotation_matrix(n, j) @ x) @ ya for j in range(n)])
+        refl = np.array([(reflection_matrix(n, j) @ x) @ ya for j in range(n)])
+        orbit = orbit_pairings(make_group(n), x, y)
+        np.testing.assert_array_equal(orbit.rot_pairings, rot)
+        np.testing.assert_array_equal(orbit.refl_pairings, refl)
+        np.testing.assert_array_equal(orbit.big_diag, np.concatenate([rot, refl]))
+        assert orbit.a_bound == float(np.max(np.abs(np.concatenate([rot, refl]))))

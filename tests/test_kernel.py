@@ -312,6 +312,27 @@ def test_ek_integral_complex_parameter(rng):
     assert rel_err(s.value, i.value) <= 1e-6
 
 
+@pytest.mark.parametrize(
+    "n, k, x, y",
+    [(3, 1.0, (1.0, 0.0), (0.8, 0.6)), (2, 0.5, (1.0, 0.5), (0.5, 1.0))],
+)
+def test_ek_integral_tail_includes_the_last_floor(n, k, x, y, monkeypatch):
+    # At these points |cur - prev| of the last two passes is below the last
+    # pass's rounding floor, so a tail of |cur - prev| alone would fail.
+    floors = []
+
+    def spy(*args):
+        floors.append(floor_of_pass(*args))
+        return floors[-1]
+
+    floor_of_pass = kernel._pass_floor
+    monkeypatch.setattr(kernel, "_pass_floor", spy)
+    res = ek_integral(make_group(n), ParameterK(k, n), x, y, 1e-8)
+    assert len(floors) == 2 and floors[-1] > 0.0
+    assert res.tail_estimate >= floors[-1]
+    assert res.tail_estimate < 2.0 * floors[-1]
+
+
 def test_ek_integral_rho_stability(rng):
     inst = draw_instance(rng, positive_gamma=True, delta_a_cap=3.0)
     G, P = inst.group(), inst.parameter()

@@ -6,16 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import poly_rel_err, random_poly, rel_err
-from dunkl_dihedral.dihedral import make_group, pairing
+from dunkl_dihedral import polyalg
+from dunkl_dihedral.dihedral import make_group, pairing, reflection_matrix, rotation_matrix
 from dunkl_dihedral.errors import DomainError
 from dunkl_dihedral.polyalg import (
     ParameterK,
+    _build_action_matrix,
+    _pairing_power_vector,
     _vk_cache,
     _vk_matrices,
     Poly2,
     a_op,
     dunkl_apply,
     factorial_table,
+    h_coefficients,
     h_matrix,
     h_op,
     intertwine,
@@ -337,3 +341,73 @@ def test_eigen_relation_small_degrees(n, rng):
             lhs = dunkl_apply(G, P, xi, em1)
             rhs = complex(y[axis]) * em
             assert poly_rel_err(lhs, rhs) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# h_matrix from the orbit sums, and the oracle's array pass per degree
+
+
+def _h_matrix_per_element(n, P, m):
+    """Reference: sum_j a_j(m) R_j + b_j(m) S_j, one action matrix per element."""
+    a, b = h_coefficients(P, m)
+    h = np.zeros((m + 1, m + 1), dtype=complex)
+    for j in range(n):
+        h += a[j] * _build_action_matrix(rotation_matrix(n, j), m)
+        h += b[j] * _build_action_matrix(reflection_matrix(n, j), m)
+    return h
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 12])
+@pytest.mark.parametrize("m", [1, 2, 12, 60, 120])
+def test_h_matrix_matches_per_element_sum(n, m):
+    for k in (0.3 + 0.2j, -0.15):
+        P = ParameterK(k, n)
+        ref = _h_matrix_per_element(n, P, m)
+        h = h_matrix(make_group(n), P, m)
+        assert np.max(np.abs(h - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _oracle_em_per_degree(G, P, x, y, M):
+    """Reference: the per-degree list comprehensions of binomial terms."""
+    mats = _vk_matrices(G, P, M)
+    ya, xr = np.asarray(y, dtype=complex), np.asarray(x, dtype=float)
+    out = np.ones(M + 1, dtype=complex)
+    for m in range(1, M + 1):
+        powers = np.array([xr[0] ** a * xr[1] ** (m - a) for a in range(m + 1)])
+        out[m] = np.dot(mats[m] @ _pairing_power_vector(ya, m), powers) / math.factorial(m)
+    return out
+
+
+@pytest.mark.parametrize(
+    "n, k, x, y",
+    [
+        (2, 0.4 + 0.2j, (0.7, -1.1), (1.3, 0.4)),
+        (3, -0.2 + 0.3j, (1.2, 0.0), (-0.5, 1.6)),
+        (7, 0.3, (-0.8, 0.9), (0.0, -1.4)),
+    ],
+)
+def test_oracle_em_matches_per_degree_loop(n, k, x, y):
+    # Measure: |E_m - ref_m| / max(|ref_m|, a^m / m!), with a = |x| |y|.
+    G, P, M = make_group(n), ParameterK(k, n), 60
+    ref = _oracle_em_per_degree(G, P, x, y, M)
+    a = math.hypot(*x) * math.hypot(*y)
+    scale = np.array([a**m / math.factorial(m) for m in range(M + 1)])
+    err = np.abs(oracle_em(G, P, x, y, M) - ref) / np.maximum(np.abs(ref), scale)
+    assert np.max(err) <= 1e-13
+
+
+def test_oracle_em_leaves_the_action_cache_alone():
+    # h_matrix builds its per-element action matrices transiently; only
+    # Poly2.compose fills _ACTION_CACHE.
+    before, misses = len(polyalg._ACTION_CACHE), polyalg._orbit_action_sums.cache_info().misses
+    oracle_em(make_group(11), ParameterK(0.123 + 0.456j, 11), (0.6, 0.2), (-0.3, 0.9), 20)
+    assert polyalg._orbit_action_sums.cache_info().misses > misses
+    assert len(polyalg._ACTION_CACHE) == before
+
+
+def test_orbit_action_sums_are_read_only():
+    rot, refl = polyalg._orbit_action_sums(3, 4)
+    with pytest.raises(ValueError):
+        rot[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        refl[0, 0] = 0.0

@@ -17,7 +17,7 @@ import pytest
 from dunkl_dihedral.cli import EXIT_CONVERGENCE_ERROR, main
 from dunkl_dihedral.dihedral import make_group, orbit_pairings
 from dunkl_dihedral.kernel import ek_series
-from dunkl_dihedral.polyalg import ParameterK
+from dunkl_dihedral.polyalg import ParameterK, oracle_em
 from dunkl_dihedral.recurrence import em_sequence
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
@@ -84,6 +84,36 @@ def test_ill_conditioned_series_sum_is_a_convergence_error(n, k, x, y, capsys):
     assert code == EXIT_CONVERGENCE_ERROR
     assert out.getvalue() == ""
     assert capsys.readouterr().err.startswith("error[convergence-error]: rounding floor")
+
+
+def _component_scale(G, P, x, y, M):
+    """The a-priori component size a^m / |(1+gamma)_m|, m = 0..M."""
+    a = orbit_pairings(G, x, y).a_bound
+    log_poch = np.cumsum([0.0] + [math.log(abs(1.0 + P.gamma + m)) for m in range(M)])
+    return np.exp(np.arange(M + 1) * math.log(a) - log_poch)
+
+
+# The oracle at degree 60 against the mirror-axis and n = 2 references, in the
+# measure |E_m - ref_m| <= rtol max(|ref_m|, a^m / |(1+gamma)_m|).
+@pytest.mark.parametrize(
+    "n, k, x, y",
+    [
+        (3, -0.2 + 0.3j, (1.2, 0.0), (-0.5, 1.6)),
+        (5, 0.6 - 0.2j, (0.9, 0.0), (1.1, -0.7)),
+        (7, 0.3, (1.4, 0.0), (0.3, 1.9)),
+        (2, 0.4 + 0.2j, (0.8, -1.3), (1.5, 0.6)),
+        (2, -0.3, (1.1, 0.7), (-0.4, 1.2)),
+    ],
+)
+def test_oracle_matches_mpmath_at_degree_60(n, k, x, y, reference):
+    G, P, M = make_group(n), ParameterK(k, n), 60
+    if n == 2:
+        ref = np.array(reference.n2_components(k, x, y, M))
+    else:
+        ref = np.array(reference.mirror_components(n, k, x, y, M))
+    ems = oracle_em(G, P, x, y, M)
+    denom = np.maximum(np.abs(ref), _component_scale(G, P, x, y, M))
+    assert np.all(np.abs(ems - ref) <= 1e-9 * denom)
 
 
 def test_recurrence_past_double_pochhammer_matches_mpmath(reference):

@@ -118,14 +118,19 @@ def orbit_pairings(G: DihedralGroup, x: PlanePoint, y: PlanePoint) -> OrbitPairi
     """The orbit pairings of (x, y).  The orbit points come from one stacked
     product with the group matrices, which rounds as the product with each
     matrix does; each is then paired with y by its own 1-D product, because
-    one stacked product with y rounds differently."""
+    one stacked product with y rounds differently.  The one overflow guard
+    for the pairings: a non-finite orbit bound is a range error."""
     xa = _as_point(x)
     ya = _as_point(y).astype(complex)
-    big = np.array([row @ ya for row in _orbit_matrices(G.n) @ xa])
+    with np.errstate(over="ignore", invalid="ignore"):
+        big = np.array([row @ ya for row in _orbit_matrices(G.n) @ xa])
+        a_bound = float(np.max(np.abs(big)))
+    if not math.isfinite(a_bound):
+        raise DomainError("the orbit pairings overflow double precision", code="range-error")
     return OrbitPairings(
         rot_pairings=big[: G.n],
         refl_pairings=big[G.n :],
-        a_bound=float(np.max(np.abs(big))),
+        a_bound=a_bound,
         big_diag=big,
     )
 

@@ -168,13 +168,19 @@ def ek_series(
     G: DihedralGroup, P: ParameterK, x: PlanePoint, y: PlanePoint, tol: float
 ) -> KernelResult:
     """Kernel value by the certified sum of certified_terms.  Shortcuts:
-    k = 0 gives exp(<x,y>) exactly; a vanishing orbit bound gives 1 exactly."""
+    k = 0 gives exp(<x,y>) exactly, a range error past the double range; a
+    vanishing orbit bound gives 1 exactly."""
     _require_tol(tol)
     if P.k == 0:
         orbit = orbit_pairings(G, x, y)
-        return KernelResult(
-            value=cmath.exp(orbit.xy), method="exp-shortcut", terms_used=0
-        )
+        try:
+            value = cmath.exp(orbit.xy)
+        except OverflowError:
+            raise DomainError(
+                f"exp(<x,y>) = exp({orbit.xy.real:.6g}) overflows double precision",
+                code="range-error",
+            ) from None
+        return KernelResult(value=value, method="exp-shortcut", terms_used=0)
     P.require_regular()
     orbit = orbit_pairings(G, x, y)
     if orbit.a_bound == 0.0:
@@ -468,13 +474,12 @@ def check_ek_bound(
     if P.gamma.real <= -nu:
         raise DomainError(f"bound check requires Re(gamma) > -nu = {-nu}")
     orbit = orbit_pairings(G, x, y)
-    if P.k == 0:
-        value = cmath.exp(orbit.xy)
-        da = orbit.a_bound
-    else:
-        # delta * 0 = 0: a vanishing orbit bound skips delta and its refusal
-        da = delta_effective(P).delta_effective * orbit.a_bound if orbit.a_bound else 0.0
-        value = ek_series(G, P, x, y, 1e-10).value
+    # k = 0 scales by a itself; delta * 0 = 0: a vanishing orbit bound
+    # skips delta and its refusal
+    da = orbit.a_bound
+    if P.k != 0 and orbit.a_bound:
+        da *= delta_effective(P).delta_effective
+    value = ek_series(G, P, x, y, 1e-10).value
     too_large = (nu + 2) * math.log1p(da) + da > 709.0
     scale = math.inf if too_large else (da + 1.0) ** (nu + 2) * math.exp(da)
     constant = 2.0 * math.e**2 if P.k == 0 else ek_bound_constant(P, da) / scale

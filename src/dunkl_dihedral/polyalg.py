@@ -16,13 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dihedral import (
-    DihedralGroup,
-    PlanePoint,
-    _as_point,
-    reflection_matrix,
-    rotation_matrix,
-)
+from .dihedral import DihedralGroup, PlanePoint, _as_point, _orbit_matrices, reflection_matrix
 from .errors import ConsistencyError, DomainError
 
 # ---------------------------------------------------------------------------
@@ -87,6 +81,18 @@ def require_degree(M: int) -> None:
         raise DomainError("degree M must be nonnegative")
     if M > MAX_DEGREE:
         raise DomainError(f"degree {M} exceeds the limit {MAX_DEGREE}", code="range-error")
+
+
+def require_finite_table(values: np.ndarray) -> np.ndarray:
+    """The overflow guard of a component table E_0..E_M: a non-finite
+    entry is a range error, reported at its degree."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise DomainError(
+            f"the components overflow double precision at degree {int(np.argmin(finite))}",
+            code="range-error",
+        )
+    return values
 
 
 def rising_factorials(z: complex, M: int) -> np.ndarray:
@@ -255,15 +261,16 @@ class Poly2:
         )
 
     def compose(self, matrix: np.ndarray) -> "Poly2":
-        """Substitution x -> M x, degree by degree via cached action matrices."""
+        """Substitution x -> M x, degree by degree, with the action matrix
+        of M raised one degree per step by _raise_action."""
+        mats = np.asarray(matrix, dtype=float)[None]
+        act = np.ones((1, 1, 1))
         out = np.zeros_like(self.c)
         for m in range(self.degree + 1):
-            v = self.homogeneous_vector(m)
-            if not np.any(v):
-                continue
-            w = _action_matrix(np.asarray(matrix, dtype=float), m) @ v
+            if m:
+                act = _raise_action(act, mats)
             idx = np.arange(m + 1)
-            out[idx, m - idx] = w
+            out[idx, m - idx] = act[0] @ self.homogeneous_vector(m)
         return Poly2(out)
 
     def __repr__(self) -> str:
@@ -290,32 +297,20 @@ def pairing_power(y: PlanePoint, m: int) -> Poly2:
     return from_homogeneous_vector(_pairing_power_vector(_as_point(y).astype(complex), m), m)
 
 
-def _build_action_matrix(M: np.ndarray, m: int) -> np.ndarray:
-    """Matrix of x -> f(Mx) on degree-m homogeneous coefficient vectors."""
-
-    def binom_pow(c1: float, c2: float, p: int) -> np.ndarray:
-        return np.array([math.comb(p, i) * c1**i * c2 ** (p - i) for i in range(p + 1)])
-
-    mat = np.empty((m + 1, m + 1))
-    for a_in in range(m + 1):
-        p1 = binom_pow(M[0, 0], M[0, 1], a_in)
-        p2 = binom_pow(M[1, 0], M[1, 1], m - a_in)
-        mat[:, a_in] = np.convolve(p1, p2)
-    return mat
-
-
-# Action matrices for Poly2.compose, keyed by the matrix bytes and the degree.
-# Only compose fills it: h_matrix reads the k-independent orbit sums of
-# _orbit_action_sums, whose per-element matrices are built and dropped.
-_ACTION_CACHE: dict[tuple[bytes, int], np.ndarray] = {}
-
-
-def _action_matrix(M: np.ndarray, m: int) -> np.ndarray:
-    key = (M.tobytes(), m)
-    hit = _ACTION_CACHE.get(key)
-    if hit is None:
-        hit = _ACTION_CACHE[key] = _build_action_matrix(M, m)
-    return hit
+def _raise_action(prev: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """The action matrices of x -> f(Mx) on degree-m homogeneous coefficient
+    vectors (rows and columns indexed by the x1-power), for a stack of 2x2
+    matrices M, from those of degree m-1.  Column a is the coefficient vector
+    of (M00 x1 + M01 x2)^a (M10 x1 + M11 x2)^(m-a): for a >= 1 it is column
+    a-1 times the first form, and column 0 is column 0 times the second."""
+    m00, m01, m10, m11 = (mats[:, i, j, None, None] for i in (0, 1) for j in (0, 1))
+    m, col = prev.shape[1], prev[:, :, :1]
+    out = np.zeros((prev.shape[0], m + 1, m + 1))
+    out[:, 1:, 1:] += m00 * prev
+    out[:, :m, 1:] += m01 * prev
+    out[:, 1:, :1] += m10 * col
+    out[:, :m, :1] += m11 * col
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -387,19 +382,33 @@ def h_op(G: DihedralGroup, P: ParameterK, m: int, f: Poly2) -> Poly2:
     return from_homogeneous_vector(h_matrix(G, P, m) @ f.homogeneous_vector(m), m)
 
 
-@lru_cache(maxsize=256)
-def _orbit_action_sums(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The sums over j of the degree-m action matrices of the rotations
-    rotation_matrix(n, j) and of the reflections reflection_matrix(n, j).
-    They do not depend on k.  Read-only, since the cache hands the same
-    arrays to every caller.  An entry is as large as the complex
-    intertwining matrix of its degree; the degrees 1..60 of one order take
-    1.2 MB, so 256 entries hold them for four orders."""
-    rot = sum(_build_action_matrix(rotation_matrix(n, j), m) for j in range(n))
-    refl = sum(_build_action_matrix(reflection_matrix(n, j), m) for j in range(n))
-    rot.setflags(write=False)
-    refl.setflags(write=False)
-    return rot, refl
+@lru_cache(maxsize=8)
+def _orbit_action_cache(n: int) -> list:
+    """[stack, sums]: the action matrices of the n rotations at the highest
+    degree built so far, and the orbit sums of every degree up to it, which
+    take 1.2 MB through degree 60.  _orbit_sums extends it in place, so no
+    degree is raised twice."""
+    one = np.full((1, 1), float(n))
+    one.setflags(write=False)
+    return [np.ones((n, 1, 1)), [(one, one)]]
+
+
+def _orbit_sums(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sums over j of the degree-m action matrices of the rotations and
+    of the reflections reflection_matrix(n, j) = rotation_matrix(n, j)
+    diag(1, -1).  The latter flips the sign of x2, so its sum is the
+    rotation sum with row i (the x1-power) times (-1)^(m-i).  Read-only,
+    since the cache hands the same arrays to every caller."""
+    state = _orbit_action_cache(n)
+    sums = state[1]
+    for d in range(len(sums), m + 1):
+        state[0] = _raise_action(state[0], _orbit_matrices(n)[:n])
+        rot = state[0].sum(axis=0)
+        refl = rot * (-1.0) ** (d - np.arange(d + 1))[:, None]
+        rot.setflags(write=False)
+        refl.setflags(write=False)
+        sums.append((rot, refl))
+    return sums[m]
 
 
 def h_matrix(G: DihedralGroup, P: ParameterK, m: int) -> np.ndarray:
@@ -407,10 +416,10 @@ def h_matrix(G: DihedralGroup, P: ParameterK, m: int) -> np.ndarray:
     coefficient vectors: sum_j a_j(m) R_j + b_j(m) S_j over the rotation and
     reflection action matrices.  Since a_j = a_1 for j >= 1, b_j = b_0 and
     R_0 is the identity, it is a_1 sum_j R_j + b_0 sum_j S_j + (a_0 - a_1) I,
-    from the orbit sums of _orbit_action_sums.  h_op and the intertwining
+    from the orbit sums of _orbit_sums.  h_op and the intertwining
     build share it."""
     a, b = h_coefficients(P, m)
-    rot, refl = _orbit_action_sums(G.n, m)
+    rot, refl = _orbit_sums(G.n, m)
     h = a[1] * rot + b[0] * refl
     h[np.diag_indices(m + 1)] += a[0] - a[1]
     return h
@@ -478,17 +487,18 @@ def oracle_em(
     if M == 0:
         return out
     factorials = factorial_table(M)
-    mats = _vk_matrices(G, P, M)
     ya = _as_point(y).astype(complex)
     xr = xa.astype(float)
     # <x, y>^m has the coefficient C(m, a) y1^a y2^(m-a) at x1^a x2^(m-a):
     # the powers 0..M of each coordinate are formed once, and the binomial
     # row of degree m is raised from that of m-1 by Pascal's rule.
-    y1p, y2p, x1p, x2p = (np.cumprod(np.r_[1.0, np.full(M, c)]) for c in (*ya, *xr))
-    binom = np.zeros(M + 1)
-    binom[0] = 1.0
-    for m in range(1, M + 1):
-        binom[1 : m + 1] = binom[1 : m + 1] + binom[:m]
-        v = binom[: m + 1] * y1p[: m + 1] * y2p[m::-1]
-        out[m] = np.dot(mats[m] @ v, x1p[: m + 1] * x2p[m::-1]) / factorials[m]
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        mats = _vk_matrices(G, P, M)
+        y1p, y2p, x1p, x2p = (np.cumprod(np.r_[1.0, np.full(M, c)]) for c in (*ya, *xr))
+        binom = np.zeros(M + 1)
+        binom[0] = 1.0
+        for m in range(1, M + 1):
+            binom[1 : m + 1] = binom[1 : m + 1] + binom[:m]
+            v = binom[: m + 1] * y1p[: m + 1] * y2p[m::-1]
+            out[m] = np.dot(mats[m] @ v, x1p[: m + 1] * x2p[m::-1]) / factorials[m]
+    return require_finite_table(out)

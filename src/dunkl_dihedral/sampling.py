@@ -13,6 +13,9 @@ from .kernel import delta_effective
 from .polyalg import ParameterK
 
 DEFAULT_ORDERS = (2, 3, 4, 5, 7)
+# Least regularity margin of a drawn k, and largest orbit bound of a drawn pair.
+MARGIN = 0.1
+MAX_A = 2.0
 
 
 @dataclass(frozen=True)
@@ -32,24 +35,21 @@ class Instance:
 def draw_parameter(
     rng: np.random.Generator,
     n: int,
-    margin: float = 0.1,
     positive_gamma: bool = False,
     real_k: bool = False,
 ) -> ParameterK:
-    """Draw k with regularity margin at least ``margin``."""
+    """Draw k with regularity margin at least MARGIN."""
     while True:
         re = rng.uniform(0.05, 1.2) if positive_gamma else rng.uniform(-1.2, 1.2)
         im = 0.0 if real_k else rng.uniform(-0.6, 0.6)
         P = ParameterK(complex(re, im), n)
-        if P.regularity_margin() >= margin:
+        if P.regularity_margin() >= MARGIN:
             return P
 
 
 def draw_instance(
     rng: np.random.Generator,
     n_choices: tuple[int, ...] = DEFAULT_ORDERS,
-    margin: float = 0.1,
-    max_a: float = 2.0,
     sigma_invariant: bool = False,
     positive_gamma: bool = False,
     real_k: bool = False,
@@ -57,7 +57,7 @@ def draw_instance(
     min_xy: float = 0.0,
     delta_a_cap: float | None = None,
 ) -> Instance:
-    """One random instance with norms <= 2 and orbit bound <= max_a.
+    """One random instance with norms <= 2 and orbit bound <= MAX_A.
 
     ``min_xy`` rejects nearly orthogonal argument pairs (where relative
     comparisons of the degree-1 component degenerate); ``delta_a_cap``
@@ -65,7 +65,7 @@ def draw_instance(
     contour quadrature inside its double-precision conditioning range.
     """
     n = int(rng.choice(n_choices))
-    P = draw_parameter(rng, n, margin=margin, positive_gamma=positive_gamma, real_k=real_k)
+    P = draw_parameter(rng, n, positive_gamma=positive_gamma, real_k=real_k)
     G = make_group(n)
     while True:
         x = rng.uniform(-1.4, 1.4, size=2)
@@ -78,7 +78,7 @@ def draw_instance(
         orbit = orbit_pairings(G, x, y)
         if orbit.a_bound == 0.0:
             continue
-        scale = max_a / orbit.a_bound
+        scale = MAX_A / orbit.a_bound
         if scale < 1.0:
             y = y * scale
             orbit = orbit_pairings(G, x, y)

@@ -20,7 +20,7 @@ import numpy as np
 from .dihedral import DihedralGroup, OrbitPairings, PlanePoint, is_sigma_invariant, orbit_pairings
 from .errors import DomainError
 from .polyalg import ParameterK, factorial_table, pochhammer_table
-from .polyalg import require_degree, rising_factorials
+from .polyalg import require_degree, require_finite_table, rising_factorials
 
 
 @dataclass(frozen=True)
@@ -117,9 +117,11 @@ def em_genseries(
     orbit = orbit_pairings(G, x, y)
     S = a_coeffs(P, orbit, M)
     pref = P.gamma / (2.0 * P.n)
-    return np.array(
-        [pref * acc / p for acc, p in zip(_cauchy_prefixes(S.phi, orbit.xy), poch)]
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = np.array(
+            [pref * acc / p for acc, p in zip(_cauchy_prefixes(S.phi, orbit.xy), poch)]
+        )
+    return require_finite_table(table)
 
 
 def _require_sigma_invariant(orbit: OrbitPairings) -> None:
@@ -167,8 +169,9 @@ def em_closed_sigma(
     inner = np.zeros(M + 1, dtype=complex)
     inner[0] = 1.0
     k_rising = rising_factorials(P.k, M)
-    for c in orbit.rot_pairings:
-        term = (k_rising / factorials) * np.power(c, np.arange(M + 1))
-        inner = np.convolve(inner, term)[: M + 1]
-
-    return np.array([acc / p for acc, p in zip(_cauchy_prefixes(inner, orbit.xy), poch)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in orbit.rot_pairings:
+            term = (k_rising / factorials) * np.power(c, np.arange(M + 1))
+            inner = np.convolve(inner, term)[: M + 1]
+        table = np.array([acc / p for acc, p in zip(_cauchy_prefixes(inner, orbit.xy), poch)])
+    return require_finite_table(table)

@@ -382,6 +382,30 @@ def test_out_of_range_parameters_exit_with_a_documented_code(argv, expected, cap
     assert elapsed < 5.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # orbit pairings past the double range
+        "em --method oracle --n 3 --k 0.5 --x 1e200,0 --y 1e200,1 --m-max 3",
+        "em --method sigma --n 3 --k 0.5 --x 1e200,0 --y 1e200,1 --m-max 3",
+        "kernel --n 3 --k 0 --x 1e200,0 --y 1e200,1",
+        "kernel --n 3 --k 0.5 --x 1e200,0 --y 1e200,1",
+        # oracle coefficients past the double range
+        "em --method oracle --n 2 --k=1.0268823667399921e+267 --x=33.72040390433959,1.67252675195284 "
+        "--y=1.174361252797369,-0.0007837292722312483 --m-max 3",
+        # exp(<x,y>) of the k = 0 shortcut past the double range
+        "kernel --n 3 --k 0 --x 40,0 --y 40,0",
+    ],
+)
+def test_overflow_is_a_range_error(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(argv.split())
+    assert code == EXIT_DOMAIN_ERROR
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error[range-error]: ")
+
+
 def test_integral_at_a_vanishing_orbit_bound_is_exactly_one():
     # gamma^2 overflows the contour weights, but x = 0 makes the kernel 1
     code, out = run_cli("kernel --method integral --n 3 --k 1e200 --x 0,0 --y 1,1".split())
@@ -439,13 +463,13 @@ def test_integral_rounding_floor_passes_a_value_correct_to_tol(point):
 
 # Fuzzed argument lists: numbers in a bounded domain, with at most one of
 # --k, --x, --y, --tol replaced by non-finite or malformed text.  The parts
-# of --k also range over +-10^e up to the double range.
+# of --k and the coordinates also range over +-10^e up to the double range.
 _REAL = st.floats(-3.0, 3.0).map(repr)
 _HUGE = st.builds(
     lambda sign, e: repr(sign * 10.0**e), st.sampled_from([1.0, -1.0]), st.floats(-3.0, 308.0)
 )
-_PART = st.one_of(_REAL, _HUGE)
-_COORDS = st.floats(-4.0, 4.0).map(repr)
+_PART = st.one_of(_REAL, _HUGE, st.just("0"))
+_COORDS = st.one_of(st.floats(-4.0, 4.0).map(repr), _HUGE)
 _FIELDS = {
     "--k": st.one_of(_PART, st.tuples(_PART, _PART).map(",".join)),
     "--x": st.lists(_COORDS, min_size=2, max_size=2).map(",".join),

@@ -192,3 +192,9 @@ def test_orbit_pairings_match_per_element_loop(n, complex_x, complex_y):
         np.testing.assert_array_equal(orbit.refl_pairings, refl)
         np.testing.assert_array_equal(orbit.big_diag, np.concatenate([rot, refl]))
         assert orbit.a_bound == float(np.max(np.abs(np.concatenate([rot, refl]))))
+
+
+def test_orbit_pairings_past_the_double_range_are_a_range_error():
+    with pytest.raises(DomainError, match="overflow") as info:
+        orbit_pairings(make_group(3), (1e200, 0.0), (1e200, 1.0))
+    assert info.value.code == "range-error"

@@ -421,3 +421,13 @@ def test_ek_bound_k_zero_shortcut():
     G = make_group(3)
     rep = check_ek_bound(G, ParameterK(0.0, 3), (1.0, 0.5), (0.5, 1.0), 1)
     assert rep.passed and rep.ratio <= 1.0
+
+
+def test_k_zero_shortcut_past_the_double_range_is_a_range_error():
+    # exp(<x,y>) = exp(1600) overflows, in the kernel and in its bound check
+    G, P = make_group(3), ParameterK(0.0, 3)
+    for evaluate in (lambda: ek_series(G, P, (40.0, 0.0), (40.0, 0.0), 1e-10),
+                     lambda: check_ek_bound(G, P, (40.0, 0.0), (40.0, 0.0), 1)):
+        with pytest.raises(DomainError, match="overflows") as info:
+            evaluate()
+        assert info.value.code == "range-error"

@@ -1,4 +1,7 @@
+import functools
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
@@ -6,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import poly_rel_err, random_poly, rel_err
+import dunkl_dihedral
 from dunkl_dihedral import polyalg
 from dunkl_dihedral.dihedral import make_group, pairing, reflection_matrix, rotation_matrix
 from dunkl_dihedral.errors import DomainError
 from dunkl_dihedral.polyalg import (
     ParameterK,
-    _build_action_matrix,
     _pairing_power_vector,
+    _raise_action,
     _vk_cache,
     _vk_matrices,
     Poly2,
@@ -291,6 +295,20 @@ def test_vk_cache_stays_bounded():
     for i in range(maxsize + 8):
         oracle_em(G, ParameterK(0.3 + 0.001 * i, 3), (1.0, 0.5), (0.3, 0.4), 3)
     assert _vk_cache.cache_info().currsize <= maxsize
+    # and no cache of the package grows without bound
+    modules = [
+        importlib.import_module(f"dunkl_dihedral.{info.name}")
+        for info in pkgutil.iter_modules(dunkl_dihedral.__path__)
+        if info.name != "__main__"  # importing it runs the CLI
+    ]
+    caches = {
+        obj
+        for module in modules
+        for obj in vars(module).values()
+        if isinstance(obj, functools._lru_cache_wrapper)
+    }
+    assert len(caches) >= 5
+    assert [c.__qualname__ for c in caches if c.cache_info().maxsize is None] == []
 
 
 @pytest.mark.parametrize("n, k", [(2, 0.4 + 0.2j), (3, -0.2 + 0.3j), (5, 0.6 - 0.2j)])
@@ -344,7 +362,52 @@ def test_eigen_relation_small_degrees(n, rng):
 
 
 # ---------------------------------------------------------------------------
-# h_matrix from the orbit sums, and the oracle's array pass per degree
+# action matrices by the degree-raising recursion, h_matrix from the orbit
+# sums, and the oracle's array pass per degree
+
+
+def _action_matrix_per_entry(M, m):
+    """Reference: the matrix of f -> f(Mx) on degree-m coefficient vectors,
+    column a the binomial expansion of (M00 x1 + M01 x2)^a (M10 x1 + M11 x2)^(m-a)."""
+
+    def binom_pow(c1, c2, p):
+        return np.array([math.comb(p, i) * c1**i * c2 ** (p - i) for i in range(p + 1)])
+
+    mat = np.empty((m + 1, m + 1))
+    for a in range(m + 1):
+        mat[:, a] = np.convolve(binom_pow(M[0, 0], M[0, 1], a), binom_pow(M[1, 0], M[1, 1], m - a))
+    return mat
+
+
+@pytest.mark.parametrize(
+    "M", [rotation_matrix(7, 3), reflection_matrix(5, 2), np.array([[1.3, -0.4], [0.7, 0.2]])]
+)
+def test_raised_action_matches_per_entry_expansion(M):
+    # Measure: the per-entry expansion of |M| sums the terms' magnitudes.
+    act = np.ones((1, 1, 1))
+    for m in range(61):
+        if m:
+            act = _raise_action(act, M[None])
+        err = np.abs(act[0] - _action_matrix_per_entry(M, m))
+        assert np.all(err <= 1e-14 * _action_matrix_per_entry(np.abs(M), m))
+
+
+def test_orbit_sums_raise_each_degree_once(monkeypatch):
+    raises = []
+
+    def counted(prev, mats):
+        raises.append(prev.shape[1])
+        return _raise_action(prev, mats)
+
+    monkeypatch.setattr(polyalg, "_raise_action", counted)
+    polyalg._orbit_action_cache.cache_clear()
+    _vk_cache.cache_clear()
+    G, x, y, M = make_group(6), (0.6, 0.2), (-0.3, 0.9), 20
+    oracle_em(G, ParameterK(0.123 + 0.456j, 6), x, y, M)
+    assert raises == list(range(1, M + 1))
+    raises.clear()
+    oracle_em(G, ParameterK(-0.321 + 0.1j, 6), x, y, M)
+    assert raises == []
 
 
 def _h_matrix_per_element(n, P, m):
@@ -352,8 +415,8 @@ def _h_matrix_per_element(n, P, m):
     a, b = h_coefficients(P, m)
     h = np.zeros((m + 1, m + 1), dtype=complex)
     for j in range(n):
-        h += a[j] * _build_action_matrix(rotation_matrix(n, j), m)
-        h += b[j] * _build_action_matrix(reflection_matrix(n, j), m)
+        h += a[j] * _action_matrix_per_entry(rotation_matrix(n, j), m)
+        h += b[j] * _action_matrix_per_entry(reflection_matrix(n, j), m)
     return h
 
 
@@ -396,17 +459,8 @@ def test_oracle_em_matches_per_degree_loop(n, k, x, y):
     assert np.max(err) <= 1e-13
 
 
-def test_oracle_em_leaves_the_action_cache_alone():
-    # h_matrix builds its per-element action matrices transiently; only
-    # Poly2.compose fills _ACTION_CACHE.
-    before, misses = len(polyalg._ACTION_CACHE), polyalg._orbit_action_sums.cache_info().misses
-    oracle_em(make_group(11), ParameterK(0.123 + 0.456j, 11), (0.6, 0.2), (-0.3, 0.9), 20)
-    assert polyalg._orbit_action_sums.cache_info().misses > misses
-    assert len(polyalg._ACTION_CACHE) == before
-
-
 def test_orbit_action_sums_are_read_only():
-    rot, refl = polyalg._orbit_action_sums(3, 4)
+    rot, refl = polyalg._orbit_sums(3, 4)
     with pytest.raises(ValueError):
         rot[0, 0] = 0.0
     with pytest.raises(ValueError):

@@ -284,28 +284,32 @@ def _gauss_legendre_16() -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(16)
 
 
-def _panel_nodes(levels: int, splits: int) -> tuple[np.ndarray, np.ndarray]:
-    """16-point Gauss-Legendre nodes/weights on geometrically graded panels of
-    (0, 1], each level split into `splits` equal panels.  Grading handles the
-    endpoint behaviour of the substituted weight."""
+def _log_panels(lo: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """16-point Gauss-Legendre nodes and weights on `panels` equal panels of [lo, 0]."""
     base_x, base_w = _gauss_legendre_16()
-    hi = 2.0 ** -np.arange(levels)
-    lo = np.append(hi[1:], 0.0)
-    edges = np.linspace(lo, hi, splits + 1, axis=1)
-    mid = (0.5 * (edges[:, :-1] + edges[:, 1:]))[..., None]
-    half = (0.5 * (edges[:, 1:] - edges[:, :-1]))[..., None]
-    return (mid + half * base_x).reshape(-1), (half * base_w).reshape(-1)
+    half = -lo / (2 * panels)
+    mid = lo + half * (2 * np.arange(panels) + 1)
+    return (mid[:, None] + half * base_x).reshape(-1), np.tile(half * base_w, panels)
 
 
-def _pass_floor(weight: np.ndarray, t: np.ndarray, pref: np.ndarray, rho: float) -> float:
-    """The rounding floor of one contour pass (see ek_integral).
-    sum_j |pref_j| e^(t Re(1/z_j)) is log-convex in t, so it lies below its
-    chord f0^(1-t) f1^t between t = 0 and t = 1."""
+def _endpoint_coefficients(gamma: complex, s0: float) -> np.ndarray:
+    """coef_l = s0^gamma / (l! (gamma+l)), l < 20: the integral of s^(gamma-1) e^(-s/z) over
+    [0, s0] is sum_l coef_l (-s0/z)^l.  On the contour |s0/z| <= 1/2, so the terms fall like
+    2^-l / l!, and the tail after 20 lies below 2^-80 of the first term's scale."""
+    ell = np.arange(20)
+    return s0**gamma / (np.cumprod(np.maximum(ell, 1)) * (gamma + ell))
+
+
+def _pass_floor(
+    weight: np.ndarray, t: np.ndarray, pref: np.ndarray, rho: float, end_mass: float
+) -> float:
+    """Rounding floor of one contour pass, body and endpoint (see ek_integral).  On the body,
+    sum_j |pref_j| e^(t Re(1/z_j)) is log-convex in t, so it lies below its chord f0^(1-t) f1^t."""
     N = pref.size
     mag = np.abs(pref)
     f0 = float(np.sum(mag))
     f1 = float(mag @ np.exp(np.cos(2.0 * np.pi * np.arange(N) / N) / rho))
-    return 2.0**-53 * f0 * float(np.sum(np.abs(weight) * (f1 / f0) ** t))
+    return 2.0**-53 * (f0 * float(np.sum(np.abs(weight) * (f1 / f0) ** t)) + f1 * end_mass)
 
 
 def ek_integral(
@@ -317,24 +321,25 @@ def ek_integral(
     rho_scale: float = 1.0,
 ) -> KernelResult:
     """Kernel value by the weighted-time integral of the contour kernel,
-    valid for Re(gamma) > 0.  A vanishing orbit bound gives 1 exactly.
+    int_0^1 s^(gamma-1) K(1-s) ds, valid for Re(gamma) > 0.  A vanishing
+    orbit bound gives 1 exactly.
 
-    The endpoint weight (1-t)^(gamma-1) is removed by substituting
-    s = 1 - t, s = u^q with q = max(1, ceil(1/Re gamma)); the remaining
-    integrand q u^(q gamma - 1) K(1 - u^q) is integrated on geometrically
-    graded Gauss-Legendre panels.  Contour nodes and panel splits are doubled
-    together until two successive passes agree within tol.
+    The integral is split at s0 = min(1, rho/2), rho the contour radius.  On
+    [0, s0], K(1-s) = sum_j pref_j e^(1/z_j) e^(-s/z_j) is integrated term by
+    term (_endpoint_coefficients).  On [s0, 1], s = e^v leaves the smooth
+    e^(gamma v) K(1 - e^v), integrated by 16-point Gauss-Legendre on
+    max(1, ceil(-log s0)) * splits equal panels of [log s0, 0].  Contour
+    nodes and splits are doubled together until two passes agree within tol.
 
     Conditioning: the contour integrand oscillates with magnitude about
     e^(2 delta a) against a much smaller result.  Each pass estimates its
-    rounding by the floor 2^-53 sum_i |w_i weight_i| f0^(1-t_i) f1^(t_i),
-    with f0 = sum_j |pref_j| and f1 = sum_j |pref_j| e^(Re(1/z_j)), and is
-    refused when that floor exceeds tol * max(1, |value|); use the series
-    route there.  The floor is at least 2^-53 times the sum of the terms'
-    magnitudes, but it is an estimate, not a bound on the rounding error: it
-    ignores the growth of summation error with the number of terms.  The
-    tail estimate is |cur - prev| of the last two passes plus the last
-    pass's floor.
+    rounding by the floor 2^-53 (sum_i |w_i| f0^(1-t_i) f1^(t_i) +
+    f1 sum_l |coef_l| (s0/rho)^l), with w_i the body's weights, f0 =
+    sum_j |pref_j| and f1 = sum_j |pref_j| e^(Re(1/z_j)), and is refused
+    when that floor exceeds tol * max(1, |value|); use the series route
+    there.  The floor is an estimate, not a bound: it ignores the growth of
+    summation error with the number of terms.  The tail estimate is
+    |cur - prev| of the last two passes plus the last pass's floor.
     """
     _require_tol(tol)
     P.require_regular()
@@ -351,22 +356,20 @@ def ek_integral(
     delta = delta_effective(P).delta_effective
     rho = rho_scale / (2.0 * delta * a)
     S = series_for_radius(P, orbit, rho, tol * 1e-3)
-
-    q = max(1, math.ceil(1.0 / g.real))
-    qg = q * g
-    # Grading depth: the innermost panel touches u = 0, where the substituted
-    # weight is merely continuous; its whole contribution (hence its
-    # quadrature error) sits below tolerance at this depth.
-    L = min(60, max(6, math.ceil(math.log2(100.0 / tol) / (q * g.real))))
+    s0 = min(1.0, 0.5 * rho)
+    coef = _endpoint_coefficients(g, s0)
+    end_mass = float(np.abs(coef) @ (s0 / rho) ** np.arange(coef.size))
 
     def one_pass(N: int, splits: int) -> tuple[complex, float]:
-        u, w = _panel_nodes(L, splits)
-        t = 1.0 - u**q
+        v, w = _log_panels(math.log(s0), max(1, math.ceil(-math.log(s0))) * splits)
+        t, weight = 1.0 - np.exp(v), w * np.exp(g * v)
         inv, pref = _contour_rule(P, orbit, S, rho, N)
+        inv_all = np.concatenate([inv, np.conj(inv[(N - 1) // 2 : 0 : -1])])
+        end_pref = pref * (np.vander(-s0 * inv_all, coef.size, increasing=True) @ coef)
         with np.errstate(over="ignore", invalid="ignore"):
-            weight = w * (q * np.exp((qg - 1.0) * np.log(u)))
             value = complex(np.sum(weight * _contour_sum(t, inv, pref)))
-            floor = _pass_floor(weight, t, pref, rho)
+            value += complex(_contour_sum(np.ones(1), inv, end_pref)[0])
+            floor = _pass_floor(weight, t, pref, rho, end_mass)
         # An overflowing integrand leaves the sum inf or nan; the headroom of
         # 4 keeps |cur - prev| in the double range.
         if not cmath.isfinite(4.0 * value):
@@ -388,12 +391,8 @@ def ek_integral(
         N, splits = 2 * N, 2 * splits
         cur, floor = one_pass(N, splits)
         if abs(cur - prev) <= 0.3 * tol * max(1.0, abs(cur)):
-            return KernelResult(
-                value=cur,
-                method="integral",
-                nodes_used=N,
-                tail_estimate=abs(cur - prev) + floor,
-            )
+            tail = abs(cur - prev) + floor
+            return KernelResult(value=cur, method="integral", nodes_used=N, tail_estimate=tail)
         prev = cur
     raise ConvergenceError(
         f"integral representation did not stabilize within {N} contour nodes "

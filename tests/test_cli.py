@@ -321,11 +321,13 @@ def test_inadmissible_k_is_rejected_at_degree_zero(method, k):
 
 
 def test_unsettled_contour_is_a_convergence_error_in_bounded_memory():
-    # Im(gamma) = 5000 against Re(gamma) = 2: the weight u^(gamma - 1)
-    # oscillates too fast for the panels, so the doubling passes never settle
-    # and reach 8192 contour nodes, while delta * a = 0.51 keeps the rounding
-    # floor far below the tolerance.  A whole times x half-nodes matrix of the
-    # last pass (34816 x 4097) would exceed the address-space limit.
+    # Im(gamma) = 5000 against Re(gamma) = 2: the weight e^(gamma v) turns
+    # about 800 times per unit of v = log s, too fast for the panels, so the
+    # doubling passes never settle and reach 8192 contour nodes, while
+    # delta * a = 0.51 keeps the rounding floor far below the tolerance.  The
+    # last pass takes 2048 panel times (one unit panel, 128 splits of 16
+    # points) against 4097 exponentiated nodes: a 2048 x 4097 matrix (134 MB),
+    # built in blocks of at most 2^22 entries.
     limit = 3 << 30
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
@@ -439,6 +441,20 @@ def test_integral_past_its_rounding_floor_exits_after_one_pass(monkeypatch):
     assert out == ""
     assert passes == [64]
     assert "rounding floor" in err.getvalue()
+
+
+def test_integral_floor_counts_the_endpoint_terms(capsys):
+    # Re(gamma) = 0.0034 and delta * a = 13.1: with the body's chord floor
+    # alone, the passes settle on a value 5.3e-10 of |E_k| from mpmath at tol
+    # 1e-10.  The endpoint terms' floor refuses the first pass instead.
+    code, out = run_cli(
+        ["kernel", "--method", "integral", "--n", "2", "--tol", "1e-10",
+         "--k=0.0016785933886169083,-0.13963168220324162",
+         "--x=2.712357192626106,-2.2746271417369357", "--y=1.8626038612199265,-2.3375925869827814"]
+    )
+    assert code == EXIT_CONVERGENCE_ERROR
+    assert out == ""
+    assert "rounding floor" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -9,8 +9,9 @@ from dunkl_dihedral import kernel
 from dunkl_dihedral.dihedral import make_group, orbit_pairings
 from dunkl_dihedral.errors import ConvergenceError, DomainError
 from dunkl_dihedral.kernel import (
+    _endpoint_coefficients,
     _log_component_bound,
-    _panel_nodes,
+    _log_panels,
     check_ek_bound,
     check_em_bound,
     delta_effective,
@@ -245,25 +246,37 @@ def test_kernel_K_blocks_match_a_split_by_hand(monkeypatch):
     np.testing.assert_allclose(kernel_K(P, orbit, S, t, rho, N), by_hand, rtol=1e-15, atol=0)
 
 
-def _panel_nodes_per_panel(levels, splits):
-    """The panel rule built one panel at a time."""
-    base_x, base_w = np.polynomial.legendre.leggauss(16)
-    xs, ws = [], []
-    for j in range(levels):
-        lo = 2.0 ** (-j - 1) if j < levels - 1 else 0.0
-        edges = np.linspace(lo, 2.0**-j, splits + 1)
-        for a, b in zip(edges[:-1], edges[1:]):
-            xs.append(0.5 * (a + b) + 0.5 * (b - a) * base_x)
-            ws.append(0.5 * (b - a) * base_w)
-    return np.concatenate(xs), np.concatenate(ws)
+_ENDPOINT_GAMMAS = [0.002 - 0.79j, 1.0 + 2.0j, 3.0]
 
 
-@pytest.mark.parametrize("levels, splits", [(6, 1), (7, 4), (34, 128)])
-def test_panel_nodes_match_a_panel_by_panel_build(levels, splits):
-    xs, ws = _panel_nodes(levels, splits)
-    ref_x, ref_w = _panel_nodes_per_panel(levels, splits)
-    np.testing.assert_array_equal(xs, ref_x)
-    np.testing.assert_array_equal(ws, ref_w)
+@pytest.mark.parametrize("gamma", _ENDPOINT_GAMMAS)
+@pytest.mark.parametrize("s0", [0.05, 1.0])
+def test_endpoint_series_matches_quadrature(gamma, s0):
+    # int_0^s0 s^(gamma-1) e^(-s/z) ds at |z| = 2 s0, the contour's nearest
+    # approach.  The constant term s0^gamma / gamma is taken out in closed
+    # form, since tanh-sinh does not resolve s^(gamma-1) at Re(gamma) = 0.002;
+    # the rest, s^(gamma-1) (e^(-s/z) - 1), vanishes at 0 like s^gamma.
+    mpmath = pytest.importorskip("mpmath")
+    coef = _endpoint_coefficients(gamma, s0)
+    for theta in 0.3 + np.arange(6) * np.pi / 3:
+        z = 2.0 * s0 * cmath.exp(1j * theta)
+        ours = np.polynomial.polynomial.polyval(-s0 / z, coef)
+        with mpmath.workdps(30):
+            g, zz = mpmath.mpc(gamma), mpmath.mpc(z)
+            rest = mpmath.quad(lambda s: s ** (g - 1) * mpmath.expm1(-s / zz), [0, s0])
+            ref = complex(mpmath.power(s0, g) / g + rest)
+        assert abs(ours - ref) <= 1e-14 * abs(ref)
+
+
+@pytest.mark.parametrize("gamma", _ENDPOINT_GAMMAS)
+@pytest.mark.parametrize("s0, panels", [(0.4, 1), (0.05, 3), (0.05, 24), (1e-3, 14)])
+def test_log_panels_integrate_an_exponential(gamma, s0, panels):
+    # int_{log s0}^0 e^(gamma v) dv = (1 - s0^gamma) / gamma
+    v, w = _log_panels(math.log(s0), panels)
+    assert v.size == w.size == 16 * panels
+    assert np.all((math.log(s0) < v) & (v < 0.0))
+    ref = (1.0 - s0**gamma) / gamma
+    assert abs(np.sum(w * np.exp(gamma * v)) - ref) <= 1e-14 * abs(ref)
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,15 @@ loaded read-only from its file, as test_bench_contract loads bench/spans.py.
 import importlib.util
 import io
 import math
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dunkl_dihedral.cli import EXIT_CONVERGENCE_ERROR, main
+from dunkl_dihedral.cli import EXIT_CONVERGENCE_ERROR, EXIT_OK, main
 from dunkl_dihedral.dihedral import make_group, orbit_pairings
-from dunkl_dihedral.kernel import ek_series
+from dunkl_dihedral.kernel import ek_integral, ek_series
 from dunkl_dihedral.polyalg import ParameterK, oracle_em
 from dunkl_dihedral.recurrence import em_sequence
 
@@ -129,3 +130,57 @@ def test_recurrence_past_double_pochhammer_matches_mpmath(reference):
     scale = np.exp(np.arange(M + 1) * math.log(a) - log_poch)
     denom = np.maximum(np.maximum(np.abs(ref), scale), np.finfo(float).tiny)
     assert np.all(np.abs(ems - ref) <= 1e-13 * denom)
+
+
+# The integral route at tol 1e-10 on mirror-axis points with delta * a <= 6.
+@pytest.mark.parametrize(
+    "n, k, x, y",
+    [
+        (3, 0.5, (1.2, 0.0), (0.7, 0.9)),
+        (3, 1.0, (-0.8, 0.0), (-0.6, 1.0)),
+        (5, 0.4 - 0.3j, (1.1, 0.0), (0.5, -0.8)),
+        (7, 0.3, (0.9, 0.0), (0.3, 1.1)),
+    ],
+)
+def test_integral_matches_mpmath_on_the_mirror_axis(n, k, x, y, reference):
+    res = ek_integral(make_group(n), ParameterK(k, n), x, y, 1e-10)
+    ref = reference.mirror_kernel(n, k, x, y)
+    assert abs(res.value - ref) <= 1e-10 * abs(ref)
+
+
+def _small_re_gamma_list(seed):
+    """An n = 2 argument list with Re(gamma) in [0.002, 0.05], |Im gamma| <= 1."""
+    rng = np.random.default_rng(seed)
+    gamma = complex(rng.uniform(0.002, 0.05), rng.uniform(-1.0, 1.0))
+    x, y = (tuple(map(float, p)) for p in rng.uniform(-2.0, 2.0, size=(2, 2)))
+    return gamma / 2, x, y
+
+
+# At a small Re(gamma) the time weight s^(gamma-1) is nearly 1/s.  The
+# endpoint series integrates it exactly, so the work of a pass does not grow
+# like 1/Re(gamma); the first list is the one the route once needed 23 s for.
+@pytest.mark.parametrize(
+    "k, x, y",
+    [
+        (
+            0.0010120165973371213 - 0.3929311675725849j,
+            (1.6853030106474862, -1.0359535703261695),
+            (-0.9095454646666399, 0.5462428352987563),
+        ),
+        *(_small_re_gamma_list(seed) for seed in range(6)),
+    ],
+)
+def test_integral_at_a_small_re_gamma_is_fast_and_matches_mpmath(k, x, y, reference):
+    out = io.StringIO()
+    start = time.perf_counter()
+    code = main(
+        ["kernel", "--method", "integral", "--tol", "1e-10", "--n", "2",
+         f"--k={k.real!r},{k.imag!r}", f"--x={x[0]!r},{x[1]!r}", f"--y={y[0]!r},{y[1]!r}"],
+        out=out,
+    )
+    elapsed = time.perf_counter() - start
+    assert code == EXIT_OK
+    assert elapsed < 1.0
+    value = complex(*map(float, out.getvalue().splitlines()[1].split(",")[:2]))
+    ref = reference.n2_kernel(k, x, y)
+    assert abs(value - ref) <= 1e-10 * max(1.0, abs(ref))

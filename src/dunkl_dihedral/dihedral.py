@@ -117,13 +117,15 @@ def _orbit_matrices(n: int) -> np.ndarray:
 def orbit_pairings(G: DihedralGroup, x: PlanePoint, y: PlanePoint) -> OrbitPairings:
     """The orbit pairings of (x, y).  The orbit points come from one stacked
     product with the group matrices, which rounds as the product with each
-    matrix does; each is then paired with y by its own 1-D product, because
-    one stacked product with y rounds differently.  The one overflow guard
-    for the pairings: a non-finite orbit bound is a range error."""
+    matrix does; np.vecdot then pairs every point with y in one call, and
+    rounds as the 1-D product of each point with y does (vecdot conjugates
+    its first argument, so the points enter conjugated twice).  The one
+    overflow guard for the pairings: a non-finite orbit bound is a range
+    error."""
     xa = _as_point(x)
     ya = _as_point(y).astype(complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        big = np.array([row @ ya for row in _orbit_matrices(G.n) @ xa])
+        big = np.vecdot(np.conj(_orbit_matrices(G.n) @ xa), ya)
         a_bound = float(np.max(np.abs(big)))
     if not math.isfinite(a_bound):
         raise DomainError("the orbit pairings overflow double precision", code="range-error")

@@ -144,20 +144,20 @@ def certified_terms(P: ParameterK, orbit: OrbitPairings, tol: float) -> tuple[co
     # overflow before the cap: refuse without stepping.
     closable = MAX_DEGREE + 1 > -2.0 * r and envelope(MAX_DEGREE) <= 0.5
     states = islice(scaled_states(P, orbit), MAX_DEGREE + 1 if closable else 0)
-    for M, state in enumerate(states):
-        total += state[0]
-        norm = float(np.abs(state).max())
-        mass += weight * max(norm, prior)
-        if M + 1 > -2.0 * r and (rho := envelope(M)) <= 0.5 and 2.0 * rho * norm < tol:
-            floor = 2.0**-53 * mass
-            if floor > tol * max(1.0, abs(total)):
-                raise ConvergenceError(
-                    f"rounding floor {floor:.3g} of the component sum exceeds the tolerance (sum "
-                    f"{abs(total):.3g}); the terms cancel, or gamma is near a singular value"
-                )
-            return complex(total), M + 1, 2.0 * rho * norm + floor
-        prior *= a / abs(M + 1 + P.gamma)
-        weight = max(weight, g / abs(M + 1 + P.gamma) + 2.0 * g / abs(M + 1 + 2.0 * P.gamma))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for M, (state, norm) in enumerate(states):
+            total += state[0]
+            mass += weight * max(norm, prior)
+            if M + 1 > -2.0 * r and (rho := envelope(M)) <= 0.5 and 2.0 * rho * norm < tol:
+                floor = 2.0**-53 * mass
+                if floor > tol * max(1.0, abs(total)):
+                    raise ConvergenceError(
+                        f"rounding floor {floor:.3g} of the component sum exceeds the tolerance "
+                        f"(sum {abs(total):.3g}); the terms cancel, or gamma is near a singular value"
+                    )
+                return complex(total), M + 1, 2.0 * rho * norm + floor
+            prior *= a / abs(M + 1 + P.gamma)
+            weight = max(weight, g / abs(M + 1 + P.gamma) + 2.0 * g / abs(M + 1 + 2.0 * P.gamma))
     raise ConvergenceError(
         f"component tail not certified within {MAX_DEGREE} terms (a = {a:.6g}, "
         f"|gamma| = {g:.6g}); the argument pair is too large for double-precision series summation"
@@ -220,7 +220,9 @@ def _contour_rule(
     """The N-point trapezoidal rule on |z| = rho for kernel_K: the
     reciprocals of nodes 0..N//2, and the weights of all N nodes,
     (gamma^2/2n) Phi(z) / (N (1 - z <x,y>)).  Node N-j is built as the
-    conjugate of node j, so the pairs are exact conjugates."""
+    conjugate of node j, so the pairs are exact conjugates.  The nodes are
+    rho w^j, w = e^(2 pi i/N), so Phi(z_j) / N is the inverse FFT of the
+    coefficients phi_p rho^p folded mod N."""
     if N < 8:
         raise DomainError("contour rule needs at least 8 nodes")
     if not (rho > 0.0 and math.isfinite(rho)):
@@ -230,12 +232,14 @@ def _contour_rule(
     denom = 1.0 - nodes * orbit.xy
     if np.min(np.abs(denom)) < 1e-12:
         raise DomainError("contour passes through the geometric-series pole")
-    pref = (
-        (P.gamma * P.gamma / (2.0 * P.n))
-        * np.polynomial.polynomial.polyval(nodes, S.phi)
-        / denom
-        / N
-    )
+    # rho = mant 2^expo: the power of two is applied last, by ldexp, so no
+    # power of rho overflows where phi_p rho^p does not (a tiny orbit bound)
+    mant, expo = math.frexp(rho)
+    p = np.arange(S.phi.size)
+    terms = (S.phi * mant**p).view(float).reshape(-1, 2)
+    terms = np.ldexp(terms, (expo * p)[:, None]).view(complex).reshape(-1)
+    folded = np.pad(terms, (0, -terms.size % N)).reshape(-1, N).sum(axis=0)
+    pref = (P.gamma * P.gamma / (2.0 * P.n)) * np.fft.ifft(folded) / denom
     return 1.0 / half, pref
 
 

@@ -5,11 +5,12 @@ component at r^i x for i < n and at r^(i-n) sigma x for i >= n.
 y_step(values, m, P, orbit) raises the degree of the unscaled state
 Y_m = (1+gamma)_m * components from m to m+1.  scaled_states carries the
 components themselves, so no rising factorial is formed, and owns the
-overflow guard: a state that is not finite is a range error.
+overflow guard: a state whose sup norm is not finite is a range error.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import count, islice
 from typing import Iterator
 
@@ -26,31 +27,33 @@ def y_step(values: np.ndarray, m: int, P: ParameterK, orbit: OrbitPairings) -> n
 
     Y' = D Y + gamma/(2n(m+1)) <DY, W> W - gamma/(2n(m+1+2g)) <DY, Ws> Ws
     with D the diagonal of orbit pairings, W all ones and Ws the ones/minus-
-    ones split; all inner products are bilinear (no conjugation).  The caller
-    checks that P is admissible, once per table.
+    ones split; all inner products are bilinear (no conjugation).  DY is
+    viewed as its rotation and reflection halves, so one row sum gives both
+    inner products.  The caller checks that P is admissible, once per table.
     """
     n, g = orbit.n, P.gamma
-    dy = orbit.big_diag * values
-    s_w = dy.sum()
-    s_ws = dy[:n].sum() - dy[n:].sum()
-    out = dy + (g / (2 * n * (m + 1))) * s_w
-    corr = (g / (2 * n * (m + 1 + 2 * g))) * s_ws
-    out[:n] -= corr
-    out[n:] += corr
-    return out
+    dy = (orbit.big_diag * values).reshape(2, n)
+    rot, refl = dy.sum(axis=1).tolist()
+    s_w = (g / (2 * n * (m + 1))) * (rot + refl)
+    corr = (g / (2 * n * (m + 1 + 2 * g))) * (rot - refl)
+    dy[0] += s_w - corr
+    dy[1] += s_w + corr
+    return dy.reshape(-1)
 
 
-def scaled_states(P: ParameterK, orbit: OrbitPairings) -> Iterator[np.ndarray]:
-    """The scaled states at degrees 0, 1, 2, ...: all ones, then
-    y_step(state / (m+1+gamma), m, P, orbit), which is the unscaled step
-    divided by m+1+gamma since y_step is linear.  Entry i is the component
-    at the i-th orbit point, so entry 0 is E_m."""
-    state = np.ones(2 * orbit.n, dtype=complex)
+def scaled_states(P: ParameterK, orbit: OrbitPairings) -> Iterator[tuple[np.ndarray, float]]:
+    """The scaled states at degrees 0, 1, 2, ... with their sup norms: all
+    ones, then y_step(state / (m+1+gamma), m, P, orbit), which is the
+    unscaled step divided by m+1+gamma since y_step is linear.  Entry i is
+    the component at the i-th orbit point, so entry 0 is E_m.  A norm that
+    is not finite (inf, or nan from inf - inf) is the overflow guard; callers
+    run the loop under np.errstate(over="ignore", invalid="ignore")."""
+    state, norm = np.ones(2 * orbit.n, dtype=complex), 1.0
     for m in count():
-        yield state
-        with np.errstate(over="ignore", invalid="ignore"):
-            state = y_step(state / (m + 1 + P.gamma), m, P, orbit)
-        if not np.isfinite(state).all():
+        yield state, norm
+        state = y_step(state / (m + 1 + P.gamma), m, P, orbit)
+        norm = float(np.abs(state).max())
+        if not math.isfinite(norm):
             raise DomainError(
                 f"the orbit state overflows double precision at degree {m + 1}", code="range-error"
             )
@@ -64,4 +67,5 @@ def em_sequence(
     require_degree(M)
     P.require_regular()
     states = scaled_states(P, orbit_pairings(G, x, y))
-    return np.array([state[0] for state in islice(states, M + 1)], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.array([state[0] for state, _ in islice(states, M + 1)], dtype=complex)

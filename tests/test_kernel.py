@@ -233,6 +233,16 @@ def test_kernel_K_half_nodes_match_the_full_node_sum(N, rng):
         assert rel_err(scalar, _kernel_K_full(P, orbit, S, 0.3, rho, N)) <= 1e-13
 
 
+@pytest.mark.parametrize("scale", [1e-9, 1e-150, 1e-300])
+def test_integral_at_a_tiny_orbit_bound_matches_the_series(scale):
+    # rho = 1/(2 delta a) is huge, so rho^p overflows a double while every
+    # phi_p rho^p stays below 1: the contour weights must not form rho^p alone
+    G, P = make_group(3), ParameterK(1.0, 3)
+    x, y = (scale, -0.5 * scale), (1.0, 1.0)
+    res = ek_integral(G, P, x, y, 1e-10)
+    assert rel_err(res.value, ek_series(G, P, x, y, 1e-12).value) <= 1e-12
+
+
 def test_kernel_K_blocks_match_a_split_by_hand(monkeypatch):
     G, P = make_group(4), ParameterK(0.25 + 0.5j, 4)
     orbit = orbit_pairings(G, (0.6, 0.2), (0.3, -0.5))

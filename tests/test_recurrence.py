@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from dunkl_dihedral.dihedral import (
 from dunkl_dihedral.errors import DomainError
 from dunkl_dihedral.kernel import transition_norm_sum
 from dunkl_dihedral.polyalg import ParameterK, h_coefficients, oracle_em
-from dunkl_dihedral.recurrence import em_sequence, y_step
+from dunkl_dihedral.recurrence import em_sequence, scaled_states, y_step
 from dunkl_dihedral.sampling import draw_instance
 from dunkl_dihedral.series import em_closed_sigma
 
@@ -63,6 +64,45 @@ def test_first_step_is_diagonal_action(rng):
         orbit = orbit_pairings(G, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2))
         Y1 = y_step(np.ones(2 * n, dtype=complex), 0, P, orbit)
         assert np.allclose(Y1, orbit.big_diag, atol=1e-14 * max(1, orbit.a_bound))
+
+
+def _y_step_matrix(P, orbit, m):
+    """The step as its explicit matrix diag(d) + alpha W d^T - beta Ws (Ws o d)^T,
+    d the orbit pairings, W all ones, Ws the ones/minus-ones split,
+    alpha = gamma/(2n(m+1)) and beta = gamma/(2n(m+1+2 gamma))."""
+    n, g, d = orbit.n, P.gamma, orbit.big_diag
+    w = np.ones(2 * n)
+    ws = np.concatenate([np.ones(n), -np.ones(n)])
+    alpha = g / (2 * n * (m + 1))
+    beta = g / (2 * n * (m + 1 + 2 * g))
+    return np.diag(d) + alpha * np.outer(w, d) - beta * np.outer(ws, ws * d)
+
+
+# From n = 8 on, numpy sums each row with eight partial sums instead of in order
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 9, 16, 39])
+def test_y_step_matches_its_matrix(n, rng):
+    G = make_group(n)
+    for _ in range(20):
+        P = ParameterK(complex(*rng.uniform(-2.0, 2.0, size=2)), n)
+        x = rng.uniform(-3, 3, size=2) + 1j * rng.uniform(-3, 3, size=2)
+        y = rng.uniform(-3, 3, size=2) + 1j * rng.uniform(-3, 3, size=2)
+        orbit = orbit_pairings(G, x, y)
+        values = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
+        m = int(rng.integers(0, 60))
+        matrix = _y_step_matrix(P, orbit, m)
+        # relative to the size of the terms, so cancellation in an entry does not count
+        size = np.abs(matrix) @ np.abs(values)
+        assert np.all(np.abs(y_step(values, m, P, orbit) - matrix @ values) <= 1e-14 * size)
+
+
+def test_scaled_states_yield_their_sup_norm(rng):
+    for _ in range(6):
+        inst = draw_instance(rng)
+        P = inst.parameter()
+        orbit = orbit_pairings(inst.group(), inst.x, inst.y)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for state, norm in itertools.islice(scaled_states(P, orbit), 30):
+                assert norm == float(np.max(np.abs(state)))
 
 
 def test_x_zero_states_vanish():

@@ -12,6 +12,7 @@ import math
 import time
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,6 +21,7 @@ from dunkl_dihedral.dihedral import make_group, orbit_pairings
 from dunkl_dihedral.kernel import ek_integral, ek_series
 from dunkl_dihedral.polyalg import ParameterK, oracle_em
 from dunkl_dihedral.recurrence import em_sequence
+from dunkl_dihedral.series import em_closed_sigma, em_genseries
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
 
@@ -130,6 +132,77 @@ def test_recurrence_past_double_pochhammer_matches_mpmath(reference):
     scale = np.exp(np.arange(M + 1) * math.log(a) - log_poch)
     denom = np.maximum(np.maximum(np.abs(ref), scale), np.finfo(float).tiny)
     assert np.all(np.abs(ems - ref) <= 1e-13 * denom)
+
+
+def _scaled_recurrence_50_digits(n, k, x, y, M):
+    """E_0..E_M by the scaled orbit recurrence at 50 digits, from the exact
+    group angles: state_0 = 1, dy = d state_m / (m+1+gamma), and state_(m+1)
+    = dy + gamma/(2n(m+1)) sum(dy) - or + gamma/(2n(m+1+2 gamma)) (rotation
+    half sum - reflection half sum), minus on the rotation half.  It shares
+    the recurrence's formula, so it pins the double-precision arithmetic,
+    not the mathematics."""
+    with mpmath.workdps(50):
+        g = n * mpmath.mpc(complex(k).real, complex(k).imag)
+        x1, x2, y1, y2 = (mpmath.mpf(v) for v in (*x, *y))
+        rot, refl = [], []
+        for j in range(n):
+            c, s = mpmath.cos(2 * mpmath.pi * j / n), mpmath.sin(2 * mpmath.pi * j / n)
+            rot.append((c * x1 - s * x2) * y1 + (s * x1 + c * x2) * y2)
+            refl.append((c * x1 + s * x2) * y1 + (s * x1 - c * x2) * y2)
+        state, out = [mpmath.mpc(1)] * (2 * n), [1.0 + 0.0j]
+        for m in range(M):
+            dy = [d * v / (m + 1 + g) for d, v in zip(rot + refl, state)]
+            s_w = g / (2 * n * (m + 1)) * mpmath.fsum(dy)
+            corr = g / (2 * n * (m + 1 + 2 * g)) * (mpmath.fsum(dy[:n]) - mpmath.fsum(dy[n:]))
+            state = [v + s_w - corr for v in dy[:n]] + [v + s_w + corr for v in dy[n:]]
+            out.append(complex(state[0]))
+        return np.array(out)
+
+
+# A generic point: n = 3, x off the mirror axis, so no closed form applies.
+@pytest.mark.parametrize(
+    "k, x, y",
+    [
+        (0.4 + 0.3j, (0.9, 0.4), (0.5, -0.8)),
+        (-0.2 + 0.3j, (1.3, -0.7), (-0.6, 1.1)),
+        (0.5, (2.0, 1.5), (1.0, -2.0)),
+    ],
+)
+def test_recurrence_at_a_generic_point_matches_a_50_digit_run(k, x, y):
+    n, M = 3, 40
+    G, P = make_group(n), ParameterK(k, n)
+    ref = _scaled_recurrence_50_digits(n, k, x, y, M)
+    denom = np.maximum(np.abs(ref), _component_scale(G, P, x, y, M))
+    assert np.all(np.abs(em_sequence(G, P, x, y, M) - ref) <= 1e-14 * denom)
+
+
+# The generating-series and mirror-axis routes at degree 60 against the
+# references, in the measure of the oracle pins; they were within 1.2e-15.
+@pytest.mark.parametrize(
+    "route, n, k, x, y",
+    [
+        *(
+            (route, *case)
+            for route in (em_genseries, em_closed_sigma)
+            for case in [
+                (3, -0.2 + 0.3j, (1.2, 0.0), (-0.5, 1.6)),
+                (4, 0.25 + 0.5j, (-1.1, 0.0), (0.8, 0.6)),
+                (5, 0.6 - 0.2j, (0.9, 0.0), (1.1, -0.7)),
+                (7, 0.3, (1.4, 0.0), (0.3, 1.9)),
+            ]
+        ),
+        (em_genseries, 2, 0.4 + 0.2j, (0.8, -1.3), (1.5, 0.6)),
+        (em_genseries, 2, -0.3, (1.1, 0.7), (-0.4, 1.2)),
+    ],
+)
+def test_series_routes_match_mpmath_at_degree_60(route, n, k, x, y, reference):
+    G, P, M = make_group(n), ParameterK(k, n), 60
+    if n == 2:
+        ref = np.array(reference.n2_components(k, x, y, M))
+    else:
+        ref = np.array(reference.mirror_components(n, k, x, y, M))
+    denom = np.maximum(np.abs(ref), _component_scale(G, P, x, y, M))
+    assert np.all(np.abs(route(G, P, x, y, M) - ref) <= 1e-13 * denom)
 
 
 # The integral route at tol 1e-10 on mirror-axis points with delta * a <= 6.

@@ -29,10 +29,7 @@ def _as_point(x: PlanePoint) -> np.ndarray:
         raise DomainError(f"plane point must have exactly 2 components, got shape {arr.shape}")
     if arr.dtype.kind != "c":
         arr = arr.astype(float)
-        finite = np.all(np.isfinite(arr))
-    else:
-        finite = np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))
-    if not finite:
+    if not np.isfinite(arr).all():
         raise DomainError("plane point components must be finite")
     return arr
 
@@ -142,15 +139,10 @@ def is_sigma_invariant(orbit: OrbitPairings) -> bool:
     within 1e-12 times max(1, a).
 
     This is the operational test that x or y lies on the base mirror axis;
-    the closed product forms are valid exactly in that case.
+    the closed product forms are valid exactly in that case.  The pairings
+    are finite (orbit_pairings guards them), so the plain comparison gives
+    the boolean np.allclose(rtol=0) would.
     """
-    scale = max(1.0, orbit.a_bound)
     order = lambda v: v[np.lexsort((v.imag, v.real))]
-    return bool(
-        np.allclose(
-            order(orbit.rot_pairings),
-            order(orbit.refl_pairings),
-            rtol=0.0,
-            atol=1e-12 * scale,
-        )
-    )
+    gap = np.abs(order(orbit.rot_pairings) - order(orbit.refl_pairings))
+    return bool(np.all(gap <= 1e-12 * max(1.0, orbit.a_bound)))

@@ -21,10 +21,11 @@ from dunkl_dihedral.cli import (
     EXIT_DOMAIN_ERROR,
     EXIT_OK,
     _em_values,
+    _parse_complex,
     main,
 )
 from dunkl_dihedral import kernel
-from dunkl_dihedral.dihedral import make_group
+from dunkl_dihedral.dihedral import make_group, orbit_pairings
 from dunkl_dihedral.polyalg import ParameterK
 
 
@@ -392,7 +393,8 @@ def test_out_of_range_parameters_exit_with_a_documented_code(argv, expected, cap
         "em --method sigma --n 3 --k 0.5 --x 1e200,0 --y 1e200,1 --m-max 3",
         "kernel --n 3 --k 0 --x 1e200,0 --y 1e200,1",
         "kernel --n 3 --k 0.5 --x 1e200,0 --y 1e200,1",
-        # oracle coefficients past the double range
+        # |gamma| past the oracle's limit, where its coefficients would
+        # also overflow a double
         "em --method oracle --n 2 --k=1.0268823667399921e+267 --x=33.72040390433959,1.67252675195284 "
         "--y=1.174361252797369,-0.0007837292722312483 --m-max 3",
         # exp(<x,y>) of the k = 0 shortcut past the double range
@@ -406,6 +408,36 @@ def test_overflow_is_a_range_error(argv, capsys):
     assert code == EXIT_DOMAIN_ERROR
     assert out == ""
     assert capsys.readouterr().err.startswith("error[range-error]: ")
+
+
+ORACLE_X, ORACLE_Y = (3.72040390433959, 1.67252675195284), (1.174361252797369, -0.5)
+ORACLE_PAIR = "--x={},{} --y={},{}".format(*ORACLE_X, *ORACLE_Y)
+
+
+@pytest.mark.parametrize("k", ["1e12", "1e20", "50.01", "-30,45"])
+def test_oracle_past_its_gamma_limit_is_a_range_error(k, capsys):
+    # the oracle's rounding grows with |gamma|: at k = 1e20 it printed E_1
+    # with the wrong sign at exit 0
+    code, out = run_cli(f"em --method oracle --n 2 --k={k} {ORACLE_PAIR} --m-max 3".split())
+    assert code == EXIT_DOMAIN_ERROR
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error[range-error]: |gamma| = ")
+
+
+@pytest.mark.parametrize("k", ["49.99", "-35,35", "0,-49.99"])
+def test_oracle_below_its_gamma_limit_agrees_with_the_recurrence(k):
+    # Measure: |u_m - v_m| / max(|v_m|, a^m / |(1+gamma)_m|), as crosscheck's
+    tables = []
+    for method in ("oracle", "recurrence"):
+        code, out = run_cli(f"em --method {method} --n 2 --k={k} {ORACLE_PAIR} --m-max 12".split())
+        assert code == EXIT_OK
+        tables.append(np.array([complex(float(r[1]), float(r[2])) for r in parse_csv(out)[1]]))
+    u, v = tables
+    P = ParameterK(_parse_complex(k), 2)
+    a = orbit_pairings(make_group(2), ORACLE_X, ORACLE_Y).a_bound
+    m = np.arange(13)
+    scale = np.exp(m * math.log(a) - kernel._log_abs_pochhammer(P.gamma, 12))
+    assert np.max(np.abs(u - v) / np.maximum(np.abs(v), scale)) <= 1e-8
 
 
 def test_integral_at_a_vanishing_orbit_bound_is_exactly_one():

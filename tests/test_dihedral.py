@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dunkl_dihedral.dihedral import (
+    OrbitPairings,
     is_sigma_invariant,
     make_group,
     orbit_pairings,
@@ -166,6 +167,22 @@ def test_sigma_invariance_detection(rng):
     assert is_sigma_invariant(y_axis)
     generic = orbit_pairings(G, (1.0, 0.7), (0.3, 0.9))
     assert not is_sigma_invariant(generic)
+
+
+@pytest.mark.parametrize("a_bound", [0.25, 3.0, 1e5])
+@pytest.mark.parametrize("direction", [1.0, 1j])
+def test_sigma_invariance_matches_allclose_at_its_tolerance(a_bound, direction):
+    # the plain comparison against np.allclose(rtol=0), at, just below and
+    # just above atol = 1e-12 max(1, a)
+    atol = 1e-12 * max(1.0, a_bound)
+    rot = np.array([0.0, 0.3 - 0.2j, -0.1 + 0.4j])
+    for gap in (atol, np.nextafter(atol, 0.0), np.nextafter(atol, 1.0), 0.0, 2 * atol):
+        refl = rot.copy()
+        refl[0] = direction * gap  # |refl[0] - rot[0]| is gap exactly
+        refl = refl[::-1]  # the multiset comparison sorts both halves
+        orbit = OrbitPairings(rot, refl, a_bound, np.concatenate([rot, refl]))
+        expected = np.allclose(np.sort(rot), np.sort(refl), rtol=0.0, atol=atol)
+        assert is_sigma_invariant(orbit) == expected == (gap <= atol)
 
 
 def test_element_matrices_orthogonal():

@@ -19,7 +19,6 @@ signature (G, P, x, y, M) -> complex ndarray: ``recurrence.em_sequence``,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -96,7 +95,7 @@ def _meta(args: argparse.Namespace) -> dict:
     }
 
 
-def _emit(args: argparse.Namespace, header: list[str], rows: list[list], out) -> None:
+def _emit(args: argparse.Namespace, header: list[str], rows: list[list | tuple], out) -> None:
     if args.fmt == "json":
         payload = {
             "meta": _meta(args),
@@ -104,10 +103,10 @@ def _emit(args: argparse.Namespace, header: list[str], rows: list[list], out) ->
         }
         out.write(json.dumps(payload) + "\n")
     else:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+        # Every cell is a number or a fixed identifier, never one that needs
+        # CSV quoting, so joining the cells writes what csv.writer would.
+        cells = ([f"{v:.17g}" if isinstance(v, float) else str(v) for v in row] for row in rows)
+        out.write("".join(",".join(line) + "\n" for line in [header, *cells]))
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +138,7 @@ def _em_values(
 def cmd_em(args: argparse.Namespace, out) -> int:
     G, P = make_group(args.n), ParameterK(args.k, args.n)
     values = _em_values(args.method, G, P, args.x, args.y, args.m_max)
-    rows = [[m, float(values[m].real), float(values[m].imag)] for m in range(len(values))]
+    rows = list(zip(range(len(values)), values.real.tolist(), values.imag.tolist()))
     _emit(args, ["m", "re", "im"], rows, out)
     return EXIT_OK
 

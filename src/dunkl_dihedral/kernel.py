@@ -27,6 +27,8 @@ from .series import SeriesData, a_coeffs
 # nodes that is exponentiated, so memory stays bounded for any N and any
 # number of times.
 _CONTOUR_BLOCK = 2**22
+# Contour nodes of ek_integral's last doubling pass.
+_MAX_NODES = 8192
 _LOG_E2_HALF = 2.0 - math.log(2.0)  # log(e^2 / 2)
 _LOG_HALF = math.log(0.5)
 # Terms of the bound-constant summation scanned before giving up.
@@ -236,9 +238,10 @@ def _contour_rule(
     # power of rho overflows where phi_p rho^p does not (a tiny orbit bound)
     mant, expo = math.frexp(rho)
     p = np.arange(S.phi.size)
+    buf = np.zeros(-(-p.size // N) * N, dtype=complex)
     terms = (S.phi * mant**p).view(float).reshape(-1, 2)
-    terms = np.ldexp(terms, (expo * p)[:, None]).view(complex).reshape(-1)
-    folded = np.pad(terms, (0, -terms.size % N)).reshape(-1, N).sum(axis=0)
+    np.ldexp(terms, (expo * p)[:, None], out=buf[: p.size].view(float).reshape(-1, 2))
+    folded = buf.reshape(-1, N).sum(axis=0)
     pref = (P.gamma * P.gamma / (2.0 * P.n)) * np.fft.ifft(folded) / denom
     return 1.0 / half, pref
 
@@ -246,12 +249,14 @@ def _contour_rule(
 def _contour_sum(t: np.ndarray, inv: np.ndarray, pref: np.ndarray) -> np.ndarray:
     """sum_j pref_j e^{t/z_j} for each time of the flat array t.  Since t is
     real, e^{t/conj z} = conj(e^{t/z}): only the nodes 0..N//2 are
-    exponentiated, and node N-j enters as the conjugate of node j."""
-    N, h = pref.size, inv.size
+    exponentiated, and node N-j enters as the conjugate of node j.  pref may
+    hold several weight vectors as columns, shape (N, c); each is summed from
+    the same exponentials, and the result then has shape (t.size, c)."""
+    N, h = pref.shape[0], inv.size
     lo = (N - 1) // 2
     mirrored = np.conj(pref[N - 1 : N - 1 - lo : -1])
     rows = max(1, _CONTOUR_BLOCK // h)
-    vals = np.empty(t.size, dtype=complex)
+    vals = np.empty((t.size,) + pref.shape[1:], dtype=complex)
     for i in range(0, t.size, rows):
         e = np.exp(np.multiply.outer(t[i : i + rows], inv))
         vals[i : i + rows] = e @ pref[:h] + np.conj(e[:, 1 : 1 + lo] @ mirrored)
@@ -282,18 +287,28 @@ def kernel_K(
     return complex(vals[0]) if t.ndim == 0 else vals.reshape(t.shape)
 
 
-@lru_cache(maxsize=1)
-def _gauss_legendre_16() -> tuple[np.ndarray, np.ndarray]:
-    """16-point Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
-    return np.polynomial.legendre.leggauss(16)
+@lru_cache(maxsize=2)
+def _gauss_legendre(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
+    return np.polynomial.legendre.leggauss(points)
 
 
-def _log_panels(lo: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """16-point Gauss-Legendre nodes and weights on `panels` equal panels of [lo, 0]."""
-    base_x, base_w = _gauss_legendre_16()
+def _log_panels(lo: float, panels: int, points: int = 16) -> tuple[np.ndarray, np.ndarray]:
+    """`points`-point Gauss-Legendre nodes and weights on `panels` equal panels of [lo, 0]."""
+    base_x, base_w = _gauss_legendre(points)
     half = -lo / (2 * panels)
     mid = lo + half * (2 * np.arange(panels) + 1)
     return (mid[:, None] + half * base_x).reshape(-1), np.tile(half * base_w, panels)
+
+
+def _embedded_half(pref: np.ndarray) -> np.ndarray:
+    """Weights of the N/2-node rule on the N-node grid: 2 pref_j at the even
+    nodes j, 0 at the odd ones.  Even node 2j of the N-node rule is node j of
+    the N/2-node rule, and ifft_N(f_N)[2j] = ifft_{N/2}(f_{N/2})[j] / 2 for
+    the coefficients f_K folded mod K, so these are its weights exactly."""
+    half = np.zeros_like(pref)
+    half[::2] = 2.0 * pref[::2]
+    return half
 
 
 def _endpoint_coefficients(gamma: complex, s0: float) -> np.ndarray:
@@ -332,18 +347,30 @@ def ek_integral(
     [0, s0], K(1-s) = sum_j pref_j e^(1/z_j) e^(-s/z_j) is integrated term by
     term (_endpoint_coefficients).  On [s0, 1], s = e^v leaves the smooth
     e^(gamma v) K(1 - e^v), integrated by 16-point Gauss-Legendre on
-    max(1, ceil(-log s0)) * splits equal panels of [log s0, 0].  Contour
-    nodes and splits are doubled together until two passes agree within tol.
+    max(1, ceil(-log s0)) * splits equal panels of [log s0, 0].
+
+    One pass reads three sums from one blocked e^(t/z) matrix: Q, the
+    value, with N nodes and 16-point panels; Q_half, the N/2-node rule on
+    the even nodes (_embedded_half); and Q_8, N nodes with 8-point panels.
+    The pass stops when the spread |Q - Q_half| + |Q - Q_8| is at most
+    0.3 tol max(1, |Q|), or when it is at most twice the pass's rounding
+    floor (below) and at most tol max(1, |Q|): more nodes do not shrink
+    rounding noise.  A spread within twice the floor but above tol is
+    refused.  Otherwise nodes and splits are doubled, up to 8192 nodes.
+    The first N is the smallest power of two >= max(64, 3e/rho), so that
+    the embedded N/2 rule resolves e^(t/z), whose Laurent terms
+    (t/rho)^m/m! fall below 1 only past m = e t/rho.  nodes_used is the N
+    of the last pass.
 
     Conditioning: the contour integrand oscillates with magnitude about
     e^(2 delta a) against a much smaller result.  Each pass estimates its
-    rounding by the floor 2^-53 (sum_i |w_i| f0^(1-t_i) f1^(t_i) +
+    rounding of Q by the floor 2^-53 (sum_i |w_i| f0^(1-t_i) f1^(t_i) +
     f1 sum_l |coef_l| (s0/rho)^l), with w_i the body's weights, f0 =
     sum_j |pref_j| and f1 = sum_j |pref_j| e^(Re(1/z_j)), and is refused
-    when that floor exceeds tol * max(1, |value|); use the series route
+    when that floor exceeds tol * max(1, |Q|); use the series route
     there.  The floor is an estimate, not a bound: it ignores the growth of
     summation error with the number of terms.  The tail estimate is
-    |cur - prev| of the last two passes plus the last pass's floor.
+    |Q - Q_half| + |Q - Q_8| of the last pass plus its floor.
     """
     _require_tol(tol)
     P.require_regular()
@@ -364,19 +391,25 @@ def ek_integral(
     coef = _endpoint_coefficients(g, s0)
     end_mass = float(np.abs(coef) @ (s0 / rho) ** np.arange(coef.size))
 
-    def one_pass(N: int, splits: int) -> tuple[complex, float]:
-        v, w = _log_panels(math.log(s0), max(1, math.ceil(-math.log(s0))) * splits)
-        t, weight = 1.0 - np.exp(v), w * np.exp(g * v)
+    def one_pass(N: int, splits: int) -> tuple[complex, float, float]:
+        panels = max(1, math.ceil(-math.log(s0))) * splits
+        v16, w16 = _log_panels(math.log(s0), panels)
+        v8, w8 = _log_panels(math.log(s0), panels, 8)
+        t = 1.0 - np.exp(np.concatenate([v16, v8]))
+        weight, weight8 = w16 * np.exp(g * v16), w8 * np.exp(g * v8)
         inv, pref = _contour_rule(P, orbit, S, rho, N)
+        prefs = np.column_stack([pref, _embedded_half(pref)])
         inv_all = np.concatenate([inv, np.conj(inv[(N - 1) // 2 : 0 : -1])])
-        end_pref = pref * (np.vander(-s0 * inv_all, coef.size, increasing=True) @ coef)
+        end_prefs = prefs * (np.vander(-s0 * inv_all, coef.size, increasing=True) @ coef)[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
-            value = complex(np.sum(weight * _contour_sum(t, inv, pref)))
-            value += complex(_contour_sum(np.ones(1), inv, end_pref)[0])
-            floor = _pass_floor(weight, t, pref, rho, end_mass)
-        # An overflowing integrand leaves the sum inf or nan; the headroom of
-        # 4 keeps |cur - prev| in the double range.
-        if not cmath.isfinite(4.0 * value):
+            body = _contour_sum(t, inv, prefs)
+            end = _contour_sum(np.ones(1), inv, end_prefs)[0]
+            value, value_half = weight @ body[: v16.size] + end
+            value8 = weight8 @ body[v16.size :, 0] + end[0]
+            floor = _pass_floor(weight, t[: v16.size], pref, rho, end_mass)
+        # An overflowing integrand leaves a sum inf or nan; the headroom of
+        # 4 keeps the differences in the double range.
+        if not all(cmath.isfinite(4.0 * complex(v)) for v in (value, value_half, value8)):
             raise ConvergenceError(
                 f"a contour pass with {N} nodes overflows double precision "
                 f"(delta * a = {delta * a:.6g})"
@@ -387,21 +420,35 @@ def ek_integral(
                 f"tolerance (value {abs(value):.3g}, delta * a = {delta * a:.6g}); "
                 "use the series route"
             )
-        return value, floor
+        spread = float(abs(value - value_half) + abs(value - value8))
+        return complex(value), spread, floor
 
+    # the node floor: the smallest power of two >= 3e/rho, at least 64
     N, splits = 64, 1
-    prev, _ = one_pass(N, splits)
-    for _ in range(7):
+    while N < _MAX_NODES and N * rho < 3.0 * math.e:
+        N *= 2
+    while True:
+        value, spread, floor = one_pass(N, splits)
+        scale = tol * max(1.0, abs(value))
+        # a spread within twice the floor is rounding noise, which more nodes
+        # do not shrink: the pass then stands or falls by the spread itself
+        noise = spread <= 2.0 * floor
+        if spread <= 0.3 * scale or (noise and spread <= scale):
+            return KernelResult(
+                value=value, method="integral", nodes_used=N, tail_estimate=spread + floor
+            )
+        if noise:
+            raise ConvergenceError(
+                f"rounding floor {floor:.3g} of the contour pass with {N} nodes explains its "
+                f"spread {spread:.3g}, which exceeds the tolerance (value {abs(value):.3g}, "
+                f"delta * a = {delta * a:.6g}); use the series route"
+            )
+        if N == _MAX_NODES:
+            raise ConvergenceError(
+                f"integral representation did not stabilize within {N} contour nodes "
+                f"(delta * a = {delta * a:.6g})"
+            )
         N, splits = 2 * N, 2 * splits
-        cur, floor = one_pass(N, splits)
-        if abs(cur - prev) <= 0.3 * tol * max(1.0, abs(cur)):
-            tail = abs(cur - prev) + floor
-            return KernelResult(value=cur, method="integral", nodes_used=N, tail_estimate=tail)
-        prev = cur
-    raise ConvergenceError(
-        f"integral representation did not stabilize within {N} contour nodes "
-        f"(delta * a = {delta * a:.6g})"
-    )
 
 
 # ---------------------------------------------------------------------------

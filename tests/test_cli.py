@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -24,7 +25,7 @@ from dunkl_dihedral.cli import (
     _parse_complex,
     main,
 )
-from dunkl_dihedral import kernel
+from dunkl_dihedral import cli, kernel
 from dunkl_dihedral.dihedral import make_group, orbit_pairings
 from dunkl_dihedral.polyalg import ParameterK
 
@@ -55,6 +56,42 @@ def test_em_table_shape_and_values():
     assert float(rows[1][1]) == pytest.approx(0.4, rel=1e-15)
     # 17 significant digits requested
     assert rows[3][1] == "0.038095238095238099"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "em --n 5 --k=0.35,-0.15 --x 0.9,0 --y 0.5,0.8,0.1,-0.2 --m-max 12 --method sigma",
+        "em --n 3 --k 0.5 --x 1,0.2 --y 1,1 --m-max 60 --method oracle",
+        "kernel --n 3 --k 0.5 --x 1,0.2 --y 1,1",
+        "kernel --n 3 --k 0.5 --x 1,0.2 --y 1,1 --method integral --tol 1e-8",
+        "kernel --n 3 --k 0 --x 1,0.2 --y 1,1",
+        "crosscheck --seed 3 --samples 6",
+        "crosscheck --seed 0 --n 4 --k 0.3 --x 0.7,0 --y 0.2,0.9 --m-max 4",
+        "bounds --n 4 --k 0.3 --x 0.7,0.1 --y 0.2,0.9 --m-max 8",
+        "phi --n 3 --k=0.2,0.1 --x 1,0 --y 0.4,0.3 --pmax 15",
+    ],
+)
+def test_csv_output_is_what_csv_writer_writes(argv, monkeypatch):
+    # _emit joins the cells itself; csv.writer, given the same header and
+    # rows, must write the same bytes
+    emitted = []
+
+    def spy(args, header, rows, out):
+        emitted.append((header, rows))
+        emit(args, header, rows, out)
+
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", spy)
+    code, out = run_cli(argv.split())
+    assert code == EXIT_OK and len(emitted) == 1
+    header, rows = emitted[0]
+    ref = io.StringIO()
+    writer = csv.writer(ref, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+    assert out.encode() == ref.getvalue().encode()
 
 
 def test_em_x_zero_rows_vanish():
@@ -453,7 +490,8 @@ def test_integral_at_a_vanishing_orbit_bound_is_exactly_one():
 
 def test_integral_past_its_rounding_floor_exits_after_one_pass(monkeypatch):
     # delta * a = 12.6: the contour integrand's rounding, about 2^-53 e^(2 delta a),
-    # exceeds the tolerance, so the first pass refuses instead of doubling on
+    # exceeds the tolerance, so the first pass refuses instead of doubling on.
+    # The node floor 3e/rho = 6e delta a = 205 starts that pass at 256 nodes.
     passes, rule = [], kernel._contour_rule
 
     def counted_rule(*args):
@@ -471,8 +509,29 @@ def test_integral_past_its_rounding_floor_exits_after_one_pass(monkeypatch):
         )
     assert code == EXIT_CONVERGENCE_ERROR
     assert out == ""
-    assert passes == [64]
+    assert passes == [256]
     assert "rounding floor" in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "kernel --method integral --n 3 --k 40 --x 1,0 --y 1,1",
+        "kernel --method integral --n 4 --k 18.827860635060567 "
+        "--x=-0.5054370121175409,-1.3311320303636598 "
+        "--y=0.6466425395814355,1.1279842446095492 --tol 1e-10",
+    ],
+)
+def test_integral_started_at_the_node_floor_refuses_noise(argv, capsys):
+    # 1/rho = 656 and 551: passes started at 64 nodes agreed at 512 nodes on
+    # 3.96e143 and 2.84e140, aliasing far above the kernel's a-priori bound
+    # (10^44.5 for the first list).  Started at the node floor 3e/rho, here
+    # the cap of 8192 nodes, the pass resolves e^(t/z) and its rounding floor
+    # refuses it.
+    code, out = run_cli(argv.split())
+    assert code == EXIT_CONVERGENCE_ERROR
+    assert out == ""
+    assert "rounding floor" in capsys.readouterr().err
 
 
 def test_integral_floor_counts_the_endpoint_terms(capsys):

@@ -9,6 +9,9 @@ from dunkl_dihedral import kernel
 from dunkl_dihedral.dihedral import make_group, orbit_pairings
 from dunkl_dihedral.errors import ConvergenceError, DomainError
 from dunkl_dihedral.kernel import (
+    _contour_rule,
+    _contour_sum,
+    _embedded_half,
     _endpoint_coefficients,
     _log_component_bound,
     _log_panels,
@@ -340,8 +343,9 @@ def test_ek_integral_complex_parameter(rng):
     [(3, 1.0, (1.0, 0.0), (0.8, 0.6)), (2, 0.5, (1.0, 0.5), (0.5, 1.0))],
 )
 def test_ek_integral_tail_includes_the_last_floor(n, k, x, y, monkeypatch):
-    # At these points |cur - prev| of the last two passes is below the last
-    # pass's rounding floor, so a tail of |cur - prev| alone would fail.
+    # These points settle in one pass.  Its tail is the spread
+    # |Q - Q_half| + |Q - Q_8| plus its floor; here the spread is 3.0 and 1.0
+    # times the floor, so the tail is the floor's size, not the tolerance's.
     floors = []
 
     def spy(*args):
@@ -351,9 +355,70 @@ def test_ek_integral_tail_includes_the_last_floor(n, k, x, y, monkeypatch):
     floor_of_pass = kernel._pass_floor
     monkeypatch.setattr(kernel, "_pass_floor", spy)
     res = ek_integral(make_group(n), ParameterK(k, n), x, y, 1e-8)
-    assert len(floors) == 2 and floors[-1] > 0.0
+    assert len(floors) == 1 and floors[-1] > 0.0
     assert res.tail_estimate >= floors[-1]
-    assert res.tail_estimate < 2.0 * floors[-1]
+    assert res.tail_estimate <= 5.0 * floors[-1]
+
+
+def test_ek_integral_overflow_guard_does_not_warn(monkeypatch):
+    # a finite pass value within a factor 4 of the double range: the guard
+    # refuses it with a ConvergenceError, not a numpy overflow warning (the
+    # suite turns RuntimeWarning into an error)
+    def huge_end(t, inv, pref):
+        return np.full((t.size,) + pref.shape[1:], 1e308 if t.size == 1 else 0.0, dtype=complex)
+
+    monkeypatch.setattr(kernel, "_contour_sum", huge_end)
+    with pytest.raises(ConvergenceError, match="overflows double precision"):
+        ek_integral(make_group(3), ParameterK(1.0, 3), (1.0, 0.0), (0.8, 0.6), 1e-8)
+
+
+@pytest.mark.parametrize("N", [64, 128])
+@pytest.mark.parametrize("rho_scale", [0.4, 1.0, 1.6])
+def test_embedded_half_rule_is_the_half_node_rule(N, rho_scale):
+    # the even nodes of the N-node rule, with weights 2 pref_2j, sum to what
+    # a separately built N/2-node rule gives, from the same exponentials;
+    # delta a = 0.78 keeps the terms' cancellation from amplifying rounding
+    G, P = make_group(3), ParameterK(0.7 + 0.2j, 3)
+    x, y = (0.5, 0.1), (0.3, 0.2)
+    orbit = orbit_pairings(G, x, y)
+    rho = rho_scale / (2.0 * delta_effective(P).delta_effective * orbit.a_bound)
+    S = series_for_radius(P, orbit, rho, 1e-13)
+    t = np.linspace(0.0, 1.0, 41)
+    inv, pref = _contour_rule(P, orbit, S, rho, N)
+    both = _contour_sum(t, inv, np.column_stack([pref, _embedded_half(pref)]))
+    half = _contour_sum(t, *_contour_rule(P, orbit, S, rho, N // 2))
+    full = _contour_sum(t, inv, pref)
+    assert np.max(np.abs(both[:, 0] - full)) <= 1e-14 * np.max(np.abs(full))
+    assert np.max(np.abs(both[:, 1] - half)) <= 1e-14 * np.max(np.abs(half))
+
+
+@pytest.mark.parametrize("gamma", _ENDPOINT_GAMMAS)
+@pytest.mark.parametrize("s0, panels", [(0.4, 1), (0.05, 3), (0.05, 24), (1e-3, 14)])
+def test_eight_point_log_panels_integrate_an_exponential(gamma, s0, panels):
+    # the coarser rule each pass compares against, on the same panels
+    v, w = _log_panels(math.log(s0), panels, 8)
+    assert v.size == w.size == 8 * panels
+    assert np.all((math.log(s0) < v) & (v < 0.0))
+    ref = (1.0 - s0**gamma) / gamma
+    assert abs(np.sum(w * np.exp(gamma * v)) - ref) <= 1e-13 * abs(ref)
+
+
+def test_ek_integral_starts_at_the_node_floor(monkeypatch):
+    # delta a = 5 puts 3e/rho = 6e delta a at 81.5: the first pass takes 128
+    # nodes, enough for its embedded 64-node rule, and settles
+    passes, rule = [], kernel._contour_rule
+
+    def counted_rule(*args):
+        passes.append(args[-1])
+        return rule(*args)
+
+    monkeypatch.setattr(kernel, "_contour_rule", counted_rule)
+    G, P, x = make_group(3), ParameterK(1.0, 3), (1.0, 0.0)
+    y = np.array([0.6, 0.8])
+    y *= 5.0 / (delta_effective(P).delta_effective * orbit_pairings(G, x, y).a_bound)
+    res = ek_integral(G, P, x, y, 1e-8)
+    assert passes == [128] and res.nodes_used == 128
+    assert rel_err(res.value, ek_series(G, P, x, y, 1e-12).value) <= 1e-8
 
 
 def test_ek_integral_rho_stability(rng):

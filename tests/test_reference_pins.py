@@ -16,8 +16,10 @@ import mpmath
 import numpy as np
 import pytest
 
+from dunkl_dihedral import kernel
 from dunkl_dihedral.cli import EXIT_CONVERGENCE_ERROR, EXIT_OK, main
 from dunkl_dihedral.dihedral import make_group, orbit_pairings
+from dunkl_dihedral.errors import ConvergenceError
 from dunkl_dihedral.kernel import ek_integral, ek_series
 from dunkl_dihedral.polyalg import ParameterK, oracle_em
 from dunkl_dihedral.recurrence import em_sequence
@@ -206,15 +208,15 @@ def test_series_routes_match_mpmath_at_degree_60(route, n, k, x, y, reference):
 
 
 # The integral route at tol 1e-10 on mirror-axis points with delta * a <= 6.
-@pytest.mark.parametrize(
-    "n, k, x, y",
-    [
-        (3, 0.5, (1.2, 0.0), (0.7, 0.9)),
-        (3, 1.0, (-0.8, 0.0), (-0.6, 1.0)),
-        (5, 0.4 - 0.3j, (1.1, 0.0), (0.5, -0.8)),
-        (7, 0.3, (0.9, 0.0), (0.3, 1.1)),
-    ],
-)
+_MIRROR_INTEGRAL_POINTS = [
+    (3, 0.5, (1.2, 0.0), (0.7, 0.9)),
+    (3, 1.0, (-0.8, 0.0), (-0.6, 1.0)),
+    (5, 0.4 - 0.3j, (1.1, 0.0), (0.5, -0.8)),
+    (7, 0.3, (0.9, 0.0), (0.3, 1.1)),
+]
+
+
+@pytest.mark.parametrize("n, k, x, y", _MIRROR_INTEGRAL_POINTS)
 def test_integral_matches_mpmath_on_the_mirror_axis(n, k, x, y, reference):
     res = ek_integral(make_group(n), ParameterK(k, n), x, y, 1e-10)
     ref = reference.mirror_kernel(n, k, x, y)
@@ -229,20 +231,20 @@ def _small_re_gamma_list(seed):
     return gamma / 2, x, y
 
 
+_SMALL_RE_GAMMA_LISTS = [
+    (
+        0.0010120165973371213 - 0.3929311675725849j,
+        (1.6853030106474862, -1.0359535703261695),
+        (-0.9095454646666399, 0.5462428352987563),
+    ),
+    *(_small_re_gamma_list(seed) for seed in range(6)),
+]
+
+
 # At a small Re(gamma) the time weight s^(gamma-1) is nearly 1/s.  The
 # endpoint series integrates it exactly, so the work of a pass does not grow
 # like 1/Re(gamma); the first list is the one the route once needed 23 s for.
-@pytest.mark.parametrize(
-    "k, x, y",
-    [
-        (
-            0.0010120165973371213 - 0.3929311675725849j,
-            (1.6853030106474862, -1.0359535703261695),
-            (-0.9095454646666399, 0.5462428352987563),
-        ),
-        *(_small_re_gamma_list(seed) for seed in range(6)),
-    ],
-)
+@pytest.mark.parametrize("k, x, y", _SMALL_RE_GAMMA_LISTS)
 def test_integral_at_a_small_re_gamma_is_fast_and_matches_mpmath(k, x, y, reference):
     out = io.StringIO()
     start = time.perf_counter()
@@ -257,3 +259,38 @@ def test_integral_at_a_small_re_gamma_is_fast_and_matches_mpmath(k, x, y, refere
     value = complex(*map(float, out.getvalue().splitlines()[1].split(",")[:2]))
     ref = reference.n2_kernel(k, x, y)
     assert abs(value - ref) <= 1e-10 * max(1.0, abs(ref))
+
+
+# The one-pass stop rule reads the pass's spread |Q - Q_half| + |Q - Q_8|;
+# with the pass's rounding floor it must cover the actual error.
+@pytest.mark.parametrize(
+    "n, k, x, y",
+    [*_MIRROR_INTEGRAL_POINTS, *((2, k, x, y) for k, x, y in _SMALL_RE_GAMMA_LISTS)],
+)
+def test_integral_tail_covers_the_mpmath_error(n, k, x, y, reference):
+    res = ek_integral(make_group(n), ParameterK(k, n), x, y, 1e-10)
+    ref = reference.n2_kernel(k, x, y) if n == 2 else reference.mirror_kernel(n, k, x, y)
+    assert abs(res.value - ref) <= res.tail_estimate
+
+
+# The seed-0 list's floor, 3.1e-11, is near 0.3 tol: its spread at 256 nodes,
+# 3.5e-11, is rounding noise of that size.  The pass stops there, the spread
+# being within tol, instead of doubling until the noise falls under 0.3 tol;
+# with tol below the spread it refuses at the same pass.
+def test_integral_stops_on_a_spread_of_rounding_noise(monkeypatch, reference):
+    passes, rule = [], kernel._contour_rule
+
+    def counted_rule(*args):
+        passes.append(args[-1])
+        return rule(*args)
+
+    monkeypatch.setattr(kernel, "_contour_rule", counted_rule)
+    k, x, y = _small_re_gamma_list(0)
+    G, P = make_group(2), ParameterK(k, 2)
+    res = ek_integral(G, P, x, y, 1e-10)
+    assert passes == [128, 256] and res.nodes_used == 256
+    assert abs(res.value - reference.n2_kernel(k, x, y)) <= res.tail_estimate <= 1e-10
+    passes.clear()
+    with pytest.raises(ConvergenceError, match="rounding floor .* explains its spread"):
+        ek_integral(G, P, x, y, 3.3e-11)
+    assert passes == [128, 256]

@@ -8,8 +8,11 @@ fixed argument list (including --seed, a nonnegative integer).  The
 crosscheck sweep's ``max_rel_disc`` column is the measure ``_crosscheck_one``
 defines: scaled by a^m / |(1+gamma)_m| where components nearly vanish.
 
-One parser, built at import, reads every argument list.  ``main`` converts
---k, --x and --y in place and passes the namespace to a ``cmd_*`` function.
+The parsers are built once, at import.  A subcommand's arguments are read
+by that subcommand's own parser alone; the top-level parser reads an empty
+list, --help, --version and an unknown command, and reports leftover
+arguments.  ``main`` converts --k, --x and --y in place and passes the
+namespace to a ``cmd_*`` function.
 Each component route returns the whole table E_0..E_M from one call with the
 signature (G, P, x, y, M) -> complex ndarray: ``recurrence.em_sequence``,
 ``series.em_genseries``, ``polyalg.oracle_em`` and ``series.em_closed_sigma``
@@ -25,6 +28,7 @@ import sys
 import numpy as np
 
 from .dihedral import (
+    MAX_N,
     DihedralGroup,
     OrbitPairings,
     PlanePoint,
@@ -72,7 +76,7 @@ def _parse_point(text: str, *, allow_complex: bool) -> np.ndarray:
     if len(parts) == 2:
         return np.array(parts)
     pt = np.array([complex(parts[0], parts[2]), complex(parts[1], parts[3])])
-    if not allow_complex and np.max(np.abs(pt.imag)) > 0:
+    if not allow_complex and np.any(pt.imag != 0):
         raise DomainError("the x argument must be a real plane point")
     return pt.real if not allow_complex else pt
 
@@ -269,7 +273,8 @@ def cmd_phi(args: argparse.Namespace, out) -> int:
 # argument plumbing
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="dunkl",
         description="Dunkl kernel and component evaluation for dihedral groups",
@@ -278,7 +283,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--n", type=int, required=True, help="dihedral order parameter")
+        p.add_argument(
+            "--n", type=int, required=True, help=f"dihedral order parameter, 2 to {MAX_N}"
+        )
         p.add_argument("--k", type=str, required=True, help="parameter k: 're' or 're,im'")
         p.add_argument("--x", type=str, required=True)
         p.add_argument("--y", type=str, required=True)
@@ -323,15 +330,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p_phi.add_argument("--pmax", dest="m_max", metavar="PMAX", type=int, default=40)
     p_phi.set_defaults(method="auto", seed=0, func=cmd_phi)
 
-    return parser
+    return parser, {"em": p_em, "kernel": p_k, "crosscheck": p_cc, "bounds": p_b, "phi": p_phi}
 
 
-_PARSER = _build_parser()
+_PARSER, _SUBPARSERS = _build_parser()
+
+
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """The namespace _PARSER.parse_args(argv) gives, less its command field
+    where argv starts with a subcommand: that subcommand's parser reads the
+    rest, and _PARSER reports any leftovers with the bytes it would write."""
+    argv = sys.argv[1:] if argv is None else argv
+    sub = _SUBPARSERS.get(argv[0]) if argv else None
+    if sub is None:
+        return _PARSER.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:])
+    if extra:
+        _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    args = _PARSER.parse_args(argv)
+    args = _parse_args(argv)
     try:
         args.x = _parse_point(args.x, allow_complex=False) if args.x else None
         args.y = _parse_point(args.y, allow_complex=True) if args.y else None

@@ -46,9 +46,12 @@ def a_coeffs(P: ParameterK, orbit: OrbitPairings, Pmax: int) -> SeriesData:
     A[p] = diag(1/p, 1/(p+2*gamma)) * sum_{i<p} B[p-1-i] A[i].
     With r_p, s_p the rotation and reflection power sums, B[p] A[i] is
     (gamma/2n) (r_p u_i + s_p v_i, r_p u_i - s_p v_i) in u = A0 - A1,
-    v = A0 + A1, so each order takes two dot products.  The orbit sum rule
-    forces B[0] ~ 0 and hence A[1] ~ 0.  The one overflow guard for the
-    series: a coefficient that is not finite is a range error.
+    v = A0 + A1.  Each order takes both sums from one np.vecdot of the
+    reversed power sums, stacked and conjugated once (vecdot conjugates its
+    first argument), against the stacked (u, v) rows; the order's scalar
+    arithmetic runs on Python complex.  The orbit sum rule forces B[0] ~ 0
+    and hence A[1] ~ 0.  The one overflow guard for the series: a
+    coefficient that is not finite is a range error.
     """
     if Pmax < 0:
         raise DomainError("truncation order must be nonnegative")
@@ -63,18 +66,21 @@ def a_coeffs(P: ParameterK, orbit: OrbitPairings, Pmax: int) -> SeriesData:
         s_plus, s_minus = rp + sp, rp - sp
         B = pref * np.stack([s_plus, -s_minus, s_minus, -s_plus], axis=-1).reshape(Pmax, 2, 2)
 
-        # u and v stored by order, the power sums reversed: the convolution
-        # sum_{i<p} r_{p-1-i} u_i is one dot product of contiguous slices.
-        rev_r, rev_s = rp[::-1].copy(), sp[::-1].copy()
-        A = np.zeros((Pmax + 1, 2), dtype=complex)
-        u = np.empty(Pmax + 1, dtype=complex)
-        v = np.empty(Pmax + 1, dtype=complex)
-        A[0, 0] = u[0] = v[0] = 2.0 * n / g
+        # u and v stored as the rows of uv by order, the power sums reversed:
+        # the convolution sums sum_{i<p} r_{p-1-i} u_i and s_{p-1-i} v_i are
+        # one vecdot of contiguous slices.
+        rev = np.conj(np.stack([rp[::-1], sp[::-1]]))
+        uv = np.empty((2, Pmax + 1), dtype=complex)
+        u, v = uv
+        u[0] = v[0] = seed = 2.0 * n / g
+        rows, two_g = [(seed, 0j)], 2 * g
         for p in range(1, Pmax + 1):
-            ru = pref * (rev_r[Pmax - p :] @ u[:p])
-            sv = pref * (rev_s[Pmax - p :] @ v[:p])
-            A[p, 0], A[p, 1] = (ru + sv) / p, (ru - sv) / (p + 2 * g)
-            u[p], v[p] = A[p, 0] - A[p, 1], A[p, 0] + A[p, 1]
+            ru, sv = np.vecdot(rev[:, Pmax - p :], uv[:, :p]).tolist()
+            ru, sv = pref * ru, pref * sv
+            a0, a1 = (ru + sv) / p, (ru - sv) / (p + two_g)
+            rows.append((a0, a1))
+            u[p], v[p] = a0 - a1, a0 + a1
+        A = np.array(rows)
         phi = u
     if not (np.isfinite(A).all() and np.isfinite(phi).all()):
         raise DomainError(

@@ -8,6 +8,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -264,6 +265,8 @@ def test_complex_x_rejected():
     [
         ["em", "--n", "3", "--k", "0.5", "--x=abc,1", "--y", "1,1"],
         ["em", "--n", "3", "--k", "0.5", "--x", "1,0", "--y", "1,1,x,0"],
+        ["kernel", "--n", "3", "--k", "0.5", "--x=1,0,nan,0", "--y", "0.3,0.4"],
+        ["kernel", "--n", "3", "--k", "0.5", "--x=1,0,inf,0", "--y", "0.3,0.4"],
         ["kernel", "--n", "3", "--k", "x", "--x", "1,0", "--y", "1,1"],
         ["kernel", "--n", "3", "--k", "nan", "--x", "1,0", "--y", "1,1"],
         ["kernel", "--n", "3", "--k", "0.5,inf", "--x", "1,0", "--y", "1,1"],
@@ -445,6 +448,55 @@ def test_overflow_is_a_range_error(argv, capsys):
     assert code == EXIT_DOMAIN_ERROR
     assert out == ""
     assert capsys.readouterr().err.startswith("error[range-error]: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "phi --n 3 --k 0.5 --x=1e15,0 --y=1e15,1 --pmax 20",
+        "em --method genseries --n 3 --k 0.5 --x=1e15,0 --y=1e15,1 --m-max 20",
+    ],
+)
+def test_series_coefficient_overflow_is_a_range_error(argv, capsys):
+    # a_coeffs' own guard: the coefficients pass the double range by order 20
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(argv.split())
+    assert code == EXIT_DOMAIN_ERROR
+    assert out == ""
+    assert capsys.readouterr().err == (
+        "error[range-error]: the series coefficients overflow double precision before order 20\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "kernel --k 0.5 --x 1,0 --y 1,1",
+        "kernel --method integral --k 0.5 --x 1,0 --y 1,1",
+        "em --method oracle --k 0.5 --x 1,0 --y 1,1",
+        "bounds --k 0.5 --x 1,0 --y 1,1",
+        "phi --k 0.5 --x 1,0 --y 1,1",
+        "crosscheck --seed 1 --k 0.5 --x 1,0 --y 1,1",
+    ],
+)
+def test_order_above_the_limit_is_refused_before_any_allocation(argv, capsys):
+    argv = [*argv.split(), "--n", str(10**12)]
+    start = time.perf_counter()
+    code, out = run_cli(argv)
+    elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        assert run_cli(argv)[0] == code
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_DOMAIN_ERROR
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err == 2 * "error[range-error]: dihedral order n = 1000000000000 exceeds the limit 10000\n"
+    assert elapsed < 0.05
+    assert peak < 1 << 20
 
 
 ORACLE_X, ORACLE_Y = (3.72040390433959, 1.67252675195284), (1.174361252797369, -0.5)
@@ -638,3 +690,54 @@ def test_route_tables_are_prefix_consistent(method):
     assert full.shape == (25,)
     for m in (0, 1, 7, 23):
         np.testing.assert_array_equal(full[: m + 1], _em_values(method, G, P, x, y, m))
+
+
+# Each subcommand's arguments are read by its own parser; _PARSER reads the
+# rest.  Both paths must give the same namespace, exit code and output bytes.
+_PAIR = ["--n", "3", "--k", "0.5", "--x", "1,0", "--y", "1,1"]
+
+
+def _parsed_through(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args, code = vars(parse(argv)), None
+        except SystemExit as exc:
+            args, code = None, exc.code
+    if args is not None:
+        args.pop("command", None)
+    return args, code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["em", *_PAIR, "--m-max", "4", "--method", "oracle"],
+        ["kernel", *_PAIR, "--method", "integral", "--tol=1e-8", "--format", "json"],
+        ["crosscheck", "--seed", "7", "--samples", "3"],
+        ["bounds", *_PAIR, "--nu", "2"],
+        ["phi", *_PAIR, "--pmax", "6"],
+    ],
+)
+def test_subcommand_parser_gives_the_top_level_namespace(argv):
+    args, code, out, err = _parsed_through(cli._parse_args, argv)
+    assert (code, out, err) == (None, "", "")
+    assert args == _parsed_through(cli._PARSER.parse_args, argv)[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["em", *_PAIR, "extra", "--bogus"],
+        ["kernel", *_PAIR, "--", "x"],
+        ["kernel", "--k", "0.5", "--x", "1,0", "--y", "1,1"],
+        ["kernel", *_PAIR, "--method", "trapezoid"],
+        ["--version"],
+        [],
+        ["nope", *_PAIR],
+    ],
+)
+def test_parse_errors_are_byte_identical_through_both_parsers(argv):
+    new = _parsed_through(cli._parse_args, argv)
+    assert new[1] in (0, 2)
+    assert new == _parsed_through(cli._PARSER.parse_args, argv)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dunkl_dihedral.dihedral import (
+    MAX_N,
     OrbitPairings,
     is_sigma_invariant,
     make_group,
@@ -27,6 +28,13 @@ def _elements(n):
 def test_make_group_rejects_small_order():
     with pytest.raises(DomainError, match="dihedral order must be ≥ 2"):
         make_group(1)
+
+
+def test_make_group_refuses_an_order_above_the_limit():
+    assert make_group(MAX_N).n == MAX_N
+    with pytest.raises(DomainError, match=f"exceeds the limit {MAX_N}") as err:
+        make_group(MAX_N + 1)
+    assert err.value.code == "range-error"
 
 
 def test_n2_actions():

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -109,8 +110,17 @@ def _emit(args: argparse.Namespace, header: list[str], rows: list[list | tuple],
     else:
         # Every cell is a number or a fixed identifier, never one that needs
         # CSV quoting, so joining the cells writes what csv.writer would.
-        cells = ([f"{v:.17g}" if isinstance(v, float) else str(v) for v in row] for row in rows)
-        out.write("".join(",".join(line) + "\n" for line in [header, *cells]))
+        # Each row shape (the types of its cells) gets one % format line,
+        # "%.17g" for a float cell (numpy floats included) and "%s" for any
+        # other, which write what f"{v:.17g}" and str(v) write; the lines
+        # of all rows then take all cells in one % call.
+        shapes = [tuple(map(type, row)) for row in rows]
+        formats = {
+            shape: ",".join("%.17g" if issubclass(t, float) else "%s" for t in shape) + "\n"
+            for shape in set(shapes)
+        }
+        text = "".join([formats[shape] for shape in shapes]) % tuple(chain.from_iterable(rows))
+        out.write(",".join(header) + "\n" + text)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dihedral import DihedralGroup, OrbitPairings, PlanePoint, orbit_pairings
 from .errors import ConvergenceError, DomainError
-from .polyalg import MAX_DEGREE, ParameterK, h_coefficients, require_degree
+from .polyalg import MAX_DEGREE, ParameterK, require_degree
 from .recurrence import em_sequence, scaled_states
 from .series import SeriesData, a_coeffs
 
@@ -55,9 +55,13 @@ def transition_norm_sum(P: ParameterK, m: int) -> float:
     """Sup norm of the degree-(m+1) rotation-block transition matrix plus
     that of the reflection block, m >= 0.  With (a, b) = h_coefficients(P,
     m+1), the rotation block is 1/(m+1+gamma) times the identity plus a[1]
-    times all ones, and the reflection block is b[0] times all ones."""
-    a, b = h_coefficients(P, m + 1)
-    return abs(1.0 / (m + 1 + P.gamma)) + P.n * abs(complex(a[1])) + P.n * abs(complex(b[0]))
+    times all ones, and the reflection block is b[0] times all ones.  The
+    moduli |a[1]| = |gamma/(m+1+gamma)| |b[0]| and |b[0]| =
+    |gamma/(m+1+2 gamma)| / (n (m+1)) are taken factor by factor, so no
+    gamma^2 is formed: it overflows past |gamma| ~ 1.3e154."""
+    m1, g = m + 1, P.gamma
+    b0 = abs(g / (m1 + 2 * g)) / (P.n * m1)
+    return abs(1.0 / (m1 + g)) + P.n * (abs(g / (m1 + g)) * b0) + P.n * b0
 
 
 @lru_cache(maxsize=256)
@@ -122,7 +126,9 @@ def _log_component_bound(P: ParameterK, delta_a: float, M: int) -> np.ndarray:
 
 def certified_terms(P: ParameterK, orbit: OrbitPairings, tol: float) -> tuple[complex, int, float]:
     """Sum E_0 + ... + E_M of the scaled orbit states; returns the sum, the
-    term count M+1 and the tail estimate.
+    term count M+1 and the tail estimate.  It takes each state's sup norm,
+    which the certificate reads, and owns the states' overflow guard: a norm
+    that is not finite (inf, or nan from inf - inf) is a range error.
 
     Since |m+1+c gamma| >= m+1+c Re(gamma), each step from degree M on
     multiplies the state's sup norm by at most envelope(M), which falls with
@@ -147,7 +153,13 @@ def certified_terms(P: ParameterK, orbit: OrbitPairings, tol: float) -> tuple[co
     closable = MAX_DEGREE + 1 > -2.0 * r and envelope(MAX_DEGREE) <= 0.5
     states = islice(scaled_states(P, orbit), MAX_DEGREE + 1 if closable else 0)
     with np.errstate(over="ignore", invalid="ignore"):
-        for M, (state, norm) in enumerate(states):
+        for M, state in enumerate(states):
+            norm = float(np.maximum.reduce(np.abs(state)))  # ndarray.max, less its wrapper
+            if not math.isfinite(norm):
+                raise DomainError(
+                    f"the orbit state overflows double precision at degree {M}",
+                    code="range-error",
+                )
             total += state[0]
             mass += weight * max(norm, prior)
             if M + 1 > -2.0 * r and (rho := envelope(M)) <= 0.5 and 2.0 * rho * norm < tol:

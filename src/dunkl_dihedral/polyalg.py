@@ -98,15 +98,15 @@ def require_finite_table(values: np.ndarray) -> np.ndarray:
 def rising_factorials(z: complex, M: int) -> np.ndarray:
     """[(z)_0, (z)_1, ..., (z)_M] with (z)_m = z(z+1)...(z+m-1).
 
-    Overflow is left to the caller: entries turn infinite.  pochhammer_table
-    and factorial_table reject it.
+    One cumulative product of the factors 1, z, z+1, ..., z+M-1, which
+    rounds as the step-by-step products do.  Overflow is left to the caller:
+    entries turn infinite.  pochhammer_table rejects it.
     """
-    out = np.empty(M + 1, dtype=complex)
-    out[0] = 1.0
+    factors = np.empty(M + 1, dtype=complex)
+    factors[0] = 1.0
+    factors[1:] = z + np.arange(M)
     with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(M):
-            out[m + 1] = out[m] * (z + m)
-    return out
+        return np.cumprod(factors)
 
 
 def pochhammer_table(P: ParameterK, M: int) -> np.ndarray:
@@ -123,16 +123,20 @@ def pochhammer_table(P: ParameterK, M: int) -> np.ndarray:
     return values
 
 
+@lru_cache(maxsize=8)
 def factorial_table(M: int) -> np.ndarray:
     """[0!, 1!, ..., M!] as correctly rounded doubles.  171! overflows a
-    double, so M > 170 is a range error."""
+    double, so M > 170 is a range error.  Read-only, since the cache hands
+    the same array to every caller."""
     try:
-        return np.array([float(math.factorial(m)) for m in range(M + 1)])
+        table = np.array([float(math.factorial(m)) for m in range(M + 1)])
     except OverflowError:
         raise DomainError(
             f"m! overflows double precision before m = {M}; reduce M",
             code="range-error",
         ) from None
+    table.setflags(write=False)
+    return table
 
 
 def _h_scalars(g: complex, n: int, m):
@@ -416,10 +420,10 @@ def _rotation_sum(n: int, m: int) -> np.ndarray:
 def _h_weights(P: ParameterK, ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row weights w_m and diagonal c_m of H_m = diag(w_m) R_m + c_m I for
     the degrees ms >= 1, in one array pass: w_m[i] = a_1(m) + b_0(m)
-    (-1)^(m-i) (row m of the result, valid for i <= m) and c_m = a_0(m) -
-    a_1(m) = 1/(m+gamma)."""
+    (-1)^(m-i) (row m of the result, valid for i <= m), the sign read from
+    the parity of m-i, and c_m = a_0(m) - a_1(m) = 1/(m+gamma)."""
     a1, b0, c = _h_scalars(P.gamma, P.n, ms)
-    sign = (-1.0) ** (ms[:, None] - np.arange(ms[-1] + 1))
+    sign = 1.0 - 2.0 * ((ms[:, None] - np.arange(ms[-1] + 1)) & 1)
     return a1[:, None] + b0[:, None] * sign, c
 
 
@@ -495,8 +499,11 @@ def intertwine(G: DihedralGroup, P: ParameterK, f: Poly2) -> Poly2:
     return Poly2(out)
 
 
-# The largest |gamma| the oracle accepts (see oracle_em).
+# The largest |gamma| the oracle accepts, and the largest n (M+1)^2, the
+# elements of the stack of rotation action matrices it raises to degree M
+# (see oracle_em).
 ORACLE_MAX_GAMMA = 100.0
+ORACLE_MAX_ELEMENTS = 2**22
 
 
 @lru_cache(maxsize=8)
@@ -532,8 +539,19 @@ def oracle_em(
     to 1e-8 in the measure max(|E_m|, a^m / |(1+gamma)_m|) through M = 12,
     and through M = 40 for real y.  Through M = 60 it does not: the error
     reached 1e-3 for complex y at |gamma| near 1.
+
+    n (M+1)^2 above ORACLE_MAX_ELEMENTS = 2^22 is a range error, refused
+    before any matrix is built: _rotation_sum raises the action matrices of
+    all n rotations together, so memory grows as n M^2 (32 MB for the stack
+    at the limit, about 210 MB peak for the whole process).
     """
     require_degree(M)
+    if G.n * (M + 1) ** 2 > ORACLE_MAX_ELEMENTS:
+        raise DomainError(
+            f"n (M+1)^2 = {G.n * (M + 1) ** 2} exceeds the oracle's element budget "
+            f"{ORACLE_MAX_ELEMENTS}; reduce n or M",
+            code="range-error",
+        )
     xa = _as_point(x)
     if xa.dtype.kind == "c" and np.max(np.abs(xa.imag)) > 0:
         raise DomainError("the first argument must be a real plane point")

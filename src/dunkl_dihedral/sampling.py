@@ -64,7 +64,7 @@ def draw_instance(
     additionally rescales y so delta * a stays below the cap, keeping the
     contour quadrature inside its double-precision conditioning range.
     """
-    n = int(rng.choice(n_choices))
+    n = n_choices[int(rng.integers(len(n_choices)))]
     P = draw_parameter(rng, n, positive_gamma=positive_gamma, real_k=real_k)
     G = make_group(n)
     while True:

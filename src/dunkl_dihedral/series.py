@@ -102,10 +102,13 @@ def g_values(orbit: OrbitPairings, z: complex) -> tuple[complex, complex]:
     return complex(rot + refl), complex(rot - refl)
 
 
-def _cauchy_prefixes(c: np.ndarray, s: complex) -> list[complex]:
+def _cauchy_prefixes(c: list[complex], s: complex) -> list[complex]:
     """sum_{j<=m} c[j] s^(m-j) for every m: the Cauchy products of c with the
     geometric series of s, by one cumulative Horner pass
-    acc_m = s * acc_{m-1} + c[m]."""
+    acc_m = s * acc_{m-1} + c[m].  Callers pass c as Python complex values
+    (ndarray.tolist()), whose products and sums round as numpy's do; their
+    divisions do not, so the callers divide by the Pochhammer table in numpy,
+    whose array division rounds as its scalar division does."""
     acc, out = 0.0 + 0.0j, []
     for cm in c:
         acc = acc * s + cm
@@ -124,9 +127,8 @@ def em_genseries(
     S = a_coeffs(P, orbit, M)
     pref = P.gamma / (2.0 * P.n)
     with np.errstate(over="ignore", invalid="ignore"):
-        table = np.array(
-            [pref * acc / p for acc, p in zip(_cauchy_prefixes(S.phi, orbit.xy), poch)]
-        )
+        scaled = [pref * acc for acc in _cauchy_prefixes(S.phi.tolist(), orbit.xy)]
+        table = np.array(scaled) / poch
     return require_finite_table(table)
 
 
@@ -174,10 +176,10 @@ def em_closed_sigma(
 
     inner = np.zeros(M + 1, dtype=complex)
     inner[0] = 1.0
-    k_rising = rising_factorials(P.k, M)
+    powers = np.arange(M + 1)
     with np.errstate(over="ignore", invalid="ignore"):
+        binomial = rising_factorials(P.k, M) / factorials
         for c in orbit.rot_pairings:
-            term = (k_rising / factorials) * np.power(c, np.arange(M + 1))
-            inner = np.convolve(inner, term)[: M + 1]
-        table = np.array([acc / p for acc, p in zip(_cauchy_prefixes(inner, orbit.xy), poch)])
+            inner = np.convolve(inner, binomial * np.power(c, powers))[: M + 1]
+        table = np.array(_cauchy_prefixes(inner.tolist(), orbit.xy)) / poch
     return require_finite_table(table)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -93,6 +94,32 @@ def test_csv_output_is_what_csv_writer_writes(argv, monkeypatch):
     for row in rows:
         writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
     assert out.encode() == ref.getvalue().encode()
+
+
+def test_emit_formats_every_row_shape_as_the_cell_join():
+    # one % format per row shape must write what the per-cell
+    # f"{v:.17g}" / str join writes, for every shape the subcommands print
+    rows = [
+        (0, 1.0, -0.0),
+        (1, 0.1 + 0.2, 1e-310),
+        [2, np.float64(2.5), np.float64(-1 / 3)],
+        [3, float("inf"), float("-inf")],
+        [4, float("nan"), np.float64("nan")],
+        [np.int64(5), 1e300, 5e-324],
+        ["series-sum", 12, "", 1.2345678901234567e-17],
+        ["integral", "", 64, 3.0],
+        ["recurrence", 0, 1.0, 0.0],
+        ["component_bound_max_ratio", 0.009, 1.0000000010000001, 1],
+        [0, 5, 0.73905789536758504, 0.018390673250570422, 1.9e-15, 0],
+        ["overall", "", "", "", 1.9781185538553472e-15, ""],
+        [1, np.float64(7.0), 2.0],
+    ]
+    header = ["a", "b"]
+    for table in ([], rows, rows[::-1]):
+        out = io.StringIO()
+        cli._emit(argparse.Namespace(fmt="csv"), header, table, out)
+        cells = ([f"{v:.17g}" if isinstance(v, float) else str(v) for v in row] for row in table)
+        assert out.getvalue() == "".join(",".join(line) + "\n" for line in [header, *cells])
 
 
 def test_em_x_zero_rows_vanish():
@@ -511,6 +538,22 @@ def test_oracle_past_its_gamma_limit_is_a_range_error(k, capsys):
     assert code == EXIT_DOMAIN_ERROR
     assert out == ""
     assert capsys.readouterr().err.startswith("error[range-error]: |gamma| = ")
+
+
+@pytest.mark.parametrize("m_max", [500, 60])
+def test_oracle_past_its_element_budget_is_a_range_error(m_max, capsys):
+    # at M = 60 the build of the action matrices took 13.7 s and 899 MB;
+    # the budget refuses it, and M = 500, before any matrix is built
+    argv = f"em --method oracle --n 10000 --k 1e-4 --x 1,0.3 --y 0.5,0.4 --m-max {m_max}"
+    start = time.perf_counter()
+    code, out = run_cli(argv.split())
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_DOMAIN_ERROR
+    assert out == ""
+    assert capsys.readouterr().err == (
+        f"error[range-error]: n (M+1)^2 = {10000 * (m_max + 1) ** 2} exceeds the oracle's "
+        "element budget 4194304; reduce n or M\n"
+    )
 
 
 @pytest.mark.parametrize("k", ["49.99", "-35,35", "0,-49.99"])

@@ -82,6 +82,17 @@ def test_delta_refuses_beyond_the_degree_limit():
     assert math.isfinite(delta_effective(ParameterK(-83.3 + 0.1j, 3)).delta_effective)
 
 
+def test_delta_matrix_is_finite_past_the_range_of_gamma_squared():
+    # gamma^2 overflows past |gamma| ~ 1.3e154; the norm sums never form it
+    for k in (1e160, -1e160j, 1e300 + 1e300j):
+        P = ParameterK(k, 2)
+        assert all(math.isfinite(transition_norm_sum(P, m)) for m in range(50))
+    dc = delta_effective(ParameterK(1e160, 2))
+    # 1/|1+gamma| + n |gamma/(1+gamma)| |b_0| + n |b_0| with n |b_0| -> 1/2
+    assert dc.delta_matrix == pytest.approx(1.0, rel=1e-15)
+    assert dc.delta_effective == dc.delta_series == 4e160
+
+
 def test_delta_matrix_dominates_norm_sums(rng):
     P = draw_parameter(rng, 4)
     dc = delta_effective(P)

@@ -1,0 +1,64 @@
+"""Byte-level regression pins: the sha256 of the exit code and stdout of a
+fixed list of CLI calls.  The digests were recorded with numpy 2.4 on
+x86-64; a change that is meant to leave every output byte alone must leave
+them alone too."""
+
+import hashlib
+import io
+
+import pytest
+
+from dunkl_dihedral.cli import main
+
+_EM = "em --n 3 --k=0.4,0.2 --x=0.9,0 --m-max 60"
+_POINT = "--n 3 --k=0.4,0.2 --x=0.9,0.3"
+
+DIGESTS = {
+    f"{_EM} --y=0.5,0.8 --method recurrence":
+        "00fac9244ebf7342bb5b201ec66be002043fe08b02db138ef94e889ae1b3de0f",
+    f"{_EM} --y=0.5,0.8 --method genseries":
+        "104f80811e9b3e2c93cc47694ead1ad70550d5f173517b9feab7270e25619b51",
+    f"{_EM} --y=0.5,0.8 --method oracle":
+        "cccca2677db83b659b7c772aeead74311d2432264c6fcf1a80de0403b0b55264",
+    f"{_EM} --y=0.5,0.8 --method sigma":
+        "b81ef0a7d50a4fbfe73c10a1763a34673e1f4dee14bd0e5af48b211afd19be5d",
+    f"{_EM} --y=0.5,0.8,0.1,-0.2 --method recurrence":
+        "9e3ffd25d2e6985a62d02dad58e4af5c1f12fd702b9c62fa677fa06a2eca1f34",
+    f"{_EM} --y=0.5,0.8,0.1,-0.2 --method genseries":
+        "75059db824dc6cd172db2fd01a9a62277294d58ef96291fac6c0c4caae166085",
+    f"{_EM} --y=0.5,0.8,0.1,-0.2 --method oracle":
+        "68cf13599ecf88fd8a0063232024682205c53bd6153925982c13e77b88fb0e1d",
+    f"{_EM} --y=0.5,0.8,0.1,-0.2 --method sigma":
+        "1ea50fcc004691bf8a77ef0b84f0d0d290b3f8b5762e8626939fdd695438fdfd",
+    f"{_EM} --y=0.5,0.8 --method sigma --format json":
+        "36f7b78cc5f8b158eca1365503066bebdcd55a0753cbd331f33db6db922e5976",
+    f"em {_POINT} --y=-1.1,0.6 --m-max 60 --method recurrence":
+        "3348a06b88b89fd27fe25bacf03beb719c783a13d053194cb449b59d50f69004",
+    f"em {_POINT} --y=-1.1,0.6 --m-max 60 --method genseries":
+        "81778d8510b28a4d166d2a76b0e829ce1187d38940a1e867d575b7861a679861",
+    f"kernel {_POINT} --y=0.5,0.8 --method series --tol 1e-12":
+        "45660ed6c75abcefcf581181808154e32253f601454a307121b0ce9dcd9e4a0f",
+    f"kernel {_POINT} --y=0.5,0.8,0.1,-0.2 --method series --tol 1e-12":
+        "19dd1d772a0a06377efd2c8e88989657e08580a53b8a2f49f0a7cd0217992e41",
+    f"kernel {_POINT} --y=0.5,0.8 --method integral --tol 1e-8":
+        "61b2d724cfcd3eb0c6f3d65c715d52a51b7f34d439210912801c195404a44f9c",
+    f"kernel {_POINT} --y=0.5,0.8,0.1,-0.2 --method integral --tol 1e-8":
+        "2b4df36fa493d699621c444626fdaf3643324e939662eac8e9ca01835040b77e",
+    "crosscheck --seed 5 --samples 10":
+        "8a582e35e9a9a7f21bbcd579b64cc41dfcfa620a756db8d2fb401c0f82edc4f8",
+    f"phi {_POINT} --y=0.5,0.8 --pmax 40":
+        "d916da37d12a6445dd128e80f1be06edcf979b1efc978121683b196e509bbceb",
+    f"bounds {_POINT} --y=0.5,0.8 --m-max 30":
+        "11e45e833ccc48cc7f94e5b7d7ba4dafd87166e7e62239014796d37354c9946e",
+}
+
+
+def _digest(argv: str) -> str:
+    out = io.StringIO()
+    code = main(argv.split(), out=out)
+    return hashlib.sha256(f"{code}\n{out.getvalue()}".encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", sorted(DIGESTS))
+def test_stdout_bytes_are_pinned(argv):
+    assert _digest(argv) == DIGESTS[argv]

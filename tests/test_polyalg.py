@@ -69,6 +69,27 @@ def test_rising_factorials_match_factorial():
     assert np.allclose(vals, [math.factorial(m) for m in range(7)])
 
 
+def _rising_factorials_loop(z, M):
+    """Reference: the step-by-step products (z)_(m+1) = (z)_m (z + m)."""
+    out = np.empty(M + 1, dtype=complex)
+    out[0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(M):
+            out[m + 1] = out[m] * (z + m)
+    return out
+
+
+def test_rising_factorials_round_as_the_step_loop(rng):
+    # bit for bit, up to the first entry past the double range
+    for _ in range(300):
+        z = complex(*rng.uniform(-40.0, 40.0, size=2))
+        ref, vals = _rising_factorials_loop(z, 500), rising_factorials(z, 500)
+        finite = np.isfinite(ref)
+        assert np.array_equal(np.isfinite(vals), finite)
+        assert np.array_equal(vals[finite], ref[finite])
+    assert np.array_equal(rising_factorials(0.5 - 0.25j, 0), [1.0])
+
+
 # ---------------------------------------------------------------------------
 # polynomial ring sanity
 
@@ -372,6 +393,37 @@ def test_factorial_table_is_exact_and_guarded():
     with pytest.raises(DomainError, match="m!") as info:
         factorial_table(171)
     assert info.value.code == "range-error"
+
+
+def test_factorial_table_is_cached_and_read_only():
+    table = factorial_table(12)
+    assert factorial_table(12) is table
+    with pytest.raises(ValueError):
+        table[3] = 0.0
+
+
+def test_h_weights_signs_are_powers_of_minus_one():
+    ms = np.arange(1, 61)
+    for P in (ParameterK(0.3 + 0.2j, 3), ParameterK(-0.15, 7)):
+        a1, b0, c = polyalg._h_scalars(P.gamma, P.n, ms)
+        ref = a1[:, None] + b0[:, None] * (-1.0) ** (ms[:, None] - np.arange(61))
+        weights, diag = polyalg._h_weights(P, ms)
+        assert np.array_equal(weights, ref) and np.array_equal(diag, c)
+
+
+def test_oracle_refuses_past_its_element_budget(monkeypatch):
+    # n (M+1)^2 above the budget is refused before any action matrix is built
+    def unreachable(*args):
+        raise AssertionError("an action matrix was built")
+
+    monkeypatch.setattr(polyalg, "_rotation_sum", unreachable)
+    monkeypatch.setattr(polyalg, "_vk_matrices", unreachable)
+    P = ParameterK(1e-4, 10000)
+    for M in (500, 60, 20):
+        with pytest.raises(DomainError, match="element budget 4194304") as info:
+            oracle_em(make_group(10000), P, (1.0, 0.3), (0.5, 0.4), M)
+        assert info.value.code == "range-error"
+    assert 10000 * 20**2 <= polyalg.ORACLE_MAX_ELEMENTS < 10000 * 21**2
 
 
 def test_oracle_rejects_complex_x():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -15,7 +16,7 @@ from dunkl_dihedral.dihedral import (
     rotation_matrix,
 )
 from dunkl_dihedral.errors import DomainError
-from dunkl_dihedral.kernel import transition_norm_sum
+from dunkl_dihedral.kernel import certified_terms, transition_norm_sum
 from dunkl_dihedral.polyalg import ParameterK, h_coefficients, oracle_em
 from dunkl_dihedral.recurrence import em_sequence, scaled_states, y_step
 from dunkl_dihedral.sampling import draw_instance
@@ -95,14 +96,23 @@ def test_y_step_matches_its_matrix(n, rng):
         assert np.all(np.abs(y_step(values, m, P, orbit) - matrix @ values) <= 1e-14 * size)
 
 
-def test_scaled_states_yield_their_sup_norm(rng):
+def test_scaled_states_yield_plain_states(rng):
+    # each state is the previous one stepped by y_step after division by
+    # m+1+gamma, bit for bit, and entry 0 is the component em_sequence reports
     for _ in range(6):
         inst = draw_instance(rng)
-        P = inst.parameter()
-        orbit = orbit_pairings(inst.group(), inst.x, inst.y)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for state, norm in itertools.islice(scaled_states(P, orbit), 30):
-                assert norm == float(np.max(np.abs(state)))
+        G, P = inst.group(), inst.parameter()
+        orbit = orbit_pairings(G, inst.x, inst.y)
+        table = em_sequence(G, P, inst.x, inst.y, 29)
+        prev = None
+        for m, state in enumerate(itertools.islice(scaled_states(P, orbit), 30)):
+            assert isinstance(state, np.ndarray) and state.shape == (2 * orbit.n,)
+            if prev is None:
+                assert np.all(state == 1.0)
+            else:
+                assert np.array_equal(state, y_step(prev / (m + P.gamma), m - 1, P, orbit))
+            assert state[0] == table[m]
+            prev = state
 
 
 def test_x_zero_states_vanish():
@@ -260,8 +270,19 @@ def test_state_overflow_is_a_range_error():
     # a = 30 |y| ~ 949: a^m / m! passes the double range near m = 394
     G, P = make_group(3), ParameterK(0.5, 3)
     assert np.all(np.isfinite(em_sequence(G, P, (30.0, 0.0), (30.0, 10.0), 300)))
-    with pytest.raises(DomainError, match="overflows double precision at degree 394") as info:
+    with pytest.raises(
+        DomainError, match="the components overflow double precision at degree 394"
+    ) as info:
         em_sequence(G, P, (30.0, 0.0), (30.0, 10.0), 400)
+    assert info.value.code == "range-error"
+    # the certificate's guard on the sup norm of the states: with the orbit
+    # bound understated, the sum is closable but never certified, and the
+    # states overflow at the same degree
+    orbit = dataclasses.replace(orbit_pairings(G, (30.0, 0.0), (30.0, 10.0)), a_bound=1.0)
+    with pytest.raises(
+        DomainError, match="the orbit state overflows double precision at degree 394"
+    ) as info:
+        certified_terms(P, orbit, 1e-10)
     assert info.value.code == "range-error"
 
 

@@ -7,7 +7,8 @@ from conftest import eval_q, rel_err, residual_check
 from dunkl_dihedral.dihedral import make_group, orbit_pairings
 from dunkl_dihedral.errors import DomainError
 from dunkl_dihedral.kernel import delta_effective
-from dunkl_dihedral.polyalg import ParameterK, rising_factorials
+from dunkl_dihedral.polyalg import ParameterK, factorial_table, pochhammer_table
+from dunkl_dihedral.polyalg import rising_factorials
 from dunkl_dihedral.recurrence import em_sequence
 from dunkl_dihedral.sampling import draw_instance
 from dunkl_dihedral.series import (
@@ -269,6 +270,38 @@ def test_genseries_matches_recurrence(rng):
         gen = em_genseries(G, P, inst.x, inst.y, 30)
         for m in range(31):
             assert rel_err(gen[m], ems[m]) <= 1e-9
+
+
+def _scalar_tail(c: np.ndarray, s: complex, pref: complex, poch: np.ndarray) -> np.ndarray:
+    """Reference: the Horner pass and the divisions by (1+gamma)_m on numpy
+    scalars, one degree at a time."""
+    acc, out = 0.0 + 0.0j, []
+    for cm, p in zip(c, poch):
+        acc = acc * s + cm
+        out.append(pref * acc / p)
+    return np.array(out)
+
+
+def test_table_tails_round_as_the_scalar_loop(rng):
+    # the Horner pass on Python complex and one array division give the
+    # per-degree numpy-scalar results bit for bit
+    M = 60
+    for i in range(40):
+        inst = draw_instance(rng, sigma_invariant=(i % 2 == 0), complex_y=(i % 4 < 2))
+        G, P = inst.group(), inst.parameter()
+        orbit = orbit_pairings(G, inst.x, inst.y)
+        poch = pochhammer_table(P, M)
+        phi = a_coeffs(P, orbit, M).phi
+        ref = _scalar_tail(phi, orbit.xy, P.gamma / (2.0 * P.n), poch)
+        assert np.array_equal(em_genseries(G, P, inst.x, inst.y, M), ref)
+        if i % 2 == 0:
+            inner = np.zeros(M + 1, dtype=complex)
+            inner[0] = 1.0
+            binomial = rising_factorials(P.k, M) / factorial_table(M)
+            for c in orbit.rot_pairings:
+                inner = np.convolve(inner, binomial * np.power(c, np.arange(M + 1)))[: M + 1]
+            ref = _scalar_tail(inner, orbit.xy, 1.0, poch)
+            assert np.array_equal(em_closed_sigma(G, P, inst.x, inst.y, M), ref)
 
 
 def test_phi_bound(rng):

@@ -17,6 +17,10 @@ Each component route returns the whole table E_0..E_M from one call with the
 signature (G, P, x, y, M) -> complex ndarray: ``recurrence.em_sequence``,
 ``series.em_genseries``, ``polyalg.oracle_em`` and ``series.em_closed_sigma``
 (mirror-axis arguments only).  ``_em_values`` is the one dispatcher over them.
+``dihedral.orbit_pairings`` remembers its last result for the same point
+arrays, so a crosscheck sample computes its orbit pairings once: in
+``draw_instance``, whose last orbit the routes of the sample then reuse.
+The oracle reads the points by its own path and stays independent of them.
 """
 
 from __future__ import annotations

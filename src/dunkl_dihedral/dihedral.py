@@ -119,6 +119,20 @@ def _orbit_matrices(n: int) -> np.ndarray:
     return mats
 
 
+# The last call of orbit_pairings, as one (key, result) pair, so that one
+# assignment replaces both: its _orbit_key and its result.
+_last_orbit: list = [(None, None)]
+
+
+def _orbit_key(n: int, x, y) -> tuple | None:
+    """What the result of orbit_pairings depends on, for ndarray points:
+    n, the two arrays themselves, their shapes, dtypes and bytes.  None for
+    other inputs (lists, tuples), which are not remembered."""
+    if type(x) is not np.ndarray or type(y) is not np.ndarray:
+        return None
+    return (n, x, y, x.shape, y.shape, x.dtype, y.dtype, x.tobytes(), y.tobytes())
+
+
 def orbit_pairings(G: DihedralGroup, x: PlanePoint, y: PlanePoint) -> OrbitPairings:
     """The orbit pairings of (x, y).  The orbit points come from one stacked
     product with the group matrices, which rounds as the product with each
@@ -126,20 +140,35 @@ def orbit_pairings(G: DihedralGroup, x: PlanePoint, y: PlanePoint) -> OrbitPairi
     rounds as the 1-D product of each point with y does (vecdot conjugates
     its first argument, so the points enter conjugated twice).  The one
     overflow guard for the pairings: a non-finite orbit bound is a range
-    error."""
+    error.
+
+    The last result is remembered: a call with the same n and the same two
+    ndarrays, unchanged in shape, dtype and bytes, returns it without
+    validating the points again (they were validated when it was made).
+    So the routes of one sample, each called with (G, P, x, y, M), share one
+    computation.  The arrays of the result are read-only."""
+    key, (last_key, last) = _orbit_key(G.n, x, y), _last_orbit[0]
+    # the arrays by identity first, since == on arrays compares elementwise;
+    # key == last_key then finds them identical and compares the rest
+    same_arrays = last_key is not None and last_key[1] is x and last_key[2] is y
+    if key is not None and same_arrays and key == last_key:
+        return last
     xa = _as_point(x)
     ya = _as_point(y).astype(complex)
     with np.errstate(over="ignore", invalid="ignore"):
         big = np.vecdot(np.conj(_orbit_matrices(G.n) @ xa), ya)
-        a_bound = float(np.max(np.abs(big)))
+        a_bound = float(np.maximum.reduce(np.abs(big)))  # np.max, less its wrapper
     if not math.isfinite(a_bound):
         raise DomainError("the orbit pairings overflow double precision", code="range-error")
-    return OrbitPairings(
+    big.setflags(write=False)
+    orbit = OrbitPairings(
         rot_pairings=big[: G.n],
         refl_pairings=big[G.n :],
         a_bound=a_bound,
         big_diag=big,
     )
+    _last_orbit[0] = key, orbit
+    return orbit
 
 
 def is_sigma_invariant(orbit: OrbitPairings) -> bool:

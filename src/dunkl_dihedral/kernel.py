@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
@@ -33,6 +34,9 @@ _LOG_E2_HALF = 2.0 - math.log(2.0)  # log(e^2 / 2)
 _LOG_HALF = math.log(0.5)
 # Terms of the bound-constant summation scanned before giving up.
 _BOUND_SUM_TERMS = 5001
+# Orders l < 20 of the endpoint series, and l!.
+_ENDPOINT_ORDERS = np.arange(20)
+_ENDPOINT_FACTORIALS = np.cumprod(np.maximum(_ENDPOINT_ORDERS, 1))
 
 
 @dataclass(frozen=True)
@@ -104,24 +108,21 @@ def _require_tol(tol: float) -> None:
         raise DomainError("tolerance must be positive and finite")
 
 
-def _log_abs_pochhammer(gamma: complex, M: int) -> np.ndarray:
-    """log |(1+gamma)_m| for m = 0..M, summed in order."""
-    return np.cumsum([0.0] + [math.log(abs(1.0 + gamma + m)) for m in range(M)])
+def _log_abs_pochhammer(gamma: complex, M: int, start: int = 0, carry: float = 0.0) -> np.ndarray:
+    """log |(1+gamma)_m| for m = start..M, summed in order from carry, the
+    entry at start, so that a table built piece by piece rounds as the
+    whole table does."""
+    return np.cumsum([carry] + [math.log(abs(1.0 + gamma + m)) for m in range(start, M)])
 
 
-def _log_component_bound(P: ParameterK, delta_a: float, M: int) -> np.ndarray:
+def _log_component_bound(delta_a: float, m: np.ndarray, log_poch: np.ndarray) -> np.ndarray:
     """log of the component bound (e^2/2) (m+2)^2 (delta a)^m / |(1+gamma)_m|
-    for m = 0..M (delta a > 0), in log space so no scan overflows.  A
-    delta a past the double range is a convergence error."""
+    at the degrees m (delta a > 0), with log_poch = log |(1+gamma)_m| from
+    _log_abs_pochhammer, in log space so no scan overflows.  A delta a past
+    the double range is a convergence error."""
     if not math.isfinite(delta_a):
         raise ConvergenceError(f"delta * a = {delta_a:.6g} is past the double range")
-    m = np.arange(M + 1)
-    return (
-        _LOG_E2_HALF
-        + 2.0 * np.log(m + 2)
-        + m * math.log(delta_a)
-        - _log_abs_pochhammer(P.gamma, M)
-    )
+    return _LOG_E2_HALF + 2.0 * np.log(m + 2) + m * math.log(delta_a) - log_poch
 
 
 def certified_terms(P: ParameterK, orbit: OrbitPairings, tol: float) -> tuple[complex, int, float]:
@@ -228,6 +229,17 @@ def series_for_radius(
     return a_coeffs(P, orbit, order)
 
 
+@lru_cache(maxsize=8)
+def _unit_circle(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """For N contour nodes: the roots e^(2 pi i j/N) for j = 0..N//2, and
+    cos(2 pi j/N) for j < N.  Read-only, since the cache shares them."""
+    roots = np.exp(2j * np.pi * np.arange(N // 2 + 1) / N)
+    cosines = np.cos(2.0 * np.pi * np.arange(N) / N)
+    roots.setflags(write=False)
+    cosines.setflags(write=False)
+    return roots, cosines
+
+
 def _contour_rule(
     P: ParameterK, orbit: OrbitPairings, S: SeriesData, rho: float, N: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -241,7 +253,7 @@ def _contour_rule(
         raise DomainError("contour rule needs at least 8 nodes")
     if not (rho > 0.0 and math.isfinite(rho)):
         raise DomainError("contour radius must be positive and finite")
-    half = rho * np.exp(2j * np.pi * np.arange(N // 2 + 1) / N)
+    half = rho * _unit_circle(N)[0]
     nodes = np.concatenate([half, np.conj(half[(N - 1) // 2 : 0 : -1])])
     denom = 1.0 - nodes * orbit.xy
     if np.min(np.abs(denom)) < 1e-12:
@@ -299,18 +311,29 @@ def kernel_K(
     return complex(vals[0]) if t.ndim == 0 else vals.reshape(t.shape)
 
 
-@lru_cache(maxsize=2)
-def _gauss_legendre(points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
-    return np.polynomial.legendre.leggauss(points)
+@lru_cache(maxsize=1)
+def _panel_rules() -> tuple[np.ndarray, np.ndarray]:
+    """The 16-point Gauss-Legendre nodes and weights on [-1, 1], followed by
+    the 8-point ones, built on first use.  Read-only, since the cache shares
+    them."""
+    rules = [np.polynomial.legendre.leggauss(points) for points in (16, 8)]
+    base_x, base_w = (np.concatenate(part) for part in zip(*rules))
+    base_x.setflags(write=False)
+    base_w.setflags(write=False)
+    return base_x, base_w
 
 
-def _log_panels(lo: float, panels: int, points: int = 16) -> tuple[np.ndarray, np.ndarray]:
-    """`points`-point Gauss-Legendre nodes and weights on `panels` equal panels of [lo, 0]."""
-    base_x, base_w = _gauss_legendre(points)
+def _log_panels(lo: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 16-point Gauss-Legendre rule on `panels`
+    equal panels of [lo, 0], panel by panel, followed by those of the
+    8-point rule on the same panels: one broadcast of the 24-node base rule
+    over the panels, then each rule's columns in panel order."""
+    base_x, base_w = _panel_rules()
     half = -lo / (2 * panels)
     mid = lo + half * (2 * np.arange(panels) + 1)
-    return (mid[:, None] + half * base_x).reshape(-1), np.tile(half * base_w, panels)
+    v = mid[:, None] + half * base_x
+    w = np.broadcast_to(half * base_w, v.shape)
+    return tuple(np.concatenate([a[:, :16].reshape(-1), a[:, 16:].reshape(-1)]) for a in (v, w))
 
 
 def _embedded_half(pref: np.ndarray) -> np.ndarray:
@@ -327,8 +350,7 @@ def _endpoint_coefficients(gamma: complex, s0: float) -> np.ndarray:
     """coef_l = s0^gamma / (l! (gamma+l)), l < 20: the integral of s^(gamma-1) e^(-s/z) over
     [0, s0] is sum_l coef_l (-s0/z)^l.  On the contour |s0/z| <= 1/2, so the terms fall like
     2^-l / l!, and the tail after 20 lies below 2^-80 of the first term's scale."""
-    ell = np.arange(20)
-    return s0**gamma / (np.cumprod(np.maximum(ell, 1)) * (gamma + ell))
+    return s0**gamma / (_ENDPOINT_FACTORIALS * (gamma + _ENDPOINT_ORDERS))
 
 
 def _pass_floor(
@@ -339,7 +361,7 @@ def _pass_floor(
     N = pref.size
     mag = np.abs(pref)
     f0 = float(np.sum(mag))
-    f1 = float(mag @ np.exp(np.cos(2.0 * np.pi * np.arange(N) / N) / rho))
+    f1 = float(mag @ np.exp(_unit_circle(N)[1] / rho))
     return 2.0**-53 * (f0 * float(np.sum(np.abs(weight) * (f1 / f0) ** t)) + f1 * end_mass)
 
 
@@ -405,10 +427,11 @@ def ek_integral(
 
     def one_pass(N: int, splits: int) -> tuple[complex, float, float]:
         panels = max(1, math.ceil(-math.log(s0))) * splits
-        v16, w16 = _log_panels(math.log(s0), panels)
-        v8, w8 = _log_panels(math.log(s0), panels, 8)
-        t = 1.0 - np.exp(np.concatenate([v16, v8]))
-        weight, weight8 = w16 * np.exp(g * v16), w8 * np.exp(g * v8)
+        v, w = _log_panels(math.log(s0), panels)
+        t = 1.0 - np.exp(v)
+        body_weights = w * np.exp(g * v)
+        n16 = 16 * panels
+        weight, weight8 = body_weights[:n16], body_weights[n16:]
         inv, pref = _contour_rule(P, orbit, S, rho, N)
         prefs = np.column_stack([pref, _embedded_half(pref)])
         inv_all = np.concatenate([inv, np.conj(inv[(N - 1) // 2 : 0 : -1])])
@@ -416,9 +439,9 @@ def ek_integral(
         with np.errstate(over="ignore", invalid="ignore"):
             body = _contour_sum(t, inv, prefs)
             end = _contour_sum(np.ones(1), inv, end_prefs)[0]
-            value, value_half = weight @ body[: v16.size] + end
-            value8 = weight8 @ body[v16.size :, 0] + end[0]
-            floor = _pass_floor(weight, t[: v16.size], pref, rho, end_mass)
+            value, value_half = weight @ body[:n16] + end
+            value8 = weight8 @ body[n16:, 0] + end[0]
+            floor = _pass_floor(weight, t[:n16], pref, rho, end_mass)
         # An overflowing integrand leaves a sum inf or nan; the headroom of
         # 4 keeps the differences in the double range.
         if not all(cmath.isfinite(4.0 * complex(v)) for v in (value, value_half, value8)):
@@ -498,10 +521,25 @@ def check_em_bound(
     da = delta_effective(P).delta_effective * orbit.a_bound
     abs_em = np.abs(em_sequence(G, P, x, y, M)[1:])
     with np.errstate(over="ignore"):  # a bound past the double range holds
-        bound = np.exp(_log_component_bound(P, da, M)[1:])
+        log_bound = _log_component_bound(da, np.arange(M + 1), _log_abs_pochhammer(P.gamma, M))
+        bound = np.exp(log_bound[1:])
     ratios = np.divide(abs_em, bound, out=np.where(abs_em > 0, np.inf, 0.0), where=bound > 0)
     max_ratio = float(np.max(ratios, initial=0.0))
     return EmBoundReport(max_ratio=max_ratio, passed=max_ratio <= 1.0 + 1e-9)
+
+
+def _log_term_pairs(P: ParameterK, delta_a: float) -> Iterator[tuple[float, float]]:
+    """(log term m, log term m+1) of the component bound for m <
+    _BOUND_SUM_TERMS.  The table is built in pieces of doubling size, only as
+    far as it is read; each piece carries the Pochhammer sum on, so every
+    entry rounds as in the whole table."""
+    lo, carry, size = 0, 0.0, 64
+    while lo < _BOUND_SUM_TERMS:
+        hi = min(lo + size, _BOUND_SUM_TERMS)
+        log_poch = _log_abs_pochhammer(P.gamma, hi, lo, carry)
+        log_term = _log_component_bound(delta_a, np.arange(lo, hi + 1), log_poch).tolist()
+        yield from zip(log_term, log_term[1:])
+        lo, carry, size = hi, float(log_poch[-1]), 2 * size
 
 
 def ek_bound_constant(P: ParameterK, delta_a: float) -> float:
@@ -509,12 +547,11 @@ def ek_bound_constant(P: ParameterK, delta_a: float) -> float:
     closure of (e^2/2) sum_m (m+2)^2 (delta a)^m / |(1+gamma)_m|."""
     if delta_a == 0.0:
         return 2.0 * math.e**2
-    log_term = _log_component_bound(P, delta_a, _BOUND_SUM_TERMS)
     total = 0.0
-    for m in range(_BOUND_SUM_TERMS):
-        term = math.exp(log_term[m]) if log_term[m] < 700.0 else math.inf
+    for m, (here, ahead) in enumerate(_log_term_pairs(P, delta_a)):
+        term = math.exp(here) if here < 700.0 else math.inf
         total += term
-        closing = m > -P.gamma.real and log_term[m + 1] - log_term[m] < _LOG_HALF
+        closing = m > -P.gamma.real and ahead - here < _LOG_HALF
         if closing and term < 1e-16 * max(total, 1.0):
             return total
         if not math.isfinite(total):

@@ -11,6 +11,7 @@ primary correctness argument.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -447,12 +448,21 @@ def h_matrix(G: DihedralGroup, P: ParameterK, m: int) -> np.ndarray:
 # degree-preserving intertwining map, built degree by degree
 
 
-@lru_cache(maxsize=32)
-def _vk_cache(n: int, k: complex) -> list[np.ndarray]:
-    """The intertwining matrices built so far for one (n, k), starting at
-    degree 0; _vk_matrices extends the list in place.  Bounded, so a sweep
-    over fresh k keeps only the most recent parameters."""
-    return [np.ones((1, 1), dtype=complex)]
+# The intertwining matrices V_0..V_M built so far, by (n, k), least recently
+# used first.  _vk_matrices extends a list in place, then keeps at most
+# ORACLE_CACHE_LISTS lists whose complex entries together stay within
+# ORACLE_CACHE_ELEMENTS: 2^20 entries (16 MiB) hold the lists of 13
+# parameters at M = 60 but one at M = 120 (6e5 entries), so a sweep over
+# fresh k holds a bounded set however many samples it draws.  The newest
+# list is kept even past the budget.
+_vk_cache: OrderedDict = OrderedDict()
+ORACLE_CACHE_LISTS = 32
+ORACLE_CACHE_ELEMENTS = 2**20
+
+
+def _vk_elements(length: int) -> int:
+    """The entries of V_0..V_(length-1): the sum of (m+1)^2 over m < length."""
+    return length * (length + 1) * (2 * length + 1) // 6
 
 
 def _vk_matrices(G: DihedralGroup, P: ParameterK, mmax: int) -> list[np.ndarray]:
@@ -461,24 +471,34 @@ def _vk_matrices(G: DihedralGroup, P: ParameterK, mmax: int) -> list[np.ndarray]
     Degree m is built from degree m-1 through V p = sum_i x_i V(d_i(H p)):
     with t = x1 V_{m-1} d1 + x2 V_{m-1} d2 it is t H_m = (t diag(w_m)) R_m
     + c_m t, one matrix product per degree and H_m never formed.  The
-    weights of every new degree come from one call of _h_weights.
+    weights of every new degree come from one call of _h_weights, and the
+    degree factors of d1 and d2 are complex, as the matrices are.
     """
-    mats = _vk_cache(G.n, complex(P.k))
+    key = (G.n, complex(P.k))
+    mats = _vk_cache.pop(key, None) or [np.ones((1, 1), dtype=complex)]
+    _vk_cache[key] = mats
     if len(mats) > mmax:
         return mats
     ms = np.arange(len(mats), mmax + 1)
     weights, diag = _h_weights(P, ms)
-    powers = np.arange(1, mmax + 1)
+    powers = np.arange(1, mmax + 1, dtype=complex)
+    falling = powers[::-1].copy()  # mmax, ..., 1: its last m entries are m, ..., 1
     for m, w, c in zip(ms.tolist(), weights, diag):
         # d1 scales the x1-power a by a and lowers it, d2 scales by m - a;
         # multiplying by x1 raises the output index.
-        prev, a = mats[m - 1], powers[:m]
+        prev = mats[m - 1]
         t = np.zeros((m + 1, m + 1), dtype=complex)
-        t[1:, 1:] = prev * a
-        t[:m, :m] += prev * a[::-1]
+        np.multiply(prev, powers[:m], out=t[1:, 1:])
+        lower = t[:m, :m]
+        lower += prev * falling[mmax - m :]
         v = (t * w[: m + 1]) @ _rotation_sum(G.n, m)
         v += c * t
         mats.append(v)
+    while len(_vk_cache) > ORACLE_CACHE_LISTS:
+        _vk_cache.popitem(last=False)
+    total = sum(_vk_elements(len(v)) for v in _vk_cache.values())
+    while total > ORACLE_CACHE_ELEMENTS and len(_vk_cache) > 1:
+        total -= _vk_elements(len(_vk_cache.popitem(last=False)[1]))
     return mats
 
 
@@ -575,7 +595,7 @@ def oracle_em(
         yp[:, 1:], xp[:, 1:] = ya[:, None], xr[:, None]
         yp, xp = np.cumprod(yp, axis=1), np.cumprod(xp, axis=1)
         ys = binom * yp[0] * yp[1][diff]
-        xs = xp[0] * xp[1][diff]
+        xs = (xp[0] * xp[1][diff]).astype(complex)  # so no np.dot below casts
         for m in range(1, M + 1):
             out[m] = np.dot(mats[m] @ ys[m, : m + 1], xs[m, : m + 1])
         out /= factorials

@@ -784,3 +784,40 @@ def test_parse_errors_are_byte_identical_through_both_parsers(argv):
     new = _parsed_through(cli._parse_args, argv)
     assert new[1] in (0, 2)
     assert new == _parsed_through(cli._PARSER.parse_args, argv)
+
+
+def test_crosscheck_sample_computes_its_orbit_once(monkeypatch):
+    # every route of a sample takes (G, P, x, y, M); the pairings behind
+    # them are computed once per sample, and not at all when the sample's
+    # draw left them remembered
+    from dunkl_dihedral import dihedral
+    from dunkl_dihedral.sampling import draw_instance
+
+    computed, matrices = [], dihedral._orbit_matrices
+
+    def counted(n):
+        computed.append(n)
+        return matrices(n)
+
+    monkeypatch.setattr(dihedral, "_orbit_matrices", counted)
+    rng = np.random.default_rng(11)
+    for idx in range(10):
+        inst = draw_instance(rng, sigma_invariant=(idx % 5 == 4), min_xy=1e-3)
+        computed.clear()
+        cli._crosscheck_one(inst.group(), inst.parameter(), inst.x, inst.y, 12)
+        assert computed == []
+        # fresh arrays: one computation for the whole sample
+        cli._crosscheck_one(inst.group(), inst.parameter(), inst.x.copy(), inst.y.copy(), 12)
+        assert computed == [inst.n]
+
+    per_sample, crosscheck_one = [], cli._crosscheck_one
+
+    def spy(*args):
+        before = len(computed)
+        result = crosscheck_one(*args)
+        per_sample.append(len(computed) - before)
+        return result
+
+    monkeypatch.setattr(cli, "_crosscheck_one", spy)
+    assert run_cli(["crosscheck", "--seed", "5", "--samples", "10"])[0] == EXIT_OK
+    assert per_sample == [0] * 10

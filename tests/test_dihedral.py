@@ -223,3 +223,84 @@ def test_orbit_pairings_past_the_double_range_are_a_range_error():
     with pytest.raises(DomainError, match="overflow") as info:
         orbit_pairings(make_group(3), (1e200, 0.0), (1e200, 1.0))
     assert info.value.code == "range-error"
+
+
+def _fresh(G, x, y):
+    """The pairings of copies of x and y: new arrays, so nothing remembered is used."""
+    return orbit_pairings(G, np.array(x), np.array(y))
+
+
+def _same_bits(a, b):
+    return a.n == b.n and a.a_bound == b.a_bound and a.big_diag.tobytes() == b.big_diag.tobytes()
+
+
+def test_orbit_pairings_remember_the_last_arrays():
+    G, x, y = make_group(5), np.array([0.6, -0.4]), np.array([1.1, 0.3])
+    orbit = orbit_pairings(G, x, y)
+    assert orbit_pairings(make_group(5), x, y) is orbit
+    assert _same_bits(orbit, _fresh(G, x, y))
+    # the remembered arrays are shared, so they are read-only
+    for arr in (orbit.rot_pairings, orbit.refl_pairings, orbit.big_diag):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_orbit_memo_follows_n():
+    x, y = np.array([0.6, -0.4]), np.array([1.1, 0.3])
+    three = orbit_pairings(make_group(3), x, y)
+    five = orbit_pairings(make_group(5), x, y)
+    assert three.n == 3 and five.n == 5
+    assert _same_bits(five, _fresh(make_group(5), x, y))
+
+
+@pytest.mark.parametrize(
+    "x0, x1",
+    [
+        ((0.6, -0.4), (0.7, -0.4)),  # a value
+        ((1.3, 0.0), (1.3, -0.0)),  # the sign of zero, equal under ==
+    ],
+)
+def test_orbit_memo_sees_a_point_changed_in_place(x0, x1):
+    G, x, y = make_group(4), np.array(x0), np.array([0.5, -1.2])
+    before = orbit_pairings(G, x, y)
+    x[:] = x1
+    after = orbit_pairings(G, x, y)
+    assert after is not before
+    assert _same_bits(after, _fresh(G, x1, y))
+    y[1] = 2.0
+    assert _same_bits(orbit_pairings(G, x, y), _fresh(G, x1, (0.5, 2.0)))
+
+
+def test_orbit_memo_tells_float_from_complex_points():
+    G, x = make_group(3), np.array([0.6, -0.4])
+    y_float = np.array([1.1, 0.3])
+    y_complex = y_float.astype(complex)  # the same values, zero imaginary parts
+    as_float = orbit_pairings(G, x, y_float)
+    as_complex = orbit_pairings(G, x, y_complex)
+    assert as_complex is not as_float
+    assert _same_bits(as_complex, _fresh(G, x, y_complex))
+    assert orbit_pairings(G, x, y_float) is not as_complex
+
+
+def test_orbit_memo_ignores_lists():
+    G, x, y = make_group(3), [0.6, -0.4], [1.1, 0.3]
+    first = orbit_pairings(G, x, y)
+    x[0] = 0.2
+    second = orbit_pairings(G, x, y)
+    assert second is not first
+    assert _same_bits(second, _fresh(G, [0.2, -0.4], y))
+    point = (0.2, -0.4)
+    assert orbit_pairings(G, point, y) is not orbit_pairings(G, point, y)
+
+
+def test_orbit_memo_revalidates_a_changed_point():
+    G, x, y = make_group(3), np.array([0.6, -0.4]), np.array([1.1, 0.3])
+    orbit_pairings(G, x, y)
+    x[1] = np.nan
+    with pytest.raises(DomainError, match="finite"):
+        orbit_pairings(G, x, y)
+    x.shape = (1, 2)
+    x[0, 1] = -0.4
+    with pytest.raises(DomainError, match="exactly 2 components"):
+        orbit_pairings(G, x, y)

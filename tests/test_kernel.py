@@ -13,6 +13,7 @@ from dunkl_dihedral.kernel import (
     _contour_sum,
     _embedded_half,
     _endpoint_coefficients,
+    _log_abs_pochhammer,
     _log_component_bound,
     _log_panels,
     check_ek_bound,
@@ -149,12 +150,53 @@ def test_tail_certificate_sound(rng):
 def test_component_bound_matches_scalar_formula(k, delta_a):
     # (e^2/2)(m+2)^2 (delta a)^m / |(1+gamma)_m|, term by term
     P = ParameterK(k, 3)
-    log_bound = _log_component_bound(P, delta_a, 120)
+    log_bound = _log_component_bound(delta_a, np.arange(121), _log_abs_pochhammer(P.gamma, 120))
     poch = 1.0
     for m in range(121):
         expected = (math.e**2 / 2.0) * (m + 2) ** 2 * delta_a**m / poch
         assert math.exp(log_bound[m]) == pytest.approx(expected, rel=1e-12)
         poch *= abs(1.0 + P.gamma + m)
+
+
+def _bound_constant_whole_table(P, delta_a):
+    """Reference: the bound-constant sum over the whole 5002-entry table."""
+    terms = kernel._BOUND_SUM_TERMS
+    log_term = _log_component_bound(
+        delta_a, np.arange(terms + 1), _log_abs_pochhammer(P.gamma, terms)
+    )
+    total = 0.0
+    for m in range(terms):
+        term = math.exp(log_term[m]) if log_term[m] < 700.0 else math.inf
+        total += term
+        closing = m > -P.gamma.real and log_term[m + 1] - log_term[m] < kernel._LOG_HALF
+        if closing and term < 1e-16 * max(total, 1.0):
+            return total
+        if not math.isfinite(total):
+            break
+    return None
+
+
+@pytest.mark.parametrize(
+    "k, n, delta_a",
+    [(0.4 + 0.2j, 3, 3.7), (-0.3 + 0.2j, 3, 40.0), (1.7, 2, 0.25), (-0.15, 5, 90.0),
+     (0.3, 7, 300.0), (2.0, 5, 1e-9), (-3.9 + 0.1j, 2, 5.0), (0.5, 3, 1e5)],
+)
+def test_bound_constant_reads_the_table_as_the_whole_table_does(k, n, delta_a):
+    # the table built piece by piece gives the same bits, or the same refusal
+    P = ParameterK(k, n)
+    expected = _bound_constant_whole_table(P, delta_a)
+    if expected is None:
+        with pytest.raises(ConvergenceError, match="did not close"):
+            kernel.ek_bound_constant(P, delta_a)
+    else:
+        assert kernel.ek_bound_constant(P, delta_a) == expected
+
+
+def test_log_abs_pochhammer_in_pieces_rounds_as_the_whole_table():
+    gamma, whole = 0.7 - 2.1j, _log_abs_pochhammer(0.7 - 2.1j, 1000)
+    first = _log_abs_pochhammer(gamma, 64)
+    rest = _log_abs_pochhammer(gamma, 1000, 64, float(first[-1]))
+    np.testing.assert_array_equal(np.concatenate([first, rest[1:]]), whole)
 
 
 def test_certified_terms_rejects_hopeless_scale():
@@ -296,7 +338,7 @@ def test_endpoint_series_matches_quadrature(gamma, s0):
 @pytest.mark.parametrize("s0, panels", [(0.4, 1), (0.05, 3), (0.05, 24), (1e-3, 14)])
 def test_log_panels_integrate_an_exponential(gamma, s0, panels):
     # int_{log s0}^0 e^(gamma v) dv = (1 - s0^gamma) / gamma
-    v, w = _log_panels(math.log(s0), panels)
+    v, w = (a[: 16 * panels] for a in _log_panels(math.log(s0), panels))
     assert v.size == w.size == 16 * panels
     assert np.all((math.log(s0) < v) & (v < 0.0))
     ref = (1.0 - s0**gamma) / gamma
@@ -403,11 +445,26 @@ def test_embedded_half_rule_is_the_half_node_rule(N, rho_scale):
     assert np.max(np.abs(both[:, 1] - half)) <= 1e-14 * np.max(np.abs(half))
 
 
+@pytest.mark.parametrize("panels", [1, 3, 14, 24, 448])
+def test_log_panels_are_each_rule_tiled_panel_by_panel(panels):
+    # bit for bit the nodes and weights of each rule built on its own
+    lo = math.log(0.05)
+    v, w = _log_panels(lo, panels)
+    parts = []
+    for points in (16, 8):
+        base_x, base_w = np.polynomial.legendre.leggauss(points)
+        half = -lo / (2 * panels)
+        mid = lo + half * (2 * np.arange(panels) + 1)
+        parts.append(((mid[:, None] + half * base_x).reshape(-1), np.tile(half * base_w, panels)))
+    np.testing.assert_array_equal(v, np.concatenate([parts[0][0], parts[1][0]]))
+    np.testing.assert_array_equal(w, np.concatenate([parts[0][1], parts[1][1]]))
+
+
 @pytest.mark.parametrize("gamma", _ENDPOINT_GAMMAS)
 @pytest.mark.parametrize("s0, panels", [(0.4, 1), (0.05, 3), (0.05, 24), (1e-3, 14)])
 def test_eight_point_log_panels_integrate_an_exponential(gamma, s0, panels):
     # the coarser rule each pass compares against, on the same panels
-    v, w = _log_panels(math.log(s0), panels, 8)
+    v, w = (a[16 * panels :] for a in _log_panels(math.log(s0), panels))
     assert v.size == w.size == 8 * panels
     assert np.all((math.log(s0) < v) & (v < 0.0))
     ref = (1.0 - s0**gamma) / gamma
@@ -530,3 +587,14 @@ def test_k_zero_shortcut_past_the_double_range_is_a_range_error():
         with pytest.raises(DomainError, match="overflows") as info:
             evaluate()
         assert info.value.code == "range-error"
+
+
+@pytest.mark.parametrize("N", [8, 64, 128, 8192])
+def test_contour_constants_are_cached_and_read_only(N):
+    roots, cosines = kernel._unit_circle(N)
+    assert kernel._unit_circle(N)[0] is roots
+    np.testing.assert_array_equal(roots, np.exp(2j * np.pi * np.arange(N // 2 + 1) / N))
+    np.testing.assert_array_equal(cosines, np.cos(2.0 * np.pi * np.arange(N) / N))
+    for arr in (roots, cosines, *kernel._panel_rules()):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0

@@ -46,6 +46,13 @@ DIGESTS = {
         "2b4df36fa493d699621c444626fdaf3643324e939662eac8e9ca01835040b77e",
     "crosscheck --seed 5 --samples 10":
         "8a582e35e9a9a7f21bbcd579b64cc41dfcfa620a756db8d2fb401c0f82edc4f8",
+    # V built past degree 12, fresh k per sample
+    "crosscheck --seed 3 --samples 5 --m-max 40":
+        "c676d0894b09bb8ad2fcdfa051d0572c5b9db8ebfdff03d3fa5560a78e112a2a",
+    # the last contour pass at 128 nodes
+    "kernel --n 2 --k=0.5,0.0 --x=1.1466295248026057,0.0 --y=1.9023276203061634,-8.013109575481606"
+    " --method integral --tol 1e-08":
+        "784319253aff2d52a0f8ed39a24c4acec931c999576966d009a1939108577656",
     f"phi {_POINT} --y=0.5,0.8 --pmax 40":
         "d916da37d12a6445dd128e80f1be06edcf979b1efc978121683b196e509bbceb",
     f"bounds {_POINT} --y=0.5,0.8 --m-max 30":

@@ -309,13 +309,30 @@ def test_oracle_em_frozen_value():
     assert rel_err(val, 0.2) <= 1e-12
 
 
-def test_vk_cache_stays_bounded():
-    # every fresh k adds a key; the cache keeps only the most recent ones
-    G = make_group(3)
-    maxsize = _vk_cache.cache_info().maxsize
-    for i in range(maxsize + 8):
-        oracle_em(G, ParameterK(0.3 + 0.001 * i, 3), (1.0, 0.5), (0.3, 0.4), 3)
-    assert _vk_cache.cache_info().currsize <= maxsize
+def test_vk_cache_stays_bounded(monkeypatch):
+    # every fresh k adds a list; the cache keeps the most recent ones, as
+    # many as ORACLE_CACHE_LISTS and as fit the element budget, and always
+    # the newest
+    G, M = make_group(3), 60
+    _vk_cache.clear()
+    for i in range(polyalg.ORACLE_CACHE_LISTS + 8):
+        oracle_em(G, ParameterK(0.2 + 0.001 * i, 3), (1.0, 0.5), (0.3, 0.4), 3)
+        assert len(_vk_cache) == min(i + 1, polyalg.ORACLE_CACHE_LISTS)
+    _vk_cache.clear()
+    per_list = polyalg._vk_elements(M + 1)
+    assert per_list == sum((m + 1) ** 2 for m in range(M + 1))
+    keep = polyalg.ORACLE_CACHE_ELEMENTS // per_list
+    for i in range(keep + 4):
+        oracle_em(G, ParameterK(0.3 + 0.001 * i, 3), (1.0, 0.5), (0.3, 0.4), M)
+        assert len(_vk_cache) == min(i + 1, keep)
+    assert (3, 0.3 + 0.001 * (keep + 3)) in _vk_cache
+    assert sum(sum(v.size for v in mats) for mats in _vk_cache.values()) <= (
+        polyalg.ORACLE_CACHE_ELEMENTS
+    )
+    # one list past the budget is kept alone
+    monkeypatch.setattr(polyalg, "ORACLE_CACHE_ELEMENTS", per_list - 1)
+    oracle_em(G, ParameterK(-0.4, 3), (1.0, 0.5), (0.3, 0.4), M)
+    assert list(_vk_cache) == [(3, -0.4 + 0j)]
     # and no cache of the package grows without bound
     modules = [
         importlib.import_module(f"dunkl_dihedral.{info.name}")
@@ -338,7 +355,7 @@ def test_vk_step_matches_dense_shift_matrices(n, k):
     # and partial-derivative maps as dense matrices, V_m = t H_m in the
     # one-product form (t diag(w_m)) R_m + c_m t
     G, P = make_group(n), ParameterK(k, n)
-    polyalg._vk_cache.cache_clear()
+    polyalg._vk_cache.clear()
     mats = _vk_matrices(G, P, 16)
     weights, diag = polyalg._h_weights(P, np.arange(1, 17))
     for m in range(1, 17):
@@ -365,7 +382,7 @@ def test_vk_matrices_match_dense_h_matrix(n):
     M = 60
     for k in (0.3 + 0.2j, -0.15, 2.5 - 1.0j):
         G, P = make_group(n), ParameterK(k, n)
-        polyalg._vk_cache.cache_clear()
+        polyalg._vk_cache.clear()
         mats = _vk_matrices(G, P, M)
         for m in range(1, M + 1):
             prev, a = mats[m - 1], np.arange(1, m + 1)
@@ -376,12 +393,29 @@ def test_vk_matrices_match_dense_h_matrix(n):
             assert np.max(np.abs(mats[m] - ref)) <= 4e-15 * np.max(np.abs(ref))
 
 
+def test_em_tables_sets_stay_warm_at_degree_60(monkeypatch):
+    # the four (n, k) sets of the benchmark's em-tables workload: after one
+    # pass over them, a second pass builds no V matrix
+    sets = [(2, 0.4 + 0.2j), (3, -0.2 + 0.3j), (5, 0.6 - 0.2j), (7, 0.3)]
+    polyalg._vk_cache.clear()
+    first = [_vk_matrices(make_group(n), ParameterK(k, n), 60) for n, k in sets]
+
+    def refuse(*args):
+        raise AssertionError("a V matrix was rebuilt")
+
+    monkeypatch.setattr(polyalg, "_h_weights", refuse)
+    for (n, k), mats in zip(sets, first):
+        values = oracle_em(make_group(n), ParameterK(k, n), (0.7, -0.2), (0.4, 1.1), 60)
+        assert np.all(np.isfinite(values))
+        assert _vk_matrices(make_group(n), ParameterK(k, n), 60) is mats
+
+
 def test_cold_oracle_table_never_forms_h_matrix(monkeypatch):
     def refuse(*args):
         raise AssertionError("h_matrix called")
 
     monkeypatch.setattr(polyalg, "h_matrix", refuse)
-    polyalg._vk_cache.cache_clear()
+    polyalg._vk_cache.clear()
     G, P = make_group(5), ParameterK(0.37 - 0.21j, 5)
     values = oracle_em(G, P, (0.6, -0.4), (1.1, 0.3), 40)
     assert np.all(np.isfinite(values))
@@ -487,7 +521,7 @@ def test_orbit_sums_raise_each_degree_once(monkeypatch):
 
     monkeypatch.setattr(polyalg, "_raise_action", counted)
     polyalg._orbit_action_cache.cache_clear()
-    _vk_cache.cache_clear()
+    _vk_cache.clear()
     G, x, y, M = make_group(6), (0.6, 0.2), (-0.3, 0.9), 20
     oracle_em(G, ParameterK(0.123 + 0.456j, 6), x, y, M)
     assert raises == list(range(1, M + 1))

@@ -11,6 +11,7 @@ used everywhere in this package: no complex conjugation in pairings).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -34,7 +35,8 @@ def _as_point(x: PlanePoint) -> np.ndarray:
         raise DomainError(f"plane point must have exactly 2 components, got shape {arr.shape}")
     if arr.dtype.kind != "c":
         arr = arr.astype(float)
-    if not np.isfinite(arr).all():
+    # two Python scalars: cmath.isfinite on each is cheaper than np.isfinite
+    if not all(map(cmath.isfinite, arr.tolist())):
         raise DomainError("plane point components must be finite")
     return arr
 
@@ -45,12 +47,16 @@ class DihedralGroup:
     positive_roots: tuple[tuple[float, float], ...]
 
 
+@lru_cache(maxsize=32, typed=True)
 def make_group(n: int) -> DihedralGroup:
     """Build the order-2n dihedral symmetry data.
 
     Positive roots are the unit vectors (-sin(j*pi/n), cos(j*pi/n)),
     j = 0..n-1; root j is orthogonal to the mirror line of reflection j.
     n above MAX_N is a range error, before anything of size n is built.
+    The group is frozen, so it is cached per n (and per type of n, so an
+    np.int64 n is not handed a group built from a Python int); a refusal
+    raises, and lru_cache caches no exception, so it is raised each time.
     """
     if n < 2:
         raise DomainError("dihedral order must be ≥ 2")

@@ -171,8 +171,9 @@ def certified_terms(P: ParameterK, orbit: OrbitPairings, tol: float) -> tuple[co
                         f"(sum {abs(total):.3g}); the terms cancel, or gamma is near a singular value"
                     )
                 return complex(total), M + 1, 2.0 * rho * norm + floor
-            prior *= a / abs(M + 1 + P.gamma)
-            weight = max(weight, g / abs(M + 1 + P.gamma) + 2.0 * g / abs(M + 1 + 2.0 * P.gamma))
+            denom = abs(M + 1 + P.gamma)
+            prior *= a / denom
+            weight = max(weight, g / denom + 2.0 * g / abs(M + 1 + 2.0 * P.gamma))
     raise ConvergenceError(
         f"component tail not certified within {MAX_DEGREE} terms (a = {a:.6g}, "
         f"|gamma| = {g:.6g}); the argument pair is too large for double-precision series summation"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from dunkl_dihedral.dihedral import (
     MAX_N,
     OrbitPairings,
+    _as_point,
     is_sigma_invariant,
     make_group,
     orbit_pairings,
@@ -35,6 +37,70 @@ def test_make_group_refuses_an_order_above_the_limit():
     with pytest.raises(DomainError, match=f"exceeds the limit {MAX_N}") as err:
         make_group(MAX_N + 1)
     assert err.value.code == "range-error"
+
+
+def test_make_group_is_cached_per_n_and_its_type():
+    G = make_group(5)
+    assert make_group(5) is G
+    wide = make_group(np.int64(5))
+    assert wide is not G and type(wide.n) is np.int64 and wide == G
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        G.n = 6
+    # a refusal is raised on every call, not remembered as a result
+    for _ in range(2):
+        with pytest.raises(DomainError, match="dihedral order must be ≥ 2"):
+            make_group(1)
+
+
+_FINITE = "plane point components must be finite"
+
+
+# Every refusal of _as_point, with its message as it reads at the
+# np.isfinite check that cmath.isfinite replaced.
+@pytest.mark.parametrize(
+    "x, message",
+    [
+        (np.array([np.nan, 0.5]), _FINITE),
+        (np.array([0.5, np.nan]), _FINITE),
+        (np.array([np.inf, 0.5]), _FINITE),
+        (np.array([0.5, -np.inf]), _FINITE),
+        (np.array([0.5, complex(1.0, np.nan)]), _FINITE),
+        (np.array([complex(np.inf, 0.0), 0.5]), _FINITE),
+        (np.array([0.5, 1.0], dtype=np.float32) * np.float32(np.inf), _FINITE),
+        ([0.5, float("nan")], _FINITE),
+        ((float("inf"), 0.5), _FINITE),
+        ((0.5, complex(0.0, float("nan"))), _FINITE),
+        (np.array([0.5, 1.0, 2.0]), "plane point must have exactly 2 components, got shape (3,)"),
+        (np.zeros((1, 2)), "plane point must have exactly 2 components, got shape (1, 2)"),
+        ([0.5], "plane point must have exactly 2 components, got shape (1,)"),
+        ((0.5, 1.0, 2.0), "plane point must have exactly 2 components, got shape (3,)"),
+        (3.0, "plane point must have exactly 2 components, got shape ()"),
+    ],
+)
+def test_point_refusals_keep_their_messages(x, message):
+    with pytest.raises(DomainError) as err:
+        _as_point(x)
+    assert str(err.value) == message and err.value.code == "domain-error"
+    with pytest.raises(DomainError) as err:
+        pairing(x, (1.0, 0.0))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "dtype", [np.float16, np.float32, np.float64, np.complex64, np.complex128, np.int64, bool]
+)
+def test_point_finiteness_agrees_with_np_isfinite(dtype, rng):
+    values = np.array([0.0, -1.5, 2.0, np.inf, -np.inf, np.nan, 1e300])
+    for _ in range(40):
+        re, im = rng.choice(values, 2), rng.choice(values, 2)
+        with np.errstate(invalid="ignore", over="ignore"):
+            x = (re + 1j * im if np.dtype(dtype).kind == "c" else re).astype(dtype)
+        kept = x if x.dtype.kind == "c" else x.astype(float)
+        if np.isfinite(kept).all():
+            assert np.array_equal(_as_point(x), kept)
+        else:
+            with pytest.raises(DomainError, match=_FINITE):
+                _as_point(x)
 
 
 def test_n2_actions():

@@ -1,8 +1,9 @@
 """Byte-level regression pins: the sha256 of the exit code and stdout of a
-fixed list of CLI calls.  The digests were recorded with numpy 2.4 on
-x86-64; a change that is meant to leave every output byte alone must leave
-them alone too."""
+fixed list of CLI calls, and of the exit code, stdout and stderr of a
+second list.  The digests were recorded with numpy 2.4 on x86-64; a change
+that is meant to leave every output byte alone must leave them alone too."""
 
+import contextlib
 import hashlib
 import io
 
@@ -69,3 +70,41 @@ def _digest(argv: str) -> str:
 @pytest.mark.parametrize("argv", sorted(DIGESTS))
 def test_stdout_bytes_are_pinned(argv):
     assert _digest(argv) == DIGESTS[argv]
+
+
+# The orbit recurrence's step, on the series route and the recurrence
+# route: Re(gamma) < 0 at n = 5, 7 and 1000 (gamma = -0.75, -1.05, -0.15),
+# complex y, a degree-40 table at n = 1000, and three refusals with their
+# messages: an argument pair refused before any step (exit 3), a rounding
+# floor refused after the steps (exit 3), and a table that overflows at
+# degree 394 (exit 2).
+_SERIES = "kernel --method series --tol 1e-12 --x=0.9,0.3"
+
+STEP_DIGESTS = {
+    f"{_SERIES} --n 5 --k=-0.15 --y=0.5,0.8":
+        "f2ee2f6b42afb3e97026f70e188c89303c821c56c4472015c5f2dd5d4fc31a01",
+    f"{_SERIES} --n 7 --k=-0.15 --y=0.5,0.8,0.1,-0.2":
+        "4c57998067833566e0d33c31a36d8540348456b4a86861e7fe2d40c4494e1fcc",
+    f"{_SERIES} --n 1000 --k=-0.00015 --y=0.5,0.8,0.1,-0.2":
+        "c25df6118b320c949026500785335d8ac322d256beec349f4b8b5f9668cf36da",
+    "em --n 1000 --k=0.4,0.2 --x=0.9,0.3 --y=0.5,0.8 --m-max 40 --method recurrence":
+        "639926239147dade29cd16b08b2165b198250554abe944c464ba52a8a4bcd3be",
+    "kernel --n 3 --k=0.5 --x=30,0 --y=30,3 --tol 1e-12":
+        "12dfc8745aba128957bbe22f81ea381a1f4389d8f6e24f1b2665a31fdc6c22c5",
+    "kernel --n 3 --k=0.5 --x=6,0 --y=-6,1 --tol 1e-12":
+        "108aaceaecb0c382a131f286ad54daa34f731098026375acef6fabb5f2dd268a",
+    "em --n 3 --k=0.5 --x=30,0 --y=30,10 --m-max 400 --method recurrence":
+        "c7ab55b5391efacbd3a64380f47c557d9f05e3d2baef563f1561bab75cf9a1c0",
+}
+
+
+def _digest_with_stderr(argv: str) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv.split(), out=out)
+    return hashlib.sha256(f"{code}\n{out.getvalue()}\n{err.getvalue()}".encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", sorted(STEP_DIGESTS))
+def test_step_outputs_and_refusals_are_pinned(argv):
+    assert _digest_with_stderr(argv) == STEP_DIGESTS[argv]

@@ -115,6 +115,37 @@ def test_scaled_states_yield_plain_states(rng):
             prev = state
 
 
+# Rows of 2 to 1000 entries: short rows, and rows long enough that numpy sums
+# them in its unrolled blocks.  Real and complex y; gamma real or complex,
+# with Re(gamma) < 0 in two of the three.
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 17, 1000])
+@pytest.mark.parametrize("gamma", [0.8, -0.35, -0.2 + 0.45j])
+@pytest.mark.parametrize("y", [(0.5, -0.8), (0.5 + 0.1j, 0.8 - 0.3j)])
+def test_scaled_states_are_the_y_step_chain_bit_for_bit(n, gamma, y):
+    G, P = make_group(n), ParameterK(gamma / n, n)
+    orbit = orbit_pairings(G, (0.9, 0.35), y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = list(itertools.islice(scaled_states(P, orbit), 40))
+    chain = np.ones(2 * n, dtype=complex)
+    for m, state in enumerate(states):
+        assert state.shape == (2 * n,) and state.dtype == complex
+        assert np.array_equal(state, chain)
+        chain = y_step(chain / (m + 1 + P.gamma), m, P, orbit)
+    assert np.array_equal([s[0] for s in states], em_sequence(G, P, (0.9, 0.35), y, 39))
+
+
+def test_yielded_states_stay_as_they_were_yielded():
+    G, P = make_group(5), ParameterK(-0.07 + 0.02j, 5)
+    states = scaled_states(P, orbit_pairings(G, (0.9, 0.35), (0.5 + 0.1j, 0.8)))
+    kept, copies = [], []
+    for state in itertools.islice(states, 30):
+        assert not any(np.shares_memory(state, old) for old in kept)
+        kept.append(state)
+        copies.append(state.copy())
+    next(states)
+    assert all(np.array_equal(a, b) for a, b in zip(kept, copies))
+
+
 def test_x_zero_states_vanish():
     G = make_group(4)
     P = ParameterK(0.5, 4)

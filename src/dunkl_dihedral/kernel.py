@@ -23,10 +23,10 @@ from .polyalg import MAX_DEGREE, ParameterK, require_degree
 from .recurrence import em_sequence, scaled_states
 from .series import SeriesData, a_coeffs
 
-# Elements of the e^{t/z} matrix built at once by kernel_K (64 MB of complex):
-# a block holds _CONTOUR_BLOCK // (N//2 + 1) times against the half of the N
-# nodes that is exponentiated, so memory stays bounded for any N and any
-# number of times.
+# Elements of the e^{t/z} matrix built at once by _contour_sum, for kernel_K
+# and for ek_integral's passes (64 MB of complex): a block holds
+# _CONTOUR_BLOCK // (N//2 + 1) times against the half of the N nodes that is
+# exponentiated, so memory stays bounded for any N and any number of times.
 _CONTOUR_BLOCK = 2**22
 # Contour nodes of ek_integral's last doubling pass.
 _MAX_NODES = 8192
@@ -135,7 +135,9 @@ def certified_terms(P: ParameterK, orbit: OrbitPairings, tol: float) -> tuple[co
     multiplies the state's sup norm by at most envelope(M), which falls with
     M, once M+1 > -2 Re(gamma).  The sum stops at the first such M with
     envelope(M) <= 1/2 and truncation tail 2 envelope(M) |state_M| < tol.
-    It is refused when no M up to MAX_DEGREE certifies, or when the rounding
+    It is refused before the first step when the envelope at MAX_DEGREE
+    exceeds 1/2 (or -2 Re(gamma) reaches MAX_DEGREE + 1), since then no M up
+    to the cap certifies; after the steps when none did; or when the rounding
     floor exceeds tol * max(1, |sum|).  The floor, an estimate and not a
     proof, is 2^-53 times the sum of w_m max(|state_m|, a^m / |(1+gamma)_m|):
     the a-priori size is the scale of rounding that the steps amplify when
@@ -148,11 +150,23 @@ def certified_terms(P: ParameterK, orbit: OrbitPairings, tol: float) -> tuple[co
     def envelope(M: int) -> float:
         return a * (1.0 + g / (M + 1) + g / (M + 1 + 2.0 * r)) / (M + 1 + r)
 
-    total, mass, prior, weight = 0.0j, 0.0, 1.0, 1.0
     # An envelope above 1/2 at the cap certifies no M, and the states could
     # overflow before the cap: refuse without stepping.
-    closable = MAX_DEGREE + 1 > -2.0 * r and envelope(MAX_DEGREE) <= 0.5
-    states = islice(scaled_states(P, orbit), MAX_DEGREE + 1 if closable else 0)
+    if MAX_DEGREE + 1 <= -2.0 * r:
+        raise ConvergenceError(
+            f"component sum refused before its first term: -2 Re(gamma) = {-2.0 * r:.6g} "
+            f"is past the degree cap {MAX_DEGREE}, so no term count up to it certifies the tail "
+            f"(a = {a:.6g}, |gamma| = {g:.6g})"
+        )
+    if (cap_envelope := envelope(MAX_DEGREE)) > 0.5:
+        raise ConvergenceError(
+            f"component sum refused before its first term: the step envelope at the degree cap "
+            f"{MAX_DEGREE} is {cap_envelope:.3g} > 1/2, so no term count up to it certifies the "
+            f"tail (a = {a:.6g}, |gamma| = {g:.6g}); the argument pair is too large for "
+            "double-precision series summation"
+        )
+    total, mass, prior, weight = 0.0j, 0.0, 1.0, 1.0
+    states = islice(scaled_states(P, orbit), MAX_DEGREE + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         for M, state in enumerate(states):
             norm = float(np.maximum.reduce(np.abs(state)))  # ndarray.max, less its wrapper
@@ -232,13 +246,16 @@ def series_for_radius(
 
 @lru_cache(maxsize=8)
 def _unit_circle(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """For N contour nodes: the roots e^(2 pi i j/N) for j = 0..N//2, and
-    cos(2 pi j/N) for j < N.  Read-only, since the cache shares them."""
+    """For N contour nodes: the roots e^(2 pi i j/N) for j = 0..N//2,
+    followed by the conjugates of roots (N-1)//2..1 as nodes N//2+1..N-1, so
+    node N-j is the exact conjugate of node j; and cos(2 pi j/N) for j < N.
+    Read-only, since the cache shares them."""
     roots = np.exp(2j * np.pi * np.arange(N // 2 + 1) / N)
+    circle = np.concatenate([roots, np.conj(roots[(N - 1) // 2 : 0 : -1])])
     cosines = np.cos(2.0 * np.pi * np.arange(N) / N)
-    roots.setflags(write=False)
+    circle.setflags(write=False)
     cosines.setflags(write=False)
-    return roots, cosines
+    return circle, cosines
 
 
 def _contour_rule(
@@ -246,18 +263,19 @@ def _contour_rule(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The N-point trapezoidal rule on |z| = rho for kernel_K: the
     reciprocals of nodes 0..N//2, and the weights of all N nodes,
-    (gamma^2/2n) Phi(z) / (N (1 - z <x,y>)).  Node N-j is built as the
-    conjugate of node j, so the pairs are exact conjugates.  The nodes are
-    rho w^j, w = e^(2 pi i/N), so Phi(z_j) / N is the inverse FFT of the
-    coefficients phi_p rho^p folded mod N."""
+    (gamma^2/2n) Phi(z) / (N (1 - z <x,y>)).  The nodes are rho w^j, w =
+    e^(2 pi i/N), taken as rho times _unit_circle's: node N-j stays the
+    exact conjugate of node j, since a real factor commutes with
+    conjugation.  So Phi(z_j) / N is the inverse FFT of the coefficients
+    phi_p rho^p folded mod N."""
     if N < 8:
         raise DomainError("contour rule needs at least 8 nodes")
     if not (rho > 0.0 and math.isfinite(rho)):
         raise DomainError("contour radius must be positive and finite")
-    half = rho * _unit_circle(N)[0]
-    nodes = np.concatenate([half, np.conj(half[(N - 1) // 2 : 0 : -1])])
+    nodes = rho * _unit_circle(N)[0]
+    half = nodes[: N // 2 + 1]
     denom = 1.0 - nodes * orbit.xy
-    if np.min(np.abs(denom)) < 1e-12:
+    if np.minimum.reduce(np.abs(denom)) < 1e-12:  # np.min, less its wrapper
         raise DomainError("contour passes through the geometric-series pole")
     # rho = mant 2^expo: the power of two is applied last, by ldexp, so no
     # power of rho overflows where phi_p rho^p does not (a tiny orbit bound)
@@ -266,25 +284,38 @@ def _contour_rule(
     buf = np.zeros(-(-p.size // N) * N, dtype=complex)
     terms = (S.phi * mant**p).view(float).reshape(-1, 2)
     np.ldexp(terms, (expo * p)[:, None], out=buf[: p.size].view(float).reshape(-1, 2))
-    folded = buf.reshape(-1, N).sum(axis=0)
+    folded = np.add.reduce(buf.reshape(-1, N), axis=0)
     pref = (P.gamma * P.gamma / (2.0 * P.n)) * np.fft.ifft(folded) / denom
     return 1.0 / half, pref
 
 
-def _contour_sum(t: np.ndarray, inv: np.ndarray, pref: np.ndarray) -> np.ndarray:
+def _contour_sum(
+    t: np.ndarray, inv: np.ndarray, pref: np.ndarray, end_pref: np.ndarray | None = None
+) -> np.ndarray:
     """sum_j pref_j e^{t/z_j} for each time of the flat array t.  Since t is
     real, e^{t/conj z} = conj(e^{t/z}): only the nodes 0..N//2 are
     exponentiated, and node N-j enters as the conjugate of node j.  pref may
     hold several weight vectors as columns, shape (N, c); each is summed from
-    the same exponentials, and the result then has shape (t.size, c)."""
+    the same exponentials, and the result then has shape (t.size, c).
+
+    end_pref, weights shaped like pref, adds one row to the result:
+    sum_j end_pref_j e^{1/z_j}.  Time 1 is appended to t, so that row is
+    read from the last row of the same exponential matrix, by its own
+    products: the body rows and the endpoint row are each summed as if
+    alone."""
     N, h = pref.shape[0], inv.size
     lo = (N - 1) // 2
     mirrored = np.conj(pref[N - 1 : N - 1 - lo : -1])
+    times = t if end_pref is None else np.concatenate((t, (1.0,)))
     rows = max(1, _CONTOUR_BLOCK // h)
-    vals = np.empty((t.size,) + pref.shape[1:], dtype=complex)
-    for i in range(0, t.size, rows):
-        e = np.exp(np.multiply.outer(t[i : i + rows], inv))
-        vals[i : i + rows] = e @ pref[:h] + np.conj(e[:, 1 : 1 + lo] @ mirrored)
+    vals = np.empty((times.size,) + pref.shape[1:], dtype=complex)
+    for i in range(0, times.size, rows):
+        e = np.exp(np.multiply.outer(times[i : i + rows], inv))
+        body = e[: t.size - i]
+        vals[i : i + body.shape[0]] = body @ pref[:h] + np.conj(body[:, 1 : 1 + lo] @ mirrored)
+    if end_pref is not None:
+        last, end_mirrored = e[-1:], np.conj(end_pref[N - 1 : N - 1 - lo : -1])
+        vals[-1] = (last @ end_pref[:h] + np.conj(last[:, 1 : 1 + lo] @ end_mirrored))[0]
     return vals
 
 
@@ -324,17 +355,31 @@ def _panel_rules() -> tuple[np.ndarray, np.ndarray]:
     return base_x, base_w
 
 
+@lru_cache(maxsize=16)
+def _panel_layout(panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For `panels` panels, in _log_panels' output order (the 16-point rule
+    panel by panel, then the 8-point rule): each node's odd multiplier
+    2i+1 of its panel i, and its base node and weight on [-1, 1].
+    Read-only, since the cache shares them."""
+    odd = (2.0 * np.arange(panels) + 1.0)[:, None]
+    layout = tuple(
+        np.concatenate([grid[:, :16].reshape(-1), grid[:, 16:].reshape(-1)])
+        for grid in np.broadcast_arrays(odd, *_panel_rules())
+    )
+    for arr in layout:
+        arr.setflags(write=False)
+    return layout
+
+
 def _log_panels(lo: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the 16-point Gauss-Legendre rule on `panels`
     equal panels of [lo, 0], panel by panel, followed by those of the
-    8-point rule on the same panels: one broadcast of the 24-node base rule
-    over the panels, then each rule's columns in panel order."""
-    base_x, base_w = _panel_rules()
+    8-point rule on the same panels: over the cached layout, the midpoint
+    lo + half (2i+1) of panel i plus half times the base node, half being
+    the panels' half-width."""
+    odd, base_x, base_w = _panel_layout(panels)
     half = -lo / (2 * panels)
-    mid = lo + half * (2 * np.arange(panels) + 1)
-    v = mid[:, None] + half * base_x
-    w = np.broadcast_to(half * base_w, v.shape)
-    return tuple(np.concatenate([a[:, :16].reshape(-1), a[:, 16:].reshape(-1)]) for a in (v, w))
+    return (lo + half * odd) + half * base_x, half * base_w
 
 
 def _embedded_half(pref: np.ndarray) -> np.ndarray:
@@ -361,9 +406,10 @@ def _pass_floor(
     sum_j |pref_j| e^(t Re(1/z_j)) is log-convex in t, so it lies below its chord f0^(1-t) f1^t."""
     N = pref.size
     mag = np.abs(pref)
-    f0 = float(np.sum(mag))
+    f0 = float(np.add.reduce(mag))  # np.sum, less its wrapper
     f1 = float(mag @ np.exp(_unit_circle(N)[1] / rho))
-    return 2.0**-53 * (f0 * float(np.sum(np.abs(weight) * (f1 / f0) ** t)) + f1 * end_mass)
+    body = float(np.add.reduce(np.abs(weight) * (f1 / f0) ** t))
+    return 2.0**-53 * (f0 * body + f1 * end_mass)
 
 
 def ek_integral(
@@ -387,6 +433,9 @@ def ek_integral(
     One pass reads three sums from one blocked e^(t/z) matrix: Q, the
     value, with N nodes and 16-point panels; Q_half, the N/2-node rule on
     the even nodes (_embedded_half); and Q_8, N nodes with 8-point panels.
+    The same matrix serves the endpoint piece: time 1 is appended to the
+    panel times, and its row, with the endpoint weights, gives the [0, s0]
+    sums of Q and Q_half (_contour_sum), so a pass exponentiates once.
     The pass stops when the spread |Q - Q_half| + |Q - Q_8| is at most
     0.3 tol max(1, |Q|), or when it is at most twice the pass's rounding
     floor (below) and at most tol max(1, |Q|): more nodes do not shrink
@@ -424,7 +473,7 @@ def ek_integral(
     S = series_for_radius(P, orbit, rho, tol * 1e-3)
     s0 = min(1.0, 0.5 * rho)
     coef = _endpoint_coefficients(g, s0)
-    end_mass = float(np.abs(coef) @ (s0 / rho) ** np.arange(coef.size))
+    end_mass = float(np.abs(coef) @ (s0 / rho) ** _ENDPOINT_ORDERS)
 
     def one_pass(N: int, splits: int) -> tuple[complex, float, float]:
         panels = max(1, math.ceil(-math.log(s0))) * splits
@@ -438,8 +487,8 @@ def ek_integral(
         inv_all = np.concatenate([inv, np.conj(inv[(N - 1) // 2 : 0 : -1])])
         end_prefs = prefs * (np.vander(-s0 * inv_all, coef.size, increasing=True) @ coef)[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
-            body = _contour_sum(t, inv, prefs)
-            end = _contour_sum(np.ones(1), inv, end_prefs)[0]
+            sums = _contour_sum(t, inv, prefs, end_prefs)
+            body, end = sums[:-1], sums[-1]
             value, value_half = weight @ body[:n16] + end
             value8 = weight8 @ body[n16:, 0] + end[0]
             floor = _pass_floor(weight, t[:n16], pref, rho, end_mass)

@@ -821,3 +821,21 @@ def test_crosscheck_sample_computes_its_orbit_once(monkeypatch):
     monkeypatch.setattr(cli, "_crosscheck_one", spy)
     assert run_cli(["crosscheck", "--seed", "5", "--samples", "10"])[0] == EXIT_OK
     assert per_sample == [0] * 10
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy takes about 0.4 s to import, which every CLI call would pay
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys, dunkl_dihedral.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -207,6 +207,23 @@ def test_certified_terms_rejects_hopeless_scale():
         ek_series(G, P, (20.0, 0.0), (10.0, 0.0), 1e-8)
 
 
+@pytest.mark.parametrize(
+    "n, k, x, y, reason",
+    [
+        # a = 900: the envelope at the cap is 1.8
+        (3, 0.5, (30.0, 0.0), (30.0, 3.0), "the step envelope at the degree cap 500 is 1.8 > 1/2"),
+        # -2 Re gamma = 600.6: the envelope bounds no step up to the cap
+        (3, -100.1, (0.3, 0.0), (0.3, 0.1), "-2 Re\\(gamma\\) = 600.6 is past the degree cap 500"),
+    ],
+)
+def test_certified_terms_refusal_before_any_step_says_so(monkeypatch, n, k, x, y, reason):
+    stepped = []
+    monkeypatch.setattr(kernel, "scaled_states", lambda *args: stepped.append(args))
+    with pytest.raises(ConvergenceError, match="refused before its first term: " + reason):
+        ek_series(make_group(n), ParameterK(k, n), x, y, 1e-12)
+    assert stepped == []
+
+
 def test_ek_sigma_closed_matches_series(rng):
     # the closed-form components summed over the series route's term count
     for _ in range(4):
@@ -310,6 +327,28 @@ def test_kernel_K_blocks_match_a_split_by_hand(monkeypatch):
     pieces = [kernel_K(P, orbit, S, t[i : i + rows], rho, N) for i in range(0, t.size, rows)]
     by_hand = np.concatenate(pieces)
     np.testing.assert_allclose(kernel_K(P, orbit, S, t, rho, N), by_hand, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 24, 25, 200, 10_000])
+def test_endpoint_row_rides_on_the_body_blocks_bit_for_bit(monkeypatch, rows):
+    # the endpoint sums, read from the row of time 1 appended to the body
+    # times, equal a separate one-time call, and the body rows equal a call
+    # without endpoint weights, whatever block the endpoint row falls in
+    # (alone in its block at rows = 1 and 24)
+    G, P = make_group(4), ParameterK(0.25 + 0.5j, 4)
+    orbit = orbit_pairings(G, (0.6, 0.2), (0.3, -0.5))
+    rho = 1.0 / (2.0 * delta_effective(P).delta_effective * orbit.a_bound)
+    S = a_coeffs(P, orbit, 40)
+    N = 64
+    monkeypatch.setattr(kernel, "_CONTOUR_BLOCK", rows * (N // 2 + 1))
+    inv, pref = _contour_rule(P, orbit, S, rho, N)
+    prefs = np.column_stack([pref, _embedded_half(pref)])
+    end_prefs = prefs * np.linspace(0.5, 2.0, N)[:, None]
+    t = np.linspace(0.0, 1.0, 48, endpoint=False)
+    sums = _contour_sum(t, inv, prefs, end_prefs)
+    assert sums.shape == (t.size + 1, 2)
+    assert np.array_equal(sums[:-1], _contour_sum(t, inv, prefs))
+    assert np.array_equal(sums[-1], _contour_sum(np.ones(1), inv, end_prefs)[0])
 
 
 _ENDPOINT_GAMMAS = [0.002 - 0.79j, 1.0 + 2.0j, 3.0]
@@ -417,8 +456,10 @@ def test_ek_integral_overflow_guard_does_not_warn(monkeypatch):
     # a finite pass value within a factor 4 of the double range: the guard
     # refuses it with a ConvergenceError, not a numpy overflow warning (the
     # suite turns RuntimeWarning into an error)
-    def huge_end(t, inv, pref):
-        return np.full((t.size,) + pref.shape[1:], 1e308 if t.size == 1 else 0.0, dtype=complex)
+    def huge_end(t, inv, pref, end_pref):
+        sums = np.zeros((t.size + 1,) + pref.shape[1:], dtype=complex)
+        sums[-1] = 1e308
+        return sums
 
     monkeypatch.setattr(kernel, "_contour_sum", huge_end)
     with pytest.raises(ConvergenceError, match="overflows double precision"):
@@ -591,10 +632,17 @@ def test_k_zero_shortcut_past_the_double_range_is_a_range_error():
 
 @pytest.mark.parametrize("N", [8, 64, 128, 8192])
 def test_contour_constants_are_cached_and_read_only(N):
-    roots, cosines = kernel._unit_circle(N)
-    assert kernel._unit_circle(N)[0] is roots
-    np.testing.assert_array_equal(roots, np.exp(2j * np.pi * np.arange(N // 2 + 1) / N))
+    circle, cosines = kernel._unit_circle(N)
+    assert kernel._unit_circle(N)[0] is circle
+    roots = np.exp(2j * np.pi * np.arange(N // 2 + 1) / N)
+    np.testing.assert_array_equal(circle[: N // 2 + 1], roots)
+    j = np.arange(1, (N + 1) // 2)
+    assert circle.size == N and np.array_equal(circle[N - j], np.conj(circle[j]))
     np.testing.assert_array_equal(cosines, np.cos(2.0 * np.pi * np.arange(N) / N))
-    for arr in (roots, cosines, *kernel._panel_rules()):
+    panels = N // 8
+    layout = kernel._panel_layout(panels)
+    assert kernel._panel_layout(panels)[0] is layout[0]
+    assert all(arr.shape == (24 * panels,) for arr in layout)
+    for arr in (circle, cosines, *kernel._panel_rules(), *layout):
         with pytest.raises(ValueError):
             arr[0] = 0.0

@@ -54,6 +54,12 @@ DIGESTS = {
     "kernel --n 2 --k=0.5,0.0 --x=1.1466295248026057,0.0 --y=1.9023276203061634,-8.013109575481606"
     " --method integral --tol 1e-08":
         "784319253aff2d52a0f8ed39a24c4acec931c999576966d009a1939108577656",
+    # the passes double from 128 to 256 nodes on at least 4 panels; the
+    # value is within 1.2e-14 of the series route's at tol 1e-15
+    "kernel --n 4 --k=1.2057506716904671,-0.032065047156279225"
+    " --x=-0.5909027195420594,-0.66472316369768 --y=-0.9805216493835016,-0.2196947764694137"
+    " --method integral --tol 1e-12":
+        "f4f8c59425236350fe82bc703d13ecbc73a12c4e62eb482283cabb9987597280",
     f"phi {_POINT} --y=0.5,0.8 --pmax 40":
         "d916da37d12a6445dd128e80f1be06edcf979b1efc978121683b196e509bbceb",
     f"bounds {_POINT} --y=0.5,0.8 --m-max 30":
@@ -77,7 +83,8 @@ def test_stdout_bytes_are_pinned(argv):
 # complex y, a degree-40 table at n = 1000, and three refusals with their
 # messages: an argument pair refused before any step (exit 3), a rounding
 # floor refused after the steps (exit 3), and a table that overflows at
-# degree 394 (exit 2).
+# degree 394 (exit 2).  Last, a contour pass refused on its rounding floor
+# at 1024 nodes (exit 3).
 _SERIES = "kernel --method series --tol 1e-12 --x=0.9,0.3"
 
 STEP_DIGESTS = {
@@ -90,11 +97,15 @@ STEP_DIGESTS = {
     "em --n 1000 --k=0.4,0.2 --x=0.9,0.3 --y=0.5,0.8 --m-max 40 --method recurrence":
         "639926239147dade29cd16b08b2165b198250554abe944c464ba52a8a4bcd3be",
     "kernel --n 3 --k=0.5 --x=30,0 --y=30,3 --tol 1e-12":
-        "12dfc8745aba128957bbe22f81ea381a1f4389d8f6e24f1b2665a31fdc6c22c5",
+        "e01cfc39657f2dd092e59174768fb8b4c977447186259d8a287d80eadbd2d48b",
     "kernel --n 3 --k=0.5 --x=6,0 --y=-6,1 --tol 1e-12":
         "108aaceaecb0c382a131f286ad54daa34f731098026375acef6fabb5f2dd268a",
     "em --n 3 --k=0.5 --x=30,0 --y=30,10 --m-max 400 --method recurrence":
         "c7ab55b5391efacbd3a64380f47c557d9f05e3d2baef563f1561bab75cf9a1c0",
+    "kernel --n 7 --k=1.3509600114058844,0.2756856902451935"
+    " --x=-0.8243784300282244,-0.5995011452663237 --y=1.4942137815850476,-1.978938781737701"
+    " --method integral --tol 1e-10":
+        "5fedbf69331f54865c9699221b6d2f57dd7c3623a3591ff85f5d6695f2b5dd60",
 }
 
 

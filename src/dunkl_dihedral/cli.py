@@ -8,11 +8,16 @@ fixed argument list (including --seed, a nonnegative integer).  The
 crosscheck sweep's ``max_rel_disc`` column is the measure ``_crosscheck_one``
 defines: scaled by a^m / |(1+gamma)_m| where components nearly vanish.
 
-The parsers are built once, at import.  A subcommand's arguments are read
-by that subcommand's own parser alone; the top-level parser reads an empty
-list, --help, --version and an unknown command, and reports leftover
-arguments.  ``main`` converts --k, --x and --y in place and passes the
-namespace to a ``cmd_*`` function.
+The parsers are built once, at import, and with them one option table per
+subcommand: each option string's store action, the defaults and the
+required options.  A subcommand's arguments are read by its option table
+when every token is an exact option string with a value that passes its
+type and choices (--opt=value, or --opt value with a value that does not
+start with '-'), and otherwise by that subcommand's own parser alone.  The
+table never writes a message: every usage, help and error byte comes from
+argparse.  The top-level parser reads an empty list, --help, --version and
+an unknown command, and reports leftover arguments.  ``main`` converts --k,
+--x and --y in place and passes the namespace to a ``cmd_*`` function.
 Each component route returns the whole table E_0..E_M from one call with the
 signature (G, P, x, y, M) -> complex ndarray: ``recurrence.em_sequence``,
 ``series.em_genseries``, ``polyalg.oracle_em`` and ``series.em_closed_sigma``
@@ -287,8 +292,62 @@ def cmd_phi(args: argparse.Namespace, out) -> int:
 # argument plumbing
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each subcommand's own parser by name."""
+class _OptionTable:
+    """A subcommand's store options, read without argparse in the one shape
+    of argument list whose namespace is plain: every token an exact option
+    string with its value, as --opt=value or --opt value.  Built at import
+    from the actions that add_argument returned; it sets the parser-level
+    defaults on the parser and reads every default back by get_default.
+    String defaults pass through the action's type, as argparse converts
+    them."""
+
+    def __init__(self, parser: argparse.ArgumentParser, actions: list, **defaults):
+        parser.set_defaults(**defaults)
+        self.actions = {option: action for action in actions for option in action.option_strings}
+        dests = [action.dest for action in actions] + list(defaults)
+        self.defaults = {dest: parser.get_default(dest) for dest in dests}
+        for action in actions:
+            if isinstance(action.default, str) and action.type is not None:
+                self.defaults[action.dest] = action.type(action.default)
+        self.required = {action.dest for action in actions if action.required}
+
+    def read(self, tokens: list[str]) -> argparse.Namespace | None:
+        """The namespace the subcommand's parser gives for tokens, or None
+        where argparse must read them: an option string that is not exact
+        (-h, --, an abbreviation, a stray token), an empty value or "--", a
+        separate value that starts with '-', a value that fails its type or
+        choices, or a required option missing.  A repeated option keeps its
+        last value, each one checked."""
+        actions, values = self.actions, {}
+        tokens = iter(tokens)
+        for token in tokens:
+            option, eq, text = token.partition("=")
+            action = actions.get(option)
+            if action is None:
+                return None
+            if not eq:
+                text = next(tokens, "")
+                if text[:1] == "-":
+                    return None
+            if not text or text == "--":
+                return None
+            try:
+                value = action.type(text) if action.type is not None else text
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            values[action.dest] = value
+        if not self.required <= values.keys():
+            return None
+        return argparse.Namespace(**(self.defaults | values))
+
+
+def _build_parser() -> tuple[
+    argparse.ArgumentParser, dict[str, argparse.ArgumentParser], dict[str, _OptionTable]
+]:
+    """The top-level parser, each subcommand's own parser by name, and each
+    subcommand's option table by name."""
     parser = argparse.ArgumentParser(
         prog="dunkl",
         description="Dunkl kernel and component evaluation for dihedral groups",
@@ -297,67 +356,82 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument(
-            "--n", type=int, required=True, help=f"dihedral order parameter, 2 to {MAX_N}"
-        )
-        p.add_argument("--k", type=str, required=True, help="parameter k: 're' or 're,im'")
-        p.add_argument("--x", type=str, required=True)
-        p.add_argument("--y", type=str, required=True)
-        p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+        return [
+            p.add_argument(
+                "--n", type=int, required=True, help=f"dihedral order parameter, 2 to {MAX_N}"
+            ),
+            p.add_argument("--k", type=str, required=True, help="parameter k: 're' or 're,im'"),
+            p.add_argument("--x", type=str, required=True),
+            p.add_argument("--y", type=str, required=True),
+            p.add_argument("--tol", type=float, default=1e-10),
+            p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv"),
+        ]
 
     p_em = sub.add_parser("em", help="table of components E_0..E_m")
-    common(p_em)
-    p_em.add_argument("--m-max", type=int, default=10)
-    p_em.add_argument(
-        "--method",
-        choices=("recurrence", "genseries", "oracle", "sigma"),
-        default="recurrence",
-    )
-    p_em.set_defaults(seed=0, func=cmd_em)
+    t_em = _OptionTable(p_em, [
+        *common(p_em),
+        p_em.add_argument("--m-max", type=int, default=10),
+        p_em.add_argument(
+            "--method",
+            choices=("recurrence", "genseries", "oracle", "sigma"),
+            default="recurrence",
+        ),
+    ], seed=0, func=cmd_em)
 
     p_k = sub.add_parser("kernel", help="full kernel value")
-    common(p_k)
-    p_k.add_argument("--method", choices=("series", "integral"), default="series")
-    p_k.set_defaults(seed=0, func=cmd_kernel)
+    t_k = _OptionTable(p_k, [
+        *common(p_k),
+        p_k.add_argument("--method", choices=("series", "integral"), default="series"),
+    ], seed=0, func=cmd_kernel)
 
     p_cc = sub.add_parser("crosscheck", help="cross-method agreement sweep")
-    p_cc.add_argument("--n", type=int, default=0)
-    p_cc.add_argument("--k", type=str, default="0")
-    p_cc.add_argument("--x", type=str, default=None)
-    p_cc.add_argument("--y", type=str, default=None)
-    p_cc.add_argument("--seed", type=int, required=True)
-    p_cc.add_argument("--samples", type=int, default=50)
-    p_cc.add_argument("--m-max", type=int, default=12)
-    p_cc.add_argument("--tol", type=float, default=1e-8)
-    p_cc.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-    p_cc.set_defaults(method="auto", func=cmd_crosscheck)
+    t_cc = _OptionTable(p_cc, [
+        p_cc.add_argument("--n", type=int, default=0),
+        p_cc.add_argument("--k", type=str, default="0"),
+        p_cc.add_argument("--x", type=str, default=None),
+        p_cc.add_argument("--y", type=str, default=None),
+        p_cc.add_argument("--seed", type=int, required=True),
+        p_cc.add_argument("--samples", type=int, default=50),
+        p_cc.add_argument("--m-max", type=int, default=12),
+        p_cc.add_argument("--tol", type=float, default=1e-8),
+        p_cc.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv"),
+    ], method="auto", func=cmd_crosscheck)
 
     p_b = sub.add_parser("bounds", help="component/kernel growth-bound checks")
-    common(p_b)
-    p_b.add_argument("--m-max", type=int, default=60)
-    p_b.add_argument("--nu", type=int, default=1)
-    p_b.set_defaults(method="auto", seed=0, func=cmd_bounds)
+    t_b = _OptionTable(p_b, [
+        *common(p_b),
+        p_b.add_argument("--m-max", type=int, default=60),
+        p_b.add_argument("--nu", type=int, default=1),
+    ], method="auto", seed=0, func=cmd_bounds)
 
     p_phi = sub.add_parser("phi", help="generating-function coefficients")
-    common(p_phi)
-    p_phi.add_argument("--pmax", dest="m_max", metavar="PMAX", type=int, default=40)
-    p_phi.set_defaults(method="auto", seed=0, func=cmd_phi)
+    t_phi = _OptionTable(p_phi, [
+        *common(p_phi),
+        p_phi.add_argument("--pmax", dest="m_max", metavar="PMAX", type=int, default=40),
+    ], method="auto", seed=0, func=cmd_phi)
 
-    return parser, {"em": p_em, "kernel": p_k, "crosscheck": p_cc, "bounds": p_b, "phi": p_phi}
+    return (
+        parser,
+        {"em": p_em, "kernel": p_k, "crosscheck": p_cc, "bounds": p_b, "phi": p_phi},
+        {"em": t_em, "kernel": t_k, "crosscheck": t_cc, "bounds": t_b, "phi": t_phi},
+    )
 
 
-_PARSER, _SUBPARSERS = _build_parser()
+_PARSER, _SUBPARSERS, _OPTION_TABLES = _build_parser()
 
 
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     """The namespace _PARSER.parse_args(argv) gives, less its command field
-    where argv starts with a subcommand: that subcommand's parser reads the
-    rest, and _PARSER reports any leftovers with the bytes it would write."""
+    where argv starts with a subcommand: that subcommand's option table
+    reads the rest, and where it declines, the subcommand's parser does,
+    and _PARSER reports any leftovers with the bytes it would write."""
     argv = sys.argv[1:] if argv is None else argv
     sub = _SUBPARSERS.get(argv[0]) if argv else None
     if sub is None:
         return _PARSER.parse_args(argv)
+    args = _OPTION_TABLES[argv[0]].read(argv[1:])
+    if args is not None:
+        return args
     args, extra = sub.parse_known_args(argv[1:])
     if extra:
         _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")

@@ -165,6 +165,9 @@ def certified_terms(P: ParameterK, orbit: OrbitPairings, tol: float) -> tuple[co
             f"tail (a = {a:.6g}, |gamma| = {g:.6g}); the argument pair is too large for "
             "double-precision series summation"
         )
+    # The loop writes out envelope(M) and max() and sums on a Python complex:
+    # the same operations in the same order, without their call overhead.
+    gamma, gamma2, r2, neg_r2 = P.gamma, 2.0 * P.gamma, 2.0 * r, -2.0 * r
     total, mass, prior, weight = 0.0j, 0.0, 1.0, 1.0
     states = islice(scaled_states(P, orbit), MAX_DEGREE + 1)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -175,19 +178,25 @@ def certified_terms(P: ParameterK, orbit: OrbitPairings, tol: float) -> tuple[co
                     f"the orbit state overflows double precision at degree {M}",
                     code="range-error",
                 )
-            total += state[0]
-            mass += weight * max(norm, prior)
-            if M + 1 > -2.0 * r and (rho := envelope(M)) <= 0.5 and 2.0 * rho * norm < tol:
-                floor = 2.0**-53 * mass
-                if floor > tol * max(1.0, abs(total)):
+            M1 = M + 1
+            total += state.item(0)
+            mass += weight * (prior if prior > norm else norm)
+            if (
+                M1 > neg_r2
+                and (rho := a * (1.0 + g / M1 + g / (M1 + r2)) / (M1 + r)) <= 0.5
+                and 2.0 * rho * norm < tol
+            ):
+                floor, size = 2.0**-53 * mass, abs(total)
+                if floor > tol * (size if size > 1.0 else 1.0):
                     raise ConvergenceError(
                         f"rounding floor {floor:.3g} of the component sum exceeds the tolerance "
-                        f"(sum {abs(total):.3g}); the terms cancel, or gamma is near a singular value"
+                        f"(sum {size:.3g}); the terms cancel, or gamma is near a singular value"
                     )
-                return complex(total), M + 1, 2.0 * rho * norm + floor
-            denom = abs(M + 1 + P.gamma)
+                return total, M1, 2.0 * rho * norm + floor
+            denom = abs(M1 + gamma)
             prior *= a / denom
-            weight = max(weight, g / denom + 2.0 * g / abs(M + 1 + 2.0 * P.gamma))
+            sens = g / denom + 2.0 * g / abs(M1 + gamma2)
+            weight = sens if sens > weight else weight
     raise ConvergenceError(
         f"component tail not certified within {MAX_DEGREE} terms (a = {a:.6g}, "
         f"|gamma| = {g:.6g}); the argument pair is too large for double-precision series summation"

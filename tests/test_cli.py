@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dunkl_dihedral.cli import (
@@ -784,6 +784,96 @@ def test_parse_errors_are_byte_identical_through_both_parsers(argv):
     new = _parsed_through(cli._parse_args, argv)
     assert new[1] in (0, 2)
     assert new == _parsed_through(cli._PARSER.parse_args, argv)
+
+
+# Each subcommand's option table reads the plain argument lists itself and
+# declines every other list, which the subcommand's parser then reads.
+_GOOD_VALUES = {
+    int: ["3", "0", "12", "007", "1_0", " 4"],
+    float: ["1e-8", "0.5", "nan", "inf", "1e-12", "3"],
+    str: ["1,0", "0.5,0.8", "0.4,0.2", "0.9,0.3,0.1,-0.2", "abc", "1 2"],
+    None: ["csv"],
+}
+_ODD_VALUES = [
+    "", "-1", "-0.5,1", "--", "-", "x", "1e", "1.5", "trapezoid", "-h", "--n", "=", "a=b"
+]
+_STRAY_TOKENS = ["-h", "--help", "--", "extra", "3", "--bogus", "-n", "--version", "--n=", "="]
+
+
+@st.composite
+def _subcommand_tokens(draw):
+    name = draw(st.sampled_from(sorted(cli._OPTION_TABLES)))
+    table = cli._OPTION_TABLES[name]
+    options = sorted(table.actions)
+
+    def item(option):
+        action = table.actions[option]
+        good = list(action.choices or _GOOD_VALUES[action.type])
+        text = draw(st.sampled_from(_ODD_VALUES if draw(st.integers(0, 5)) == 0 else good))
+        if len(option) > 3 and draw(st.integers(0, 5)) == 0:  # an abbreviation
+            option = option[: draw(st.integers(3, len(option) - 1))]
+        return [f"{option}={text}"] if draw(st.booleans()) else [option, text]
+
+    required = [o for o in options if table.actions[o].dest in table.required]
+    if draw(st.integers(0, 4)) == 0:
+        required = draw(st.lists(st.sampled_from(required), unique=True)) if required else []
+    extra = draw(st.lists(st.sampled_from(options + _STRAY_TOKENS), max_size=4))
+    groups = [item(o) for o in required] + [item(o) if o in options else [o] for o in extra]
+    return name, [token for group in draw(st.permutations(groups)) for token in group]
+
+
+def _typed(namespace):
+    # repr tells the types apart and keeps nan equal to itself
+    return {dest: (type(value), repr(value)) for dest, value in vars(namespace).items()}
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_subcommand_tokens())
+# argparse 3.11 strips a "--" value to an empty list
+@example(("kernel", [*_PAIR, "--format=--"]))
+@example(("crosscheck", ["--seed=3", "--k=--"]))
+def test_option_table_reads_what_argparse_reads_or_declines(drawn):
+    name, tokens = drawn
+    read = cli._OPTION_TABLES[name].read(tokens)
+    if read is not None:
+        args, extra = cli._SUBPARSERS[name].parse_known_args(tokens)
+        assert extra == []
+        assert _typed(read) == _typed(args)
+    else:
+        argv = [name, *tokens]
+        expected = _parsed_through(cli._PARSER.parse_args, argv)
+        assert _parsed_through(cli._parse_args, argv) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["em", *_PAIR, "--m-max", "4", "--method", "oracle"],
+        ["kernel", "--n", "3", "--k=-0.2,0.3", "--x=0.9,0.0", "--y=-1.1,0.6", "--method", "series",
+         "--tol", "1e-12"],
+        ["kernel", *_PAIR, "--tol=1e-8", "--format", "json", "--tol", "1e-9"],
+        ["crosscheck", "--seed", "7", "--samples", "3", "--m-max", "12"],
+        ["bounds", *_PAIR, "--nu", "2"],
+        ["phi", *_PAIR, "--pmax", "6"],
+    ],
+)
+def test_option_table_reads_the_plain_argument_lists(argv):
+    read = cli._OPTION_TABLES[argv[0]].read(argv[1:])
+    assert read is not None
+    assert _typed(read) == _typed(cli._SUBPARSERS[argv[0]].parse_args(argv[1:]))
+
+
+def test_option_table_converts_string_defaults_as_argparse_does():
+    parser = argparse.ArgumentParser()
+    actions = [
+        parser.add_argument("--tol", type=float, default="1e-3"),
+        parser.add_argument("--m", type=int, default=4),
+        parser.add_argument("--label", default="csv"),
+    ]
+    table = cli._OptionTable(parser, actions, seed=0)
+    for tokens in ([], ["--m", "5"], ["--tol=0.5", "--label", "json"]):
+        assert _typed(table.read(tokens)) == _typed(parser.parse_args(tokens))
+    assert table.read([]).tol == 0.001
 
 
 def test_crosscheck_sample_computes_its_orbit_once(monkeypatch):

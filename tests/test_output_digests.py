@@ -5,7 +5,10 @@ that is meant to leave every output byte alone must leave them alone too."""
 
 import contextlib
 import hashlib
+import importlib.util
 import io
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -119,3 +122,36 @@ def _digest_with_stderr(argv: str) -> str:
 @pytest.mark.parametrize("argv", sorted(STEP_DIGESTS))
 def test_step_outputs_and_refusals_are_pinned(argv):
     assert _digest_with_stderr(argv) == STEP_DIGESTS[argv]
+
+
+# One whole round of the benchmark's kernel-series workload (bench seed 1,
+# 171 ops: 7 (n, k) sets of 24 pairs and 3 pairs refused with exit 3).  The
+# argument lists come from bench/workloads.py, loaded read-only from its
+# file with its sibling bench/reference.py as the module it imports.
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+KERNEL_SERIES_ROUND_DIGEST = "7d17c7f47600de23985760a0187fe5939f396dd8896c0bfd5f616b8a2efc6cdd"
+
+
+def _load(monkeypatch, name, path):
+    # registered first, because dataclasses look their module up by name
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_kernel_series_bench_round_is_pinned(monkeypatch):
+    if not (BENCH / "workloads.py").is_file():
+        pytest.skip("bench/workloads.py is not part of this checkout")
+    _load(monkeypatch, "reference", BENCH / "reference.py")
+    workloads = _load(monkeypatch, "bench_workloads", BENCH / "workloads.py")
+    ops = workloads.KernelSeries(1).round_ops(0)
+    assert len(ops) == 171
+    digest = hashlib.sha256()
+    for op in ops:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(op.argv, out=out)
+        digest.update(f"{code}\n{out.getvalue()}\n{err.getvalue()}\n".encode())
+    assert digest.hexdigest() == KERNEL_SERIES_ROUND_DIGEST

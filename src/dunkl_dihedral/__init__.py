@@ -16,7 +16,7 @@ from .dihedral import (
     orbit_pairings,
     pairing,
 )
-from .errors import ConsistencyError, ConvergenceError, DomainError, DunklError
+from .errors import ConvergenceError, DomainError, DunklError
 from .kernel import (
     DeltaConstant,
     KernelResult,
@@ -25,27 +25,10 @@ from .kernel import (
     delta_effective,
     ek_integral,
     ek_series,
-    kernel_K,
 )
-from .polyalg import (
-    ParameterK,
-    Poly2,
-    a_op,
-    dunkl_apply,
-    h_op,
-    intertwine,
-    oracle_em,
-    pochhammer_table,
-)
+from .polyalg import ParameterK, oracle_em, pochhammer_table
 from .recurrence import em_sequence, y_step
-from .series import (
-    SeriesData,
-    a_coeffs,
-    em_closed_sigma,
-    em_genseries,
-    g_values,
-    phi_sigma_invariant,
-)
+from .series import SeriesData, a_coeffs, em_closed_sigma, em_genseries
 
 __all__ = [
     "DihedralGroup",
@@ -57,28 +40,19 @@ __all__ = [
     "DunklError",
     "DomainError",
     "ConvergenceError",
-    "ConsistencyError",
     "ParameterK",
-    "Poly2",
-    "dunkl_apply",
-    "a_op",
-    "h_op",
-    "intertwine",
     "oracle_em",
     "pochhammer_table",
     "y_step",
     "em_sequence",
     "SeriesData",
     "a_coeffs",
-    "g_values",
     "em_genseries",
-    "phi_sigma_invariant",
     "em_closed_sigma",
     "KernelResult",
     "DeltaConstant",
     "delta_effective",
     "ek_series",
-    "kernel_K",
     "ek_integral",
     "check_em_bound",
     "check_ek_bound",

@@ -46,7 +46,7 @@ from .dihedral import (
     make_group,
     orbit_pairings,
 )
-from .errors import ConsistencyError, ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError
 from .kernel import _log_abs_pochhammer, _require_tol, check_ek_bound, check_em_bound
 from .kernel import ek_integral, ek_series
 from .polyalg import ParameterK, oracle_em, require_degree
@@ -62,7 +62,6 @@ EXIT_CONVERGENCE_ERROR = 3
 _EXIT_CODES = {
     DomainError: EXIT_DOMAIN_ERROR,
     ConvergenceError: EXIT_CONVERGENCE_ERROR,
-    ConsistencyError: EXIT_CHECK_FAILURE,
 }
 
 
@@ -355,7 +354,8 @@ def _build_parser() -> tuple[
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, tol=False):
+        # --tol only where a tolerance is read: the kernel routes
         return [
             p.add_argument(
                 "--n", type=int, required=True, help=f"dihedral order parameter, 2 to {MAX_N}"
@@ -363,7 +363,7 @@ def _build_parser() -> tuple[
             p.add_argument("--k", type=str, required=True, help="parameter k: 're' or 're,im'"),
             p.add_argument("--x", type=str, required=True),
             p.add_argument("--y", type=str, required=True),
-            p.add_argument("--tol", type=float, default=1e-10),
+            *([p.add_argument("--tol", type=float, default=1e-10)] if tol else []),
             p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv"),
         ]
 
@@ -376,11 +376,11 @@ def _build_parser() -> tuple[
             choices=("recurrence", "genseries", "oracle", "sigma"),
             default="recurrence",
         ),
-    ], seed=0, func=cmd_em)
+    ], seed=0, tol=None, func=cmd_em)
 
     p_k = sub.add_parser("kernel", help="full kernel value")
     t_k = _OptionTable(p_k, [
-        *common(p_k),
+        *common(p_k, tol=True),
         p_k.add_argument("--method", choices=("series", "integral"), default="series"),
     ], seed=0, func=cmd_kernel)
 
@@ -402,13 +402,13 @@ def _build_parser() -> tuple[
         *common(p_b),
         p_b.add_argument("--m-max", type=int, default=60),
         p_b.add_argument("--nu", type=int, default=1),
-    ], method="auto", seed=0, func=cmd_bounds)
+    ], method="auto", seed=0, tol=None, func=cmd_bounds)
 
     p_phi = sub.add_parser("phi", help="generating-function coefficients")
     t_phi = _OptionTable(p_phi, [
         *common(p_phi),
         p_phi.add_argument("--pmax", dest="m_max", metavar="PMAX", type=int, default=40),
-    ], method="auto", seed=0, func=cmd_phi)
+    ], method="auto", seed=0, tol=None, func=cmd_phi)
 
     return (
         parser,

@@ -44,16 +44,14 @@ def _as_point(x: PlanePoint) -> np.ndarray:
 @dataclass(frozen=True)
 class DihedralGroup:
     n: int
-    positive_roots: tuple[tuple[float, float], ...]
 
 
 @lru_cache(maxsize=32, typed=True)
 def make_group(n: int) -> DihedralGroup:
-    """Build the order-2n dihedral symmetry data.
-
-    Positive roots are the unit vectors (-sin(j*pi/n), cos(j*pi/n)),
-    j = 0..n-1; root j is orthogonal to the mirror line of reflection j.
-    n above MAX_N is a range error, before anything of size n is built.
+    """Build the order-2n dihedral group.  Its data is n alone: the
+    elements are rotation_matrix(n, j) and reflection_matrix(n, j), and the
+    unit normals of the mirror lines (the positive roots) are built by
+    tests/definitions.py, their one reader.  n above MAX_N is a range error.
     The group is frozen, so it is cached per n (and per type of n, so an
     np.int64 n is not handed a group built from a Python int); a refusal
     raises, and lru_cache caches no exception, so it is raised each time.
@@ -62,10 +60,7 @@ def make_group(n: int) -> DihedralGroup:
         raise DomainError("dihedral order must be ≥ 2")
     if n > MAX_N:
         raise DomainError(f"dihedral order n = {n} exceeds the limit {MAX_N}", code="range-error")
-    roots = tuple(
-        (-math.sin(j * math.pi / n), math.cos(j * math.pi / n)) for j in range(n)
-    )
-    return DihedralGroup(n=n, positive_roots=roots)
+    return DihedralGroup(n=n)
 
 
 def rotation_matrix(n: int, j: int) -> np.ndarray:

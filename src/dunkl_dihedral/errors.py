@@ -22,9 +22,3 @@ class ConvergenceError(DunklError):
     """An iteration cap was reached before the requested tolerance."""
 
     code = "convergence-error"
-
-
-class ConsistencyError(DunklError):
-    """An internal exactness check failed; signals a broken implementation."""
-
-    code = "internal-consistency"

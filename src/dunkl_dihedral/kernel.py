@@ -23,8 +23,8 @@ from .polyalg import MAX_DEGREE, ParameterK, require_degree
 from .recurrence import em_sequence, scaled_states
 from .series import SeriesData, a_coeffs
 
-# Elements of the e^{t/z} matrix built at once by _contour_sum, for kernel_K
-# and for ek_integral's passes (64 MB of complex): a block holds
+# Elements of the e^{t/z} matrix built at once by _contour_sum in
+# ek_integral's passes (64 MB of complex): a block holds
 # _CONTOUR_BLOCK // (N//2 + 1) times against the half of the N nodes that is
 # exponentiated, so memory stays bounded for any N and any number of times.
 _CONTOUR_BLOCK = 2**22
@@ -57,12 +57,13 @@ class DeltaConstant:
 
 def transition_norm_sum(P: ParameterK, m: int) -> float:
     """Sup norm of the degree-(m+1) rotation-block transition matrix plus
-    that of the reflection block, m >= 0.  With (a, b) = h_coefficients(P,
-    m+1), the rotation block is 1/(m+1+gamma) times the identity plus a[1]
-    times all ones, and the reflection block is b[0] times all ones.  The
-    moduli |a[1]| = |gamma/(m+1+gamma)| |b[0]| and |b[0]| =
-    |gamma/(m+1+2 gamma)| / (n (m+1)) are taken factor by factor, so no
-    gamma^2 is formed: it overflows past |gamma| ~ 1.3e154."""
+    that of the reflection block, m >= 0.  With a_1 and b_0 the orbit-average
+    coefficients of the degree-(m+1) inverse (polyalg._h_scalars), the
+    rotation block is 1/(m+1+gamma) times the identity plus a_1 times all
+    ones, and the reflection block is b_0 times all ones.  The moduli
+    |a_1| = |gamma/(m+1+gamma)| |b_0| and |b_0| = |gamma/(m+1+2 gamma)| /
+    (n (m+1)) are taken factor by factor, so no gamma^2 is formed: it
+    overflows past |gamma| ~ 1.3e154."""
     m1, g = m + 1, P.gamma
     b0 = abs(g / (m1 + 2 * g)) / (P.n * m1)
     return abs(1.0 / (m1 + g)) + P.n * (abs(g / (m1 + g)) * b0) + P.n * b0
@@ -229,7 +230,7 @@ def ek_series(
 
 
 # ---------------------------------------------------------------------------
-# contour kernel and the weighted-time integral representation
+# the weighted-time integral of the contour kernel
 
 
 def series_for_radius(
@@ -270,7 +271,7 @@ def _unit_circle(N: int) -> tuple[np.ndarray, np.ndarray]:
 def _contour_rule(
     P: ParameterK, orbit: OrbitPairings, S: SeriesData, rho: float, N: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The N-point trapezoidal rule on |z| = rho for kernel_K: the
+    """The N-point trapezoidal rule on |z| = rho for the contour kernel: the
     reciprocals of nodes 0..N//2, and the weights of all N nodes,
     (gamma^2/2n) Phi(z) / (N (1 - z <x,y>)).  The nodes are rho w^j, w =
     e^(2 pi i/N), taken as rho times _unit_circle's: node N-j stays the
@@ -299,57 +300,31 @@ def _contour_rule(
 
 
 def _contour_sum(
-    t: np.ndarray, inv: np.ndarray, pref: np.ndarray, end_pref: np.ndarray | None = None
+    t: np.ndarray, inv: np.ndarray, pref: np.ndarray, end_pref: np.ndarray
 ) -> np.ndarray:
-    """sum_j pref_j e^{t/z_j} for each time of the flat array t.  Since t is
-    real, e^{t/conj z} = conj(e^{t/z}): only the nodes 0..N//2 are
-    exponentiated, and node N-j enters as the conjugate of node j.  pref may
-    hold several weight vectors as columns, shape (N, c); each is summed from
-    the same exponentials, and the result then has shape (t.size, c).
+    """sum_j pref_j e^{t/z_j} for each time of the flat array t, followed by
+    one row sum_j end_pref_j e^{1/z_j}.  Since t is real, e^{t/conj z} =
+    conj(e^{t/z}): only the nodes 0..N//2 are exponentiated, and node N-j
+    enters as the conjugate of node j.  pref may hold several weight vectors
+    as columns, shape (N, c); each is summed from the same exponentials, and
+    the result then has shape (t.size + 1, c).  end_pref is shaped like pref.
 
-    end_pref, weights shaped like pref, adds one row to the result:
-    sum_j end_pref_j e^{1/z_j}.  Time 1 is appended to t, so that row is
-    read from the last row of the same exponential matrix, by its own
-    products: the body rows and the endpoint row are each summed as if
-    alone."""
+    Time 1 is appended to t, so the endpoint row is read from the last row
+    of the same exponential matrix, by its own products: the body rows and
+    the endpoint row are each summed as if alone."""
     N, h = pref.shape[0], inv.size
     lo = (N - 1) // 2
     mirrored = np.conj(pref[N - 1 : N - 1 - lo : -1])
-    times = t if end_pref is None else np.concatenate((t, (1.0,)))
+    times = np.concatenate((t, (1.0,)))
     rows = max(1, _CONTOUR_BLOCK // h)
     vals = np.empty((times.size,) + pref.shape[1:], dtype=complex)
     for i in range(0, times.size, rows):
         e = np.exp(np.multiply.outer(times[i : i + rows], inv))
         body = e[: t.size - i]
         vals[i : i + body.shape[0]] = body @ pref[:h] + np.conj(body[:, 1 : 1 + lo] @ mirrored)
-    if end_pref is not None:
-        last, end_mirrored = e[-1:], np.conj(end_pref[N - 1 : N - 1 - lo : -1])
-        vals[-1] = (last @ end_pref[:h] + np.conj(last[:, 1 : 1 + lo] @ end_mirrored))[0]
+    last, end_mirrored = e[-1:], np.conj(end_pref[N - 1 : N - 1 - lo : -1])
+    vals[-1] = (last @ end_pref[:h] + np.conj(last[:, 1 : 1 + lo] @ end_mirrored))[0]
     return vals
-
-
-def kernel_K(
-    P: ParameterK,
-    orbit: OrbitPairings,
-    S: SeriesData,
-    t: float | np.ndarray,
-    rho: float,
-    N: int,
-) -> complex | np.ndarray:
-    """Contour kernel at the time t, a scalar or an array: (gamma^2/2n) times
-    the mean over N equally spaced points of rho * e^{i theta} of
-    Phi(z) e^{t/z} / (1 - z <x,y>) (the trapezoidal rule, spectrally accurate
-    for periodic analytic data).  Returns a complex for scalar t, else an
-    array shaped like t.  The nodes come in conjugate pairs and t is real, so
-    the times x nodes exponential is built for nodes 0..N//2 only, in row
-    blocks: memory stays bounded however many times and nodes a pass asks
-    for."""
-    t = np.asarray(t, dtype=float)
-    if not np.all((0.0 <= t) & (t <= 1.0)):
-        raise DomainError("time parameter t must lie in [0, 1]")
-    inv, pref = _contour_rule(P, orbit, S, rho, N)
-    vals = _contour_sum(t.reshape(-1), inv, pref)
-    return complex(vals[0]) if t.ndim == 0 else vals.reshape(t.shape)
 
 
 @lru_cache(maxsize=1)

@@ -1,11 +1,14 @@
-"""Symbolic oracle: dense bivariate polynomial algebra over the complex
-numbers, the differential-difference operator attached to the dihedral group,
-and the degree-lowering/raising machinery that rebuilds the kernel components
-from first principles.
+"""Symbolic oracle: the intertwining map V_k as its matrices on homogeneous
+coefficient vectors, built degree by degree from the rotations' action
+matrices and the shifted inverse of the group average, and the component
+table E_0..E_M read from them.  Also the parameter k with its admissibility
+guard, and the Pochhammer and factorial tables every route shares.
 
-Everything here is deliberately independent of the vectorized recurrence and
-the generating-series routes; cross-agreement of the three is the package's
-primary correctness argument.
+The oracle is deliberately independent of the vectorized recurrence and the
+generating-series routes; cross-agreement of the routes is the package's
+primary correctness argument.  The polynomial algebra, the
+differential-difference operator T_xi and V_k applied to polynomials live in
+tests/definitions.py, against which the tests check these matrices.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dihedral import DihedralGroup, PlanePoint, _as_point, _orbit_matrices, reflection_matrix
-from .errors import ConsistencyError, DomainError
+from .dihedral import DihedralGroup, PlanePoint, _as_point, _orbit_matrices
+from .errors import DomainError
 
 # ---------------------------------------------------------------------------
 # parameter and Pochhammer data
@@ -147,168 +150,6 @@ def _h_scalars(g: complex, n: int, m):
     return g * g / (nm * mg * m2g), g / (nm * m2g), 1.0 / mg
 
 
-def h_coefficients(P: ParameterK, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orbit-average coefficients (a_j(m), b_j(m)) of the degree-m inverse.
-
-    a_j(m) = delta_{j,0}/(m+gamma) + gamma^2/(n*m*(m+gamma)*(m+2*gamma)),
-    b_j(m) = gamma/(n*m*(m+2*gamma)).
-    """
-    if m < 1:
-        raise DomainError("h_coefficients requires degree m >= 1")
-    a1, b0, c = _h_scalars(P.gamma, P.n, m)
-    a = np.full(P.n, a1, dtype=complex)
-    a[0] += c
-    b = np.full(P.n, b0, dtype=complex)
-    return a, b
-
-
-# ---------------------------------------------------------------------------
-# dense bivariate polynomials
-
-
-class Poly2:
-    """Dense bivariate polynomial: ``c[a, b]`` is the coefficient of
-    x1^a * x2^b, stored for a + b <= degree bound.  Values are immutable
-    after construction; all operations return new polynomials."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs):
-        c = np.array(coeffs, dtype=complex)
-        if c.ndim != 2 or c.shape[0] != c.shape[1]:
-            raise DomainError("coefficient table must be square (degree+1 per axis)")
-        d = c.shape[0] - 1
-        a, b = np.indices(c.shape)
-        c[a + b > d] = 0.0  # entries beyond the total-degree bound are not representable
-        self.c = c
-
-    # -- construction helpers ------------------------------------------------
-
-    @staticmethod
-    def zero() -> "Poly2":
-        return Poly2(np.zeros((1, 1)))
-
-    @staticmethod
-    def constant(value: complex) -> "Poly2":
-        return Poly2(np.array([[value]]))
-
-    @staticmethod
-    def coordinate(axis: int) -> "Poly2":
-        c = np.zeros((2, 2), dtype=complex)
-        if axis == 0:
-            c[1, 0] = 1.0
-        else:
-            c[0, 1] = 1.0
-        return Poly2(c)
-
-    @property
-    def degree(self) -> int:
-        return self.c.shape[0] - 1
-
-    def padded(self, degree: int) -> np.ndarray:
-        out = np.zeros((degree + 1, degree + 1), dtype=complex)
-        out[: self.c.shape[0], : self.c.shape[1]] = self.c
-        return out
-
-    # -- ring operations -----------------------------------------------------
-
-    def __add__(self, other: "Poly2") -> "Poly2":
-        d = max(self.degree, other.degree)
-        return Poly2(self.padded(d) + other.padded(d))
-
-    def __sub__(self, other: "Poly2") -> "Poly2":
-        d = max(self.degree, other.degree)
-        return Poly2(self.padded(d) - other.padded(d))
-
-    def __neg__(self) -> "Poly2":
-        return Poly2(-self.c)
-
-    def __mul__(self, other):
-        if isinstance(other, Poly2):
-            d = self.degree + other.degree
-            out = np.zeros((d + 1, d + 1), dtype=complex)
-            for a, b in np.argwhere(self.c != 0):
-                out[a : a + other.degree + 1, b : b + other.degree + 1] += (
-                    self.c[a, b] * other.c
-                )
-            return Poly2(out)
-        return Poly2(self.c * complex(other))
-
-    def __rmul__(self, scalar) -> "Poly2":
-        return Poly2(self.c * complex(scalar))
-
-    def deriv(self, axis: int) -> "Poly2":
-        d = self.degree
-        if d == 0:
-            return Poly2.zero()
-        out = np.zeros((d, d), dtype=complex)
-        if axis == 0:
-            out[:, :] = self.c[1:, :d] * np.arange(1, d + 1)[:, None]
-        else:
-            out[:, :] = self.c[:d, 1:] * np.arange(1, d + 1)[None, :]
-        return Poly2(out)
-
-    def evaluate(self, point: PlanePoint) -> complex:
-        p = _as_point(point).astype(complex)
-        return complex(np.polynomial.polynomial.polyval2d(p[0], p[1], self.c))
-
-    def coeff_norm(self) -> float:
-        return float(np.linalg.norm(self.c))
-
-    # -- graded structure ----------------------------------------------------
-
-    def homogeneous_vector(self, m: int) -> np.ndarray:
-        """Coefficients of the degree-m part, indexed by the x1-power."""
-        if m > self.degree:
-            return np.zeros(m + 1, dtype=complex)
-        idx = np.arange(m + 1)
-        return self.c[idx, m - idx].copy()
-
-    def is_homogeneous(self, m: int, tol: float = 1e-12) -> bool:
-        scale = max(self.coeff_norm(), 1.0)
-        return all(
-            np.max(np.abs(self.homogeneous_vector(j))) <= tol * scale
-            for j in range(self.degree + 1)
-            if j != m
-        )
-
-    def compose(self, matrix: np.ndarray) -> "Poly2":
-        """Substitution x -> M x, degree by degree, with the action matrix
-        of M raised one degree per step by _raise_action."""
-        mats = np.asarray(matrix, dtype=float)[None]
-        act = np.ones((1, 1, 1))
-        out = np.zeros_like(self.c)
-        for m in range(self.degree + 1):
-            if m:
-                act = _raise_action(act, mats)
-            idx = np.arange(m + 1)
-            out[idx, m - idx] = act[0] @ self.homogeneous_vector(m)
-        return Poly2(out)
-
-    def __repr__(self) -> str:
-        return f"Poly2(degree={self.degree})"
-
-
-def from_homogeneous_vector(v: np.ndarray, m: int) -> Poly2:
-    c = np.zeros((m + 1, m + 1), dtype=complex)
-    idx = np.arange(m + 1)
-    c[idx, m - idx] = v
-    return Poly2(c)
-
-
-def _pairing_power_vector(ya: np.ndarray, m: int) -> np.ndarray:
-    """Homogeneous coefficients of x -> (x1*y1 + x2*y2)^m, indexed by the
-    x1-power, for the complex point ya."""
-    return np.array(
-        [math.comb(m, a) * ya[0] ** a * ya[1] ** (m - a) for a in range(m + 1)]
-    )
-
-
-def pairing_power(y: PlanePoint, m: int) -> Poly2:
-    """The polynomial x -> (x1*y1 + x2*y2)^m (binomial coefficients)."""
-    return from_homogeneous_vector(_pairing_power_vector(_as_point(y).astype(complex), m), m)
-
-
 def _raise_action(prev: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """The action matrices of x -> f(Mx) on degree-m homogeneous coefficient
     vectors (rows and columns indexed by the x1-power), for a stack of 2x2
@@ -323,75 +164,6 @@ def _raise_action(prev: np.ndarray, mats: np.ndarray) -> np.ndarray:
     out[:, 1:, :1] += m10 * col
     out[:, :m, :1] += m11 * col
     return out
-
-
-# ---------------------------------------------------------------------------
-# the differential-difference operator and its divided differences
-
-
-def _divide_by_linear_form(num: Poly2, alpha: np.ndarray) -> Poly2:
-    """Exact division of ``num`` by the linear form <alpha, x>.
-
-    Rotates coordinates so the form becomes the first axis, performs synthetic
-    division there, and rotates back.  The remainder must vanish (the numerator
-    is antisymmetric under the reflection fixing the form's kernel); a
-    remainder above 1e-10 times the numerator's coefficient norm indicates a
-    broken reflection and raises.
-    """
-    a1, a2 = float(alpha[0]), float(alpha[1])
-    U = np.array([[a1, a2], [-a2, a1]])  # rows: alpha, alpha-perp (unit alpha)
-    g = num.compose(U.T).c
-    rem = float(np.linalg.norm(g[0, :]))
-    tol = 1e-10 * max(num.coeff_norm(), np.finfo(float).tiny)
-    if rem > tol:
-        raise ConsistencyError(
-            f"divided-difference remainder {rem:.3e} exceeds {tol:.3e}; "
-            "the numerator does not vanish on the reflecting line"
-        )
-    d = num.degree
-    if d == 0:
-        return Poly2.zero()
-    q = g[1:, :d]
-    return Poly2(q).compose(U)
-
-
-def dunkl_apply(G: DihedralGroup, P: ParameterK, xi: PlanePoint, f: Poly2) -> Poly2:
-    """Apply the differential-difference operator in direction xi.
-
-    T f = d_xi f + sum over positive roots alpha of
-    k * <alpha, xi> * (f - f o sigma_alpha) / <alpha, x>,
-    with each divided difference computed by exact polynomial division.
-    """
-    xv = np.asarray(xi, dtype=float)
-    out = complex(xv[0]) * f.deriv(0) + complex(xv[1]) * f.deriv(1)
-    for alpha in G.positive_roots:
-        av = np.array(alpha)
-        coef = P.k * (av[0] * xv[0] + av[1] * xv[1])
-        if coef == 0:
-            continue
-        refl = np.eye(2) - 2.0 * np.outer(av, av)
-        quot = _divide_by_linear_form(f - f.compose(refl), av)
-        out = out + coef * quot
-    return out
-
-
-def a_op(G: DihedralGroup, P: ParameterK, f: Poly2) -> Poly2:
-    """k times the sum of f composed with every reflection of the group."""
-    d = f.degree
-    acc = np.zeros((d + 1, d + 1), dtype=complex)
-    for j in range(G.n):
-        acc += f.compose(reflection_matrix(G.n, j)).c
-    return Poly2(acc * P.k)
-
-
-def h_op(G: DihedralGroup, P: ParameterK, m: int, f: Poly2) -> Poly2:
-    """Inverse of (m + gamma - A) on homogeneous polynomials of degree m."""
-    if m < 1:
-        raise DomainError("h_op is defined on homogeneous degrees m >= 1 only")
-    P.require_regular()
-    if not f.is_homogeneous(m, tol=1e-12):
-        raise DomainError(f"h_op input must be homogeneous of degree {m}")
-    return from_homogeneous_vector(h_matrix(G, P, m) @ f.homogeneous_vector(m), m)
 
 
 @lru_cache(maxsize=8)
@@ -419,33 +191,22 @@ def _rotation_sum(n: int, m: int) -> np.ndarray:
 
 
 def _h_weights(P: ParameterK, ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row weights w_m and diagonal c_m of H_m = diag(w_m) R_m + c_m I for
-    the degrees ms >= 1, in one array pass: w_m[i] = a_1(m) + b_0(m)
-    (-1)^(m-i) (row m of the result, valid for i <= m), the sign read from
-    the parity of m-i, and c_m = a_0(m) - a_1(m) = 1/(m+gamma)."""
+    """Row weights w_m and diagonal c_m of H_m, the inverse of (m + gamma - A)
+    on degree-m coefficient vectors, for the degrees ms >= 1, in one array
+    pass.  H_m = sum_j a_j(m) R_j + b_j(m) S_j over the rotation and
+    reflection action matrices, with a_j = a_1 for j >= 1, a_0 = a_1 +
+    1/(m+gamma) and b_j = b_0 (_h_scalars).  R_0 is the identity and S_j =
+    diag((-1)^(m-i)) R_j (a reflection is a rotation times diag(1, -1),
+    which flips the sign of x2), so H_m = diag(w_m) R_m + c_m I with
+    w_m[i] = a_1(m) + b_0(m) (-1)^(m-i) (row m of the result, valid for
+    i <= m), the sign read from the parity of m-i, and c_m = 1/(m+gamma)."""
     a1, b0, c = _h_scalars(P.gamma, P.n, ms)
     sign = 1.0 - 2.0 * ((ms[:, None] - np.arange(ms[-1] + 1)) & 1)
     return a1[:, None] + b0[:, None] * sign, c
 
 
-def h_matrix(G: DihedralGroup, P: ParameterK, m: int) -> np.ndarray:
-    """Matrix of the inverse of (m + gamma - A) on degree-m homogeneous
-    coefficient vectors: sum_j a_j(m) R_j + b_j(m) S_j over the rotation and
-    reflection action matrices.  Since a_j = a_1 for j >= 1, b_j = b_0, R_0
-    is the identity and S_j = diag((-1)^(m-i)) R_j (a reflection is a
-    rotation times diag(1, -1), which flips the sign of x2), it is
-    diag(w_m) R_m + c_m I with the weights of _h_weights.  h_op uses it;
-    _vk_matrices applies the same factors without forming it."""
-    if m < 1:
-        raise DomainError("h_matrix requires degree m >= 1")
-    w, c = _h_weights(P, np.array([m]))
-    h = w[0][:, None] * _rotation_sum(G.n, m)
-    h[np.diag_indices(m + 1)] += c[0]
-    return h
-
-
 # ---------------------------------------------------------------------------
-# degree-preserving intertwining map, built degree by degree
+# the intertwining map's matrices, built degree by degree
 
 
 # The intertwining matrices V_0..V_M built so far, by (n, k), least recently
@@ -470,7 +231,8 @@ def _vk_matrices(G: DihedralGroup, P: ParameterK, mmax: int) -> list[np.ndarray]
 
     Degree m is built from degree m-1 through V p = sum_i x_i V(d_i(H p)):
     with t = x1 V_{m-1} d1 + x2 V_{m-1} d2 it is t H_m = (t diag(w_m)) R_m
-    + c_m t, one matrix product per degree and H_m never formed.  The
+    + c_m t (_h_weights), one matrix product per degree and H_m never
+    formed (tests/definitions.py's h_matrix forms it, for the tests).  The
     weights of every new degree come from one call of _h_weights, and the
     degree factors of d1 and d2 are complex, as the matrices are.
     """
@@ -500,23 +262,6 @@ def _vk_matrices(G: DihedralGroup, P: ParameterK, mmax: int) -> list[np.ndarray]
     while total > ORACLE_CACHE_ELEMENTS and len(_vk_cache) > 1:
         total -= _vk_elements(len(_vk_cache.popitem(last=False)[1]))
     return mats
-
-
-def intertwine(G: DihedralGroup, P: ParameterK, f: Poly2) -> Poly2:
-    """Degree-preserving map fixing constants and conjugating plain partial
-    derivatives to the differential-difference operator.  Applied to the
-    graded pieces of ``f`` one total degree at a time."""
-    P.require_regular()
-    mats = _vk_matrices(G, P, f.degree)
-    out = np.zeros_like(f.c)
-    out[0, 0] = f.c[0, 0]
-    for m in range(1, f.degree + 1):
-        v = f.homogeneous_vector(m)
-        if not np.any(v):
-            continue
-        idx = np.arange(m + 1)
-        out[idx, m - idx] = mats[m] @ v
-    return Poly2(out)
 
 
 # The largest |gamma| the oracle accepts, and the largest n (M+1)^2, the

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from definitions import Poly2, g_values
 from dunkl_dihedral.dihedral import OrbitPairings
 from dunkl_dihedral.errors import DomainError
-from dunkl_dihedral.polyalg import ParameterK, Poly2
-from dunkl_dihedral.series import SeriesData, g_values
+from dunkl_dihedral.polyalg import ParameterK
 
 
 def rel_err(a: complex, b: complex) -> float:
@@ -29,44 +29,41 @@ def random_poly(rng: np.random.Generator, degree: int, homogeneous: bool = False
     return Poly2(c)
 
 
-def eval_q(S: SeriesData, z: complex) -> np.ndarray:
-    """The truncated vanishing-at-zero solution Q(z) = sum_{p>=1} A[p] z^p."""
+def eval_q(A: np.ndarray, z: complex) -> np.ndarray:
+    """The truncated vanishing-at-zero solution Q(z) = sum_{p>=1} A[p] z^p,
+    for the coefficient vectors A of definitions._a_coeffs_by_loop."""
     z = complex(z)
     q = np.zeros(2, dtype=complex)
-    for p in range(S.order, 0, -1):
-        q = (q + S.A[p]) * z
+    for p in range(len(A) - 1, 0, -1):
+        q = (q + A[p]) * z
     return q
 
 
-def eval_q_prime(S: SeriesData, z: complex) -> np.ndarray:
+def eval_q_prime(A: np.ndarray, z: complex) -> np.ndarray:
     z = complex(z)
     q = np.zeros(2, dtype=complex)
-    for p in range(S.order, 1, -1):
-        q = (q + p * S.A[p]) * z
-    if S.order >= 1:
-        q = q + S.A[1]
+    for p in range(len(A) - 1, 1, -1):
+        q = (q + p * A[p]) * z
+    if len(A) > 1:
+        q = q + A[1]
     return q
 
 
-def residual_check(
-    P: ParameterK, orbit: OrbitPairings, S: SeriesData, z: complex
-) -> float:
+def residual_check(P: ParameterK, orbit: OrbitPairings, A: np.ndarray, z: complex) -> float:
     """Euclidean norm of the differential-system residual of the truncated
-    solution at z."""
+    solution with the coefficient vectors A at z."""
     z = complex(z)
     if z == 0:
         raise DomainError("residual is evaluated away from the origin")
     g_val, gs_val = g_values(orbit, z)
-    q = eval_q(S, z)
-    qp = eval_q_prime(S, z)
+    q = eval_q(A, z)
+    qp = eval_q_prime(A, z)
     lam = (P.gamma / (2.0 * P.n)) * np.array(
         [[g_val, -gs_val], [gs_val, -g_val]], dtype=complex
     )
     rhs = np.array([g_val, gs_val], dtype=complex) + lam @ q
     rhs[1] -= (2.0 * P.gamma / z) * q[1]
     return float(np.linalg.norm(qp - rhs))
-
-
 
 
 @pytest.fixture

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import poly_rel_err, random_poly, rel_err, residual_check
+from definitions import _a_coeffs_by_loop, a_op, dunkl_apply, h_op, intertwine, pairing_power
 from dunkl_dihedral.cli import EXIT_OK, main
 from dunkl_dihedral.dihedral import is_sigma_invariant, make_group, orbit_pairings, pairing
 from dunkl_dihedral.kernel import (
@@ -21,15 +22,7 @@ from dunkl_dihedral.kernel import (
     ek_integral,
     ek_series,
 )
-from dunkl_dihedral.polyalg import (
-    ParameterK,
-    a_op,
-    dunkl_apply,
-    h_op,
-    intertwine,
-    oracle_em,
-    pairing_power,
-)
+from dunkl_dihedral.polyalg import ParameterK, oracle_em
 from dunkl_dihedral.recurrence import em_sequence
 from dunkl_dihedral.sampling import draw_instance
 from dunkl_dihedral.series import a_coeffs, em_closed_sigma, em_genseries
@@ -144,13 +137,16 @@ def test_criterion_5_structural_zeros():
         for inst in standard_instances():
             P = inst.parameter()
             orbit = orbit_pairings(inst.group(), inst.x, inst.y)
-            S = a_coeffs(P, orbit, 10)
-            assert S.A[0, 0] == 2.0 * inst.n / P.gamma
-            assert S.A[0, 1] == 0.0
+            B, A = _a_coeffs_by_loop(P, orbit, 10)
+            assert A[0, 0] == 2.0 * inst.n / P.gamma
+            assert A[0, 1] == 0.0
             b0_scale = abs(P.gamma) * orbit.a_bound + 1e-300
-            assert np.max(np.abs(S.B[0])) <= 1e-12 * b0_scale
+            assert np.max(np.abs(B[0])) <= 1e-12 * b0_scale
             a1_scale = (2.0 * inst.n / abs(P.gamma)) * max(1.0, orbit.a_bound)
-            assert np.max(np.abs(S.A[1])) <= 1e-12 * a1_scale
+            assert np.max(np.abs(A[1])) <= 1e-12 * a1_scale
+            phi = a_coeffs(P, orbit, 10).phi  # phi_p = A_p[0] - A_p[1]
+            assert phi[0] == 2.0 * inst.n / P.gamma
+            assert abs(phi[1]) <= 2e-12 * a1_scale
 
 
 def test_criterion_6_coefficient_bound():
@@ -158,10 +154,10 @@ def test_criterion_6_coefficient_bound():
         for inst in standard_instances():
             P = inst.parameter()
             orbit = orbit_pairings(inst.group(), inst.x, inst.y)
-            S = a_coeffs(P, orbit, 80)
+            _, A = _a_coeffs_by_loop(P, orbit, 80)
             da = delta_effective(P).delta_effective * orbit.a_bound
             amp = 2.0 * inst.n / abs(P.gamma)
-            norms = np.linalg.norm(S.A, axis=1)
+            norms = np.linalg.norm(A, axis=1)
             for p in range(81):
                 assert norms[p] <= amp * da**p * (1.0 + 1e-9)
 
@@ -171,11 +167,11 @@ def test_criterion_7_differential_system_residual():
         for inst in standard_instances():
             P = inst.parameter()
             orbit = orbit_pairings(inst.group(), inst.x, inst.y)
-            S = a_coeffs(P, orbit, 80)
+            _, A = _a_coeffs_by_loop(P, orbit, 80)
             da = delta_effective(P).delta_effective * orbit.a_bound
             radius = 1.0 / (4.0 * da) if da > 0 else 0.25
             for theta in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False):
-                assert residual_check(P, orbit, S, radius * np.exp(1j * theta)) <= 1e-8
+                assert residual_check(P, orbit, A, radius * np.exp(1j * theta)) <= 1e-8
 
 
 def test_criterion_8_integral_representation():

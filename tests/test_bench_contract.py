@@ -32,3 +32,23 @@ def test_cached_delta_reports_misses(spans):
     kernel = importlib.import_module(f"{spans.PACKAGE}.kernel")
     assert "delta_effective" in spans.TRACED["kernel"]
     assert kernel.delta_effective.cache_info().misses >= 0
+
+
+def test_work_extractors_read_real_results(spans):
+    # each extractor of spans.WORK on a real result of the function it wraps
+    from dunkl_dihedral import kernel, series
+    from dunkl_dihedral.dihedral import make_group, orbit_pairings
+    from dunkl_dihedral.polyalg import ParameterK
+
+    G, P, x, y = make_group(3), ParameterK(0.5, 3), (0.6, 0.2), (0.3, -0.5)
+    series_sum = kernel.ek_series(G, P, x, y, 1e-10)
+    integral = kernel.ek_integral(G, P, x, y, 1e-8)
+    expected = {
+        "series.a_coeffs": (series.a_coeffs(P, orbit_pairings(G, x, y), 17), 17),
+        "kernel.ek_series": (series_sum, series_sum.terms_used),
+        "kernel.ek_integral": (integral, integral.nodes_used),
+    }
+    assert set(spans.WORK) == set(expected)
+    for name, (_, extract) in spans.WORK.items():
+        result, work = expected[name]
+        assert work > 0 and extract(result) == work, name

@@ -664,8 +664,9 @@ def test_integral_rounding_floor_passes_a_value_correct_to_tol(point):
 
 
 # Fuzzed argument lists: numbers in a bounded domain, with at most one of
-# --k, --x, --y, --tol replaced by non-finite or malformed text.  The parts
-# of --k and the coordinates also range over +-10^e up to the double range.
+# --k, --x, --y, --tol replaced by non-finite or malformed text; --tol only
+# for kernel and crosscheck, the subcommands that take it.  The parts of --k
+# and the coordinates also range over +-10^e up to the double range.
 _REAL = st.floats(-3.0, 3.0).map(repr)
 _HUGE = st.builds(
     lambda sign, e: repr(sign * 10.0**e), st.sampled_from([1.0, -1.0]), st.floats(-3.0, 308.0)
@@ -682,15 +683,17 @@ _BAD = st.sampled_from(["nan", "inf", "-inf", "", "x", "1e", "1,,2", "0x1"])
 _DEGREE = st.one_of(st.integers(-2, 30), st.sampled_from([501, 10000000000])).map(str)
 
 
-def _instance(n):
-    def argv(fields, bad_field, bad_text):
+def _instance(n, tol=False):
+    fields = _FIELDS if tol else {name: v for name, v in _FIELDS.items() if name != "--tol"}
+
+    def argv(values, bad_field, bad_text):
         return ["--n", str(n)] + [
-            f"{name}={bad_text if name == bad_field else value}" for name, value in fields.items()
+            f"{name}={bad_text if name == bad_field else value}" for name, value in values.items()
         ]
 
     # about half the lists keep every field well-formed
-    bad_field = st.sampled_from([*_FIELDS, None, None, None, None])
-    return st.builds(argv, st.fixed_dictionaries(_FIELDS), bad_field, _BAD)
+    bad_field = st.sampled_from([*fields, None, None, None, None])
+    return st.builds(argv, st.fixed_dictionaries(fields), bad_field, _BAD)
 
 
 _ARGV = st.integers(-2, 12).flatmap(
@@ -698,11 +701,11 @@ _ARGV = st.integers(-2, 12).flatmap(
         st.tuples(st.just(("em",)), _instance(n), st.tuples(
             st.just("--m-max"), _DEGREE, st.just("--method"),
             st.sampled_from(["recurrence", "genseries", "oracle", "sigma"]))),
-        st.tuples(st.just(("kernel", "--method", "series")), _instance(n)),
+        st.tuples(st.just(("kernel", "--method", "series")), _instance(n, tol=True)),
         st.tuples(st.just(("bounds",)), _instance(n), st.tuples(
             st.just("--m-max"), _DEGREE, st.just("--nu"), st.integers(-1, 3).map(str))),
         st.tuples(st.just(("phi",)), _instance(n), st.tuples(st.just("--pmax"), _DEGREE)),
-        st.tuples(st.just(("crosscheck",)), st.one_of(st.just(()), _instance(n)), st.tuples(
+        st.tuples(st.just(("crosscheck",)), st.one_of(st.just(()), _instance(n, tol=True)), st.tuples(
             st.just("--seed"), st.integers(-2, 99).map(str), st.just("--samples"),
             st.integers(0, 2).map(str), st.just("--m-max"), _DEGREE)),
     )
@@ -929,3 +932,15 @@ def test_cli_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("command", ["em", "bounds", "phi"])
+def test_only_the_tolerance_readers_take_tol(command, capsys):
+    # em, bounds and phi read no tolerance: --tol is an unknown option there,
+    # and their JSON meta writes "tol": null
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_PAIR, "--tol", "1e-8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 1e-8" in capsys.readouterr().err
+    code, out = run_cli([command, *_PAIR, "--format", "json"])
+    assert code == EXIT_OK and json.loads(out)["meta"]["tol"] is None

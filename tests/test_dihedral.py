@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from definitions import positive_roots
 from dunkl_dihedral.dihedral import (
     MAX_N,
     OrbitPairings,
@@ -116,14 +117,14 @@ def test_n4_quarter_turn():
 
 
 def test_n3_positive_roots():
-    G = make_group(3)
+    roots = positive_roots(3)
     expected = [
         (0.0, 1.0),
         (-math.sin(math.pi / 3), math.cos(math.pi / 3)),
         (-math.sin(2 * math.pi / 3), math.cos(2 * math.pi / 3)),
     ]
-    assert np.allclose(G.positive_roots, expected)
-    assert np.allclose([math.hypot(*r) for r in G.positive_roots], 1.0)
+    assert np.allclose(roots, expected)
+    assert np.allclose([math.hypot(*r) for r in roots], 1.0)
 
 
 def test_pairing_examples():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import rel_err
+from definitions import contour_body, kernel_K
 from dunkl_dihedral import kernel
 from dunkl_dihedral.dihedral import make_group, orbit_pairings
 from dunkl_dihedral.errors import ConvergenceError, DomainError
@@ -21,7 +22,6 @@ from dunkl_dihedral.kernel import (
     delta_effective,
     ek_integral,
     ek_series,
-    kernel_K,
     series_for_radius,
     transition_norm_sum,
 )
@@ -332,9 +332,9 @@ def test_kernel_K_blocks_match_a_split_by_hand(monkeypatch):
 @pytest.mark.parametrize("rows", [1, 7, 24, 25, 200, 10_000])
 def test_endpoint_row_rides_on_the_body_blocks_bit_for_bit(monkeypatch, rows):
     # the endpoint sums, read from the row of time 1 appended to the body
-    # times, equal a separate one-time call, and the body rows equal a call
-    # without endpoint weights, whatever block the endpoint row falls in
-    # (alone in its block at rows = 1 and 24)
+    # times, equal the body row of a one-time call, and the body rows equal
+    # a call with zero endpoint weights, whatever block the endpoint row
+    # falls in (alone in its block at rows = 1 and 24)
     G, P = make_group(4), ParameterK(0.25 + 0.5j, 4)
     orbit = orbit_pairings(G, (0.6, 0.2), (0.3, -0.5))
     rho = 1.0 / (2.0 * delta_effective(P).delta_effective * orbit.a_bound)
@@ -347,8 +347,8 @@ def test_endpoint_row_rides_on_the_body_blocks_bit_for_bit(monkeypatch, rows):
     t = np.linspace(0.0, 1.0, 48, endpoint=False)
     sums = _contour_sum(t, inv, prefs, end_prefs)
     assert sums.shape == (t.size + 1, 2)
-    assert np.array_equal(sums[:-1], _contour_sum(t, inv, prefs))
-    assert np.array_equal(sums[-1], _contour_sum(np.ones(1), inv, end_prefs)[0])
+    assert np.array_equal(sums[:-1], contour_body(t, inv, prefs))
+    assert np.array_equal(sums[-1], contour_body(np.ones(1), inv, end_prefs)[0])
 
 
 _ENDPOINT_GAMMAS = [0.002 - 0.79j, 1.0 + 2.0j, 3.0]
@@ -479,9 +479,9 @@ def test_embedded_half_rule_is_the_half_node_rule(N, rho_scale):
     S = series_for_radius(P, orbit, rho, 1e-13)
     t = np.linspace(0.0, 1.0, 41)
     inv, pref = _contour_rule(P, orbit, S, rho, N)
-    both = _contour_sum(t, inv, np.column_stack([pref, _embedded_half(pref)]))
-    half = _contour_sum(t, *_contour_rule(P, orbit, S, rho, N // 2))
-    full = _contour_sum(t, inv, pref)
+    both = contour_body(t, inv, np.column_stack([pref, _embedded_half(pref)]))
+    half = contour_body(t, *_contour_rule(P, orbit, S, rho, N // 2))
+    full = contour_body(t, inv, pref)
     assert np.max(np.abs(both[:, 0] - full)) <= 1e-14 * np.max(np.abs(full))
     assert np.max(np.abs(both[:, 1] - half)) <= 1e-14 * np.max(np.abs(half))
 

@@ -34,8 +34,9 @@ DIGESTS = {
         "68cf13599ecf88fd8a0063232024682205c53bd6153925982c13e77b88fb0e1d",
     f"{_EM} --y=0.5,0.8,0.1,-0.2 --method sigma":
         "1ea50fcc004691bf8a77ef0b84f0d0d290b3f8b5762e8626939fdd695438fdfd",
+    # em takes no --tol, so its JSON meta writes "tol": null
     f"{_EM} --y=0.5,0.8 --method sigma --format json":
-        "36f7b78cc5f8b158eca1365503066bebdcd55a0753cbd331f33db6db922e5976",
+        "8d6affeeb8880104deb670479ae6e6d2411db60beb1258d6d78b4b1ee6c6c124",
     f"em {_POINT} --y=-1.1,0.6 --m-max 60 --method recurrence":
         "3348a06b88b89fd27fe25bacf03beb719c783a13d053194cb449b59d50f69004",
     f"em {_POINT} --y=-1.1,0.6 --m-max 60 --method genseries":

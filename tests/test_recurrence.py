@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import rel_err
+from definitions import h_coefficients
 from dunkl_dihedral.dihedral import (
     DihedralGroup,
     PlanePoint,
@@ -17,7 +18,7 @@ from dunkl_dihedral.dihedral import (
 )
 from dunkl_dihedral.errors import DomainError
 from dunkl_dihedral.kernel import certified_terms, transition_norm_sum
-from dunkl_dihedral.polyalg import ParameterK, h_coefficients, oracle_em
+from dunkl_dihedral.polyalg import ParameterK, oracle_em
 from dunkl_dihedral.recurrence import em_sequence, scaled_states, y_step
 from dunkl_dihedral.sampling import draw_instance
 from dunkl_dihedral.series import em_closed_sigma

@@ -14,7 +14,6 @@ from .dihedral import (
     is_sigma_invariant,
     make_group,
     orbit_pairings,
-    pairing,
 )
 from .errors import ConvergenceError, DomainError, DunklError
 from .kernel import (
@@ -36,7 +35,6 @@ __all__ = [
     "is_sigma_invariant",
     "make_group",
     "orbit_pairings",
-    "pairing",
     "DunklError",
     "DomainError",
     "ConvergenceError",

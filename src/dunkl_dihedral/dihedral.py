@@ -77,13 +77,6 @@ def reflection_matrix(n: int, j: int) -> np.ndarray:
     return np.array([[c, s], [s, -c]])
 
 
-def pairing(x: PlanePoint, y: PlanePoint) -> complex:
-    """Bilinear pairing x1*y1 + x2*y2 -- no complex conjugation."""
-    xa = _as_point(x).astype(complex)
-    ya = _as_point(y).astype(complex)
-    return complex(xa[0] * ya[0] + xa[1] * ya[1])
-
-
 @dataclass(frozen=True)
 class OrbitPairings:
     """All 2n orbit pairings of a fixed argument pair.

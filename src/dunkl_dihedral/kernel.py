@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -32,6 +33,12 @@ _CONTOUR_BLOCK = 2**22
 _MAX_NODES = 8192
 _LOG_E2_HALF = 2.0 - math.log(2.0)  # log(e^2 / 2)
 _LOG_HALF = math.log(0.5)
+# logs of the smallest normal double and of the largest double
+_LOG_TINY = math.log(sys.float_info.min)
+_LOG_HUGE = math.log(sys.float_info.max)
+_ULP = 2.0**-53
+# Largest series order series_for_radius picks.
+_MAX_ORDER = 1 << 16
 # Terms of the bound-constant summation scanned before giving up.
 _BOUND_SUM_TERMS = 5001
 # Orders l < 20 of the endpoint series, and l!.
@@ -234,24 +241,59 @@ def ek_series(
 
 
 def series_for_radius(
-    P: ParameterK, orbit: OrbitPairings, rho: float, tol: float
+    P: ParameterK, orbit: OrbitPairings, rho: float, tol: float, log_amp: float = 0.0
 ) -> SeriesData:
-    """Series data truncated so the generating-function tail on |z| = rho is
-    below tol: order doubled from 40 until
-    (2n/|gamma|)(delta a rho)^(P+1)/(1-da rho) drops under the target."""
-    order = 40
-    da_rho = delta_effective(P).delta_effective * orbit.a_bound * rho
+    """Series data truncated at the smallest order P whose bound on the tail
+    of Phi on |z| = rho, times the amplification e^log_amp, is at most tol.
+
+    The bound is a majorant read from a_coeffs' recursion.  Lemma: with
+    C = delta_series and a the orbit bound, |phi_p| <= 2 v_p for every p,
+    where v_p = v_0 (C)_p a^p / p! and v_0 = 2n/|gamma|.  Proof: every orbit
+    pairing has modulus at most a, so the power sums r, s that B_q carries
+    are at most n a^(q+1) in modulus; with |u|, |v| <= 2 |A| (sup norms),
+    B_q A = (gamma/2n) (r u + s v, r u - s v) has norm at most
+    2|gamma| a^(q+1) |A|.  By C's definition, 2|gamma| max(1/p,
+    1/|p + 2 gamma|) <= C/p.  So, by induction from |A_0| = 2n/|gamma|,
+    |A_p| <= v_p, with v_p = (C/p) sum_(i<p) a^(p-i) v_i for p >= 1.  The
+    generating function V of v then solves z V' = C (a z/(1 - a z)) V, so
+    V = v_0 (1 - a z)^(-C), whose coefficients are the v_p above; and
+    |phi_p| = |A_p[0] - A_p[1]| <= 2 v_p.
+
+    On |z| = rho, with x = a rho and q_p = (C)_p x^p / p!, the tail past P
+    is at most 2 v_0 sum_(p>P) q_p.  The term ratio q_(p+1)/q_p =
+    (C + p) x/(p + 1) falls toward x when C >= 1 and rises toward it when
+    C < 1, so past P + 1 it is at most r = x max(1, (C+P+1)/(P+2)), and the
+    tail is at most 2 v_0 q_(P+1)/(1 - r).  Since delta >= max(1, C) and
+    delta a rho < 1 (else a domain error), r < 1.  The orders are scanned
+    upward on the ratio alone, against the target over 2 v_0 e^log_amp,
+    which is formed in log space: a target below the double range is a
+    convergence error, raised before a_coeffs runs, as is an order past
+    2^16."""
+    dc = delta_effective(P)
+    a = orbit.a_bound
+    da_rho = dc.delta_effective * a * rho
     if da_rho >= 1.0:
         raise DomainError(
             f"contour radius {rho:.6g} is outside the guaranteed disk "
             f"(delta * a * rho = {da_rho:.6g} >= 1)"
         )
-    amp = 2.0 * P.n / abs(P.gamma)
-    while da_rho > 0.0 and amp * da_rho ** (order + 1) / (1.0 - da_rho) >= tol:
-        order *= 2
-        if order > 1 << 16:
-            raise ConvergenceError("series order cap exceeded while targeting tail")
-    return a_coeffs(P, orbit, order)
+    log_eps = -math.inf
+    if tol > 0.0:
+        log_eps = math.log(tol) - log_amp - math.log(4.0 * P.n) + math.log(abs(P.gamma))
+    if log_eps < _LOG_TINY:
+        raise ConvergenceError(
+            f"the series truncation target on |z| = {rho:.6g} is below the double range: "
+            f"a Phi error there reaches the value amplified by e^{log_amp:.6g}"
+        )
+    eps = math.exp(min(log_eps, -_LOG_TINY))  # capped where it would overflow
+    C, x = dc.delta_series, a * rho
+    q = C * x  # q_(p+1) at p = 0
+    for p in range(_MAX_ORDER):
+        ratio = (C + p + 1) * x / (p + 2)  # q_(p+2) / q_(p+1)
+        if q <= eps * (1.0 - (ratio if ratio > x else x)):
+            return a_coeffs(P, orbit, p)
+        q *= ratio
+    raise ConvergenceError("series order cap exceeded while targeting tail")
 
 
 @lru_cache(maxsize=8)
@@ -266,6 +308,20 @@ def _unit_circle(N: int) -> tuple[np.ndarray, np.ndarray]:
     circle.setflags(write=False)
     cosines.setflags(write=False)
     return circle, cosines
+
+
+@lru_cache(maxsize=8)
+def _endpoint_powers(N: int) -> np.ndarray:
+    """For N contour nodes rho w^j: the powers w^(-j l), l < 20, as an (N, 20)
+    table read from the conjugated unit circle at j l mod N, its entry N/2
+    set to -1 (for even N), so row N-j is the exact conjugate of row j.
+    Read-only, since the cache shares it."""
+    circle = np.conj(_unit_circle(N)[0])
+    if N % 2 == 0:
+        circle[N // 2] = -1.0
+    table = circle[np.multiply.outer(np.arange(N), _ENDPOINT_ORDERS) % N]
+    table.setflags(write=False)
+    return table
 
 
 def _contour_rule(
@@ -410,9 +466,24 @@ def ek_integral(
 
     The integral is split at s0 = min(1, rho/2), rho the contour radius.  On
     [0, s0], K(1-s) = sum_j pref_j e^(1/z_j) e^(-s/z_j) is integrated term by
-    term (_endpoint_coefficients).  On [s0, 1], s = e^v leaves the smooth
+    term (_endpoint_coefficients): at node z_j = rho w^j the series is
+    sum_l coef_l (-s0/rho)^l w^(-j l), one product with the cached table
+    _endpoint_powers.  On [s0, 1], s = e^v leaves the smooth
     e^(gamma v) K(1 - e^v), integrated by 16-point Gauss-Legendre on
     max(1, ceil(-log s0)) * splits equal panels of [log s0, 0].
+
+    Truncation: an error e in Phi on |z| = rho moves each contour weight's
+    share of K(t), t in [0, 1], by at most (|gamma|^2/2n) e e^(1/rho) /
+    (1 - rho a) in all, since |1 - z <x,y>| >= 1 - rho a.  The value takes
+    that times the mass its rule puts on |s^(gamma-1)|: sum_l |coef_l|
+    (s0/rho)^l on [0, s0], and (1 - s0^Re(gamma))/Re(gamma) on [s0, 1], the
+    integral that the panels sum.  That mass is about 1/Re(gamma) for real
+    gamma and stays bounded as Re(gamma) -> 0 with Im(gamma) fixed.
+    series_for_radius takes this amplification, in log space, and truncates
+    Phi where the bound on the value's truncation error is at most
+    min(tol 1e-3, 2^-53), so that the truncation term of the tail is at most
+    one rounding unit of a unit value.  A factor gamma^2/2n past the double
+    range is a range error.
 
     One pass reads three sums from one blocked e^(t/z) matrix: Q, the
     value, with N nodes and 16-point panels; Q_half, the N/2-node rule on
@@ -438,7 +509,8 @@ def ek_integral(
     when that floor exceeds tol * max(1, |Q|); use the series route
     there.  The floor is an estimate, not a bound: it ignores the growth of
     summation error with the number of terms.  The tail estimate is
-    |Q - Q_half| + |Q - Q_8| of the last pass plus its floor.
+    |Q - Q_half| + |Q - Q_8| of the last pass plus its floor plus the
+    truncation bound min(tol 1e-3, 2^-53).
     """
     _require_tol(tol)
     P.require_regular()
@@ -454,10 +526,23 @@ def ek_integral(
         return KernelResult(value=1.0 + 0.0j, method="integral", nodes_used=0)
     delta = delta_effective(P).delta_effective
     rho = rho_scale / (2.0 * delta * a)
-    S = series_for_radius(P, orbit, rho, tol * 1e-3)
+    if rho == 0.0:
+        raise ConvergenceError(f"delta * a = {delta * a:.6g} is past the double range")
+    log_weight = 2.0 * math.log(abs(g)) - math.log(2.0 * P.n)
+    if log_weight > _LOG_HUGE:
+        raise DomainError(
+            f"the contour weights' factor gamma^2/2n = e^{log_weight:.6g} is past the double range",
+            code="range-error",
+        )
     s0 = min(1.0, 0.5 * rho)
-    coef = _endpoint_coefficients(g, s0)
-    end_mass = float(np.abs(coef) @ (s0 / rho) ** _ENDPOINT_ORDERS)
+    # the endpoint series' terms at z = rho: coef_l (-s0/rho)^l
+    end_terms = _endpoint_coefficients(g, s0) * (-s0 / rho) ** _ENDPOINT_ORDERS
+    end_mass = float(np.add.reduce(np.abs(end_terms)))
+    # the amplification of a Phi error on |z| = rho into the value (above)
+    mass = end_mass - math.expm1(g.real * math.log(s0)) / g.real
+    log_amp = log_weight + 1.0 / rho - math.log1p(-rho * a) + math.log(mass)
+    truncation = min(tol * 1e-3, _ULP)
+    S = series_for_radius(P, orbit, rho, truncation, log_amp)
 
     def one_pass(N: int, splits: int) -> tuple[complex, float, float]:
         panels = max(1, math.ceil(-math.log(s0))) * splits
@@ -468,8 +553,7 @@ def ek_integral(
         weight, weight8 = body_weights[:n16], body_weights[n16:]
         inv, pref = _contour_rule(P, orbit, S, rho, N)
         prefs = np.column_stack([pref, _embedded_half(pref)])
-        inv_all = np.concatenate([inv, np.conj(inv[(N - 1) // 2 : 0 : -1])])
-        end_prefs = prefs * (np.vander(-s0 * inv_all, coef.size, increasing=True) @ coef)[:, None]
+        end_prefs = prefs * (_endpoint_powers(N) @ end_terms)[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
             sums = _contour_sum(t, inv, prefs, end_prefs)
             body, end = sums[:-1], sums[-1]
@@ -504,7 +588,10 @@ def ek_integral(
         noise = spread <= 2.0 * floor
         if spread <= 0.3 * scale or (noise and spread <= scale):
             return KernelResult(
-                value=value, method="integral", nodes_used=N, tail_estimate=spread + floor
+                value=value,
+                method="integral",
+                nodes_used=N,
+                tail_estimate=spread + floor + truncation,
             )
         if noise:
             raise ConvergenceError(

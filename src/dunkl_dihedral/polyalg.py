@@ -209,6 +209,18 @@ def _h_weights(P: ParameterK, ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # the intertwining map's matrices, built degree by degree
 
 
+class _ListCache(OrderedDict):
+    """An OrderedDict of matrix lists that keeps `elements`, the entries of
+    its lists together, as _vk_matrices adds, extends and evicts them;
+    clear() resets it."""
+
+    elements = 0
+
+    def clear(self) -> None:
+        super().clear()
+        self.elements = 0
+
+
 # The intertwining matrices V_0..V_M built so far, by (n, k), least recently
 # used first.  _vk_matrices extends a list in place, then keeps at most
 # ORACLE_CACHE_LISTS lists whose complex entries together stay within
@@ -216,7 +228,7 @@ def _h_weights(P: ParameterK, ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # parameters at M = 60 but one at M = 120 (6e5 entries), so a sweep over
 # fresh k holds a bounded set however many samples it draws.  The newest
 # list is kept even past the budget.
-_vk_cache: OrderedDict = OrderedDict()
+_vk_cache = _ListCache()
 ORACLE_CACHE_LISTS = 32
 ORACLE_CACHE_ELEMENTS = 2**20
 
@@ -237,11 +249,15 @@ def _vk_matrices(G: DihedralGroup, P: ParameterK, mmax: int) -> list[np.ndarray]
     degree factors of d1 and d2 are complex, as the matrices are.
     """
     key = (G.n, complex(P.k))
-    mats = _vk_cache.pop(key, None) or [np.ones((1, 1), dtype=complex)]
+    mats = _vk_cache.pop(key, None)
+    if mats is None:
+        mats = [np.ones((1, 1), dtype=complex)]
+        _vk_cache.elements += 1
     _vk_cache[key] = mats
     if len(mats) > mmax:
         return mats
-    ms = np.arange(len(mats), mmax + 1)
+    start = len(mats)
+    ms = np.arange(start, mmax + 1)
     weights, diag = _h_weights(P, ms)
     powers = np.arange(1, mmax + 1, dtype=complex)
     falling = powers[::-1].copy()  # mmax, ..., 1: its last m entries are m, ..., 1
@@ -256,11 +272,11 @@ def _vk_matrices(G: DihedralGroup, P: ParameterK, mmax: int) -> list[np.ndarray]
         v = (t * w[: m + 1]) @ _rotation_sum(G.n, m)
         v += c * t
         mats.append(v)
-    while len(_vk_cache) > ORACLE_CACHE_LISTS:
-        _vk_cache.popitem(last=False)
-    total = sum(_vk_elements(len(v)) for v in _vk_cache.values())
-    while total > ORACLE_CACHE_ELEMENTS and len(_vk_cache) > 1:
-        total -= _vk_elements(len(_vk_cache.popitem(last=False)[1]))
+    _vk_cache.elements += _vk_elements(len(mats)) - _vk_elements(start)
+    while len(_vk_cache) > ORACLE_CACHE_LISTS or (
+        _vk_cache.elements > ORACLE_CACHE_ELEMENTS and len(_vk_cache) > 1
+    ):
+        _vk_cache.elements -= _vk_elements(len(_vk_cache.popitem(last=False)[1]))
     return mats
 
 

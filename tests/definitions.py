@@ -1,5 +1,5 @@
 """Definition-level references the tests check the library's routes against:
-the polynomial algebra, T_xi, the group average A and its shifted inverse,
+the bilinear pairing, the polynomial algebra, T_xi, the group average A and its shifted inverse,
 V_k on polynomials, the contour kernel K(t), the system's driving sums, its
 closed mirror-axis generating function and its coefficient vectors A_p."""
 
@@ -17,6 +17,13 @@ from dunkl_dihedral.kernel import _contour_rule, _contour_sum
 from dunkl_dihedral.polyalg import ParameterK, _h_scalars, _h_weights, _raise_action
 from dunkl_dihedral.polyalg import _rotation_sum, _vk_matrices
 from dunkl_dihedral.series import SeriesData, _require_sigma_invariant
+
+def pairing(x: PlanePoint, y: PlanePoint) -> complex:
+    """Bilinear pairing x1*y1 + x2*y2 -- no complex conjugation."""
+    xa = _as_point(x).astype(complex)
+    ya = _as_point(y).astype(complex)
+    return complex(xa[0] * ya[0] + xa[1] * ya[1])
+
 
 # ---------------------------------------------------------------------------
 # dense bivariate polynomials

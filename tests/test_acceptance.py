@@ -12,9 +12,17 @@ import numpy as np
 import pytest
 
 from conftest import poly_rel_err, random_poly, rel_err, residual_check
-from definitions import _a_coeffs_by_loop, a_op, dunkl_apply, h_op, intertwine, pairing_power
+from definitions import (
+    _a_coeffs_by_loop,
+    a_op,
+    dunkl_apply,
+    h_op,
+    intertwine,
+    pairing,
+    pairing_power,
+)
 from dunkl_dihedral.cli import EXIT_OK, main
-from dunkl_dihedral.dihedral import is_sigma_invariant, make_group, orbit_pairings, pairing
+from dunkl_dihedral.dihedral import is_sigma_invariant, make_group, orbit_pairings
 from dunkl_dihedral.kernel import (
     check_ek_bound,
     check_em_bound,

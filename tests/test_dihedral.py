@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from definitions import positive_roots
+from definitions import pairing, positive_roots
 from dunkl_dihedral.dihedral import (
     MAX_N,
     OrbitPairings,
@@ -14,7 +14,6 @@ from dunkl_dihedral.dihedral import (
     is_sigma_invariant,
     make_group,
     orbit_pairings,
-    pairing,
     reflection_matrix,
     rotation_matrix,
 )

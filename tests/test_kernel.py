@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rel_err
 from definitions import contour_body, kernel_K
@@ -646,3 +648,166 @@ def test_contour_constants_are_cached_and_read_only(N):
     for arr in (circle, cosines, *kernel._panel_rules(), *layout):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# series_for_radius: the majorant of Phi and the order it picks
+
+
+def _log_majorant(C: float, a: float, p: np.ndarray) -> np.ndarray:
+    """log((C)_p a^p / p!) at the orders p, by lgamma."""
+    return np.array([math.lgamma(C + q) - math.lgamma(C) - math.lgamma(q + 1) for q in p]) + p * (
+        math.log(a)
+    )
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    band=st.sampled_from([(-2.5, -0.05), (0.05, 3.0), (3.0, 40.0)]),
+    re_frac=st.floats(0.0, 1.0),
+    im_k=st.floats(-1.0, 1.0),
+    x=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+    y=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+    y_im=st.one_of(st.none(), st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))),
+)
+def test_phi_lies_under_twice_its_majorant(n, band, re_frac, im_k, x, y, y_im):
+    # |phi_p| <= 2 v_0 (C)_p a^p / p!, v_0 = 2n/|gamma|, C = delta_series,
+    # for p <= 60: Re(gamma) in three bands, one of them negative, complex y
+    re_gamma = band[0] + re_frac * (band[1] - band[0])
+    P = ParameterK(complex(re_gamma / n, im_k), n)
+    try:
+        P.require_regular()
+    except DomainError:
+        return
+    yv = np.array(y, dtype=complex) + (1j * np.array(y_im) if y_im is not None else 0.0)
+    orbit = orbit_pairings(make_group(n), x, yv)
+    if orbit.a_bound == 0.0:
+        return
+    phi = a_coeffs(P, orbit, 60).phi
+    p = np.arange(61)
+    log_v = math.log(2.0 * n / abs(P.gamma)) + _log_majorant(
+        delta_effective(P).delta_series, orbit.a_bound, p
+    )
+    nonzero = phi != 0
+    assert np.all(np.log(np.abs(phi[nonzero])) <= math.log(2.0) + log_v[nonzero] + 1e-9)
+
+
+def _truncation_bound(P, orbit, rho, log_amp, order):
+    """e^log_amp 2 v_0 q_(P+1) / (1 - r), the bound series_for_radius
+    meets, written with lgamma."""
+    C, x = delta_effective(P).delta_series, orbit.a_bound * rho
+    log_q = _log_majorant(C, x, np.array([order + 1]))[0]
+    r = x * max(1.0, (C + order + 1) / (order + 2))
+    return math.exp(log_amp + math.log(4.0 * P.n / abs(P.gamma)) + log_q) / (1.0 - r)
+
+
+def _spy_series_for_radius(monkeypatch, order_of=None):
+    """Record the arguments and order of each series_for_radius call;
+    order_of(order), when given, replaces the order that is returned."""
+    calls = []
+    chosen = kernel.series_for_radius
+
+    def spy(P, orbit, rho, tol, log_amp=0.0):
+        S = chosen(P, orbit, rho, tol, log_amp)
+        calls.append((P, orbit, rho, tol, log_amp, S.order))
+        return S if order_of is None else a_coeffs(P, orbit, order_of(S.order))
+
+    monkeypatch.setattr(kernel, "series_for_radius", spy)
+    return calls
+
+
+def test_series_order_is_the_smallest_that_meets_the_target(monkeypatch):
+    # on ek_integral's own calls: the chosen order meets the target, and the
+    # order below it does not
+    calls = _spy_series_for_radius(monkeypatch)
+    rng = np.random.default_rng(2201)
+    for _ in range(40):
+        inst = draw_instance(rng, positive_gamma=True, delta_a_cap=6.0)
+        for tol in (1e-8, 1e-14):
+            # the order is chosen before the passes, which at tol 1e-14 may
+            # refuse on their rounding floor
+            try:
+                ek_integral(inst.group(), inst.parameter(), inst.x, inst.y, tol)
+            except ConvergenceError as exc:
+                assert tol == 1e-14 and "rounding floor" in str(exc)
+    assert len(calls) == 80
+    orders = [call[-1] for call in calls]
+    assert min(orders) > 0 and max(orders) < 80
+    for P, orbit, rho, tol, log_amp, order in calls:
+        assert tol == min(1e-3 * 1e-8, 2.0**-53) or tol == 1e-3 * 1e-14
+        assert _truncation_bound(P, orbit, rho, log_amp, order) <= tol * (1.0 + 1e-9)
+        assert _truncation_bound(P, orbit, rho, log_amp, order - 1) > tol * (1.0 - 1e-9)
+
+
+def test_truncated_value_lies_within_the_truncation_bound(monkeypatch):
+    # with the cap of one rounding unit lifted, the target is tol 1e-3 = 1e-6,
+    # far above rounding, and moving to order 2P + 20 moves the value by no
+    # more than the bound at P
+    monkeypatch.setattr(kernel, "_ULP", 1.0)
+    rng = np.random.default_rng(2202)
+    checked = 0
+    for _ in range(12):
+        inst = draw_instance(rng, positive_gamma=True, delta_a_cap=6.0)
+        G, P, x, y = inst.group(), inst.parameter(), inst.x, inst.y
+        with monkeypatch.context() as m:
+            calls = _spy_series_for_radius(m)
+            res = ek_integral(G, P, x, y, 1e-3)
+        with monkeypatch.context() as m:
+            _spy_series_for_radius(m, order_of=lambda order: 2 * order + 20)
+            more = ek_integral(G, P, x, y, 1e-3)
+        if res.nodes_used != more.nodes_used:
+            continue
+        (_, orbit, rho, tol, log_amp, order), = calls
+        bound = _truncation_bound(P, orbit, rho, log_amp, order)
+        assert bound <= tol == 1e-6
+        assert abs(res.value - more.value) <= bound
+        assert res.tail_estimate >= tol
+        checked += 1
+    assert checked >= 10
+
+
+def test_series_order_refused_where_the_amplified_target_underflows(monkeypatch):
+    # n = 3, k = 1e6: 1/rho = 2 delta a is about 1.6e7, so the target
+    # e^-1.6e7 tol is below the double range; refused before a_coeffs runs
+    def no_coefficients(*args):
+        raise AssertionError("a_coeffs ran")
+
+    monkeypatch.setattr(kernel, "a_coeffs", no_coefficients)
+    with pytest.raises(ConvergenceError, match=r"amplified by e\^1\.6392\de\+07"):
+        ek_integral(make_group(3), ParameterK(1e6, 3), (1.0, 0.0), (1.0, 1.0), 1e-8)
+    # at k = 1e300 the factor gamma^2/2n itself is past the double range
+    with pytest.raises(DomainError, match="past the double range") as info:
+        ek_integral(make_group(3), ParameterK(1e300, 3), (1.0, 0.0), (1.0, 1.0), 1e-8)
+    assert info.value.code == "range-error"
+    # and at k = 1e9 with pairings near 1e300, delta a is
+    with pytest.raises(ConvergenceError, match=r"delta \* a = inf is past the double range"):
+        ek_integral(make_group(3), ParameterK(1e9, 3), (1e150, 0.0), (1e150, 1.0), 1e-8)
+
+
+def test_integral_at_a_vanishing_real_part_is_not_refused():
+    # Re(gamma) = 3e-300 beside Im(gamma) = 1.5: the amplification reads the
+    # mass the rule puts on |s^(gamma-1)|, about log(1/s0) + 1/|gamma| here,
+    # not 1/Re(gamma) = e^690, so the target stays in the double range
+    G, P, x, y = make_group(3), ParameterK(1e-300 + 0.5j, 3), (1.0, 0.0), (1.0, 1.0)
+    res = ek_integral(G, P, x, y, 1e-8)
+    ref = ek_series(G, P, x, y, 1e-14)
+    assert abs(res.value - ref.value) <= res.tail_estimate + ref.tail_estimate
+
+
+@pytest.mark.parametrize("N", [8, 9, 64, 128, 8192])
+def test_endpoint_powers_are_the_node_powers_conjugate_symmetric(N):
+    # row j holds w^(-j l), l < 20, within rounding of the powers of the
+    # reciprocal nodes; row N-j is the exact conjugate of row j, so real
+    # endpoint terms give exactly conjugate-symmetric weights
+    table = kernel._endpoint_powers(N)
+    assert kernel._endpoint_powers(N) is table and table.shape == (N, 20)
+    inv = 1.0 / kernel._unit_circle(N)[0]
+    np.testing.assert_allclose(table, np.vander(inv, 20, increasing=True), rtol=0, atol=2e-14)
+    j = np.arange(1, N)
+    assert np.array_equal(table[N - j], np.conj(table[j]))
+    terms = _endpoint_coefficients(1.5, 0.3) * (-0.5) ** np.arange(20)
+    weights = table @ terms
+    assert np.array_equal(weights[N - j], np.conj(weights[j]))
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0

@@ -46,9 +46,9 @@ DIGESTS = {
     f"kernel {_POINT} --y=0.5,0.8,0.1,-0.2 --method series --tol 1e-12":
         "19dd1d772a0a06377efd2c8e88989657e08580a53b8a2f49f0a7cd0217992e41",
     f"kernel {_POINT} --y=0.5,0.8 --method integral --tol 1e-8":
-        "61b2d724cfcd3eb0c6f3d65c715d52a51b7f34d439210912801c195404a44f9c",
+        "e4d31445087ad9bc204adc9a824246b89bcc482dbac4bdf0f903de0b45bce147",
     f"kernel {_POINT} --y=0.5,0.8,0.1,-0.2 --method integral --tol 1e-8":
-        "2b4df36fa493d699621c444626fdaf3643324e939662eac8e9ca01835040b77e",
+        "a19e33827a92757b3805340ab701a61ad81324f188799318a3b395b926f6e2d6",
     "crosscheck --seed 5 --samples 10":
         "8a582e35e9a9a7f21bbcd579b64cc41dfcfa620a756db8d2fb401c0f82edc4f8",
     # V built past degree 12, fresh k per sample
@@ -57,13 +57,13 @@ DIGESTS = {
     # the last contour pass at 128 nodes
     "kernel --n 2 --k=0.5,0.0 --x=1.1466295248026057,0.0 --y=1.9023276203061634,-8.013109575481606"
     " --method integral --tol 1e-08":
-        "784319253aff2d52a0f8ed39a24c4acec931c999576966d009a1939108577656",
+        "d8d4f151db3c1179efc2b38d5943664de5841c2eb980c72c58d10e8742f2fd71",
     # the passes double from 128 to 256 nodes on at least 4 panels; the
     # value is within 1.2e-14 of the series route's at tol 1e-15
     "kernel --n 4 --k=1.2057506716904671,-0.032065047156279225"
     " --x=-0.5909027195420594,-0.66472316369768 --y=-0.9805216493835016,-0.2196947764694137"
     " --method integral --tol 1e-12":
-        "f4f8c59425236350fe82bc703d13ecbc73a12c4e62eb482283cabb9987597280",
+        "d54b802024bd41eb294b00e032ac478ab94ab44b1ec0af6989a247e2e7b84dac",
     f"phi {_POINT} --y=0.5,0.8 --pmax 40":
         "d916da37d12a6445dd128e80f1be06edcf979b1efc978121683b196e509bbceb",
     f"bounds {_POINT} --y=0.5,0.8 --m-max 30":

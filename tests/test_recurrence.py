@@ -18,7 +18,14 @@ from dunkl_dihedral.dihedral import (
 from dunkl_dihedral.errors import DomainError
 from dunkl_dihedral.kernel import certified_terms, transition_norm_sum
 from dunkl_dihedral.polyalg import ParameterK, oracle_em
-from dunkl_dihedral.recurrence import em_sequence, scaled_states, y_step
+from dunkl_dihedral.recurrence import (
+    DENSE_MAX_N,
+    _step_basis,
+    _step_matrices,
+    em_sequence,
+    state_blocks,
+    y_step,
+)
 from dunkl_dihedral.sampling import draw_instance
 from dunkl_dihedral.series import em_closed_sigma
 
@@ -96,53 +103,110 @@ def test_y_step_matches_its_matrix(n, rng):
         assert np.all(np.abs(y_step(values, m, P, orbit) - matrix @ values) <= 1e-14 * size)
 
 
+def _states(P, orbit, count, rows=1):
+    """The first count scaled states as one (count, 2n) array, read from
+    state_blocks with a first block of the given rows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.vstack(list(state_blocks(P, orbit, rows, count)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16, DENSE_MAX_N])
+def test_step_matrices_are_the_step_matrix_over_its_divisor(n, rng):
+    # T_m = _y_step_matrix(P, orbit, m) / (m+1+gamma), within 1e-14 |T| |s|
+    G = make_group(n)
+    for _ in range(20):
+        P = ParameterK(complex(*rng.uniform(-2.0, 2.0, size=2)), n)
+        x = rng.uniform(-3, 3, size=2) + 1j * rng.uniform(-3, 3, size=2)
+        y = rng.uniform(-3, 3, size=2) + 1j * rng.uniform(-3, 3, size=2)
+        orbit = orbit_pairings(G, x, y)
+        m, count = int(rng.integers(0, 60)), int(rng.integers(1, 9))
+        T = _step_matrices(P.gamma, n, _step_basis(orbit), m, count)
+        assert T.shape == (count, 2 * n, 2 * n)
+        for j in range(count):
+            matrix = _y_step_matrix(P, orbit, m + j) / (m + j + 1 + P.gamma)
+            values = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
+            size = np.abs(matrix) @ np.abs(values)
+            assert np.all(np.abs(T[j] @ values - matrix @ values) <= 1e-14 * size)
+
+
 def test_scaled_states_yield_plain_states(rng):
     # each state is the previous one stepped by y_step after division by
-    # m+1+gamma, bit for bit, and entry 0 is the component em_sequence reports
+    # m+1+gamma, within rounding, and entry 0 is the component em_sequence
+    # reports, bit for bit
     for _ in range(6):
         inst = draw_instance(rng)
         G, P = inst.group(), inst.parameter()
         orbit = orbit_pairings(G, inst.x, inst.y)
         table = em_sequence(G, P, inst.x, inst.y, 29)
-        prev = None
-        for m, state in enumerate(itertools.islice(scaled_states(P, orbit), 30)):
-            assert isinstance(state, np.ndarray) and state.shape == (2 * orbit.n,)
-            if prev is None:
-                assert np.all(state == 1.0)
-            else:
-                assert np.array_equal(state, y_step(prev / (m + P.gamma), m - 1, P, orbit))
-            assert state[0] == table[m]
-            prev = state
+        states = _states(P, orbit, 30, rows=7)
+        assert states.shape == (30, 2 * orbit.n) and states.dtype == complex
+        assert np.all(states[0] == 1.0)
+        for m in range(1, 30):
+            step = y_step(states[m - 1] / (m + P.gamma), m - 1, P, orbit)
+            assert np.all(np.abs(states[m] - step) <= 1e-13 * np.max(np.abs(step)))
+        assert np.array_equal(states[:, 0], table)
 
 
-# Rows of 2 to 1000 entries: short rows, and rows long enough that numpy sums
-# them in its unrolled blocks.  Real and complex y; gamma real or complex,
-# with Re(gamma) < 0 in two of the three.
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 17, 1000])
+# Above DENSE_MAX_N the structured step is y_step's arithmetic: rows just
+# past it, and rows long enough that numpy sums them in its unrolled blocks.
+# Real and complex y; gamma real or complex, with Re(gamma) < 0 in two of the
+# three.
+@pytest.mark.parametrize("n", [DENSE_MAX_N + 1, 1000])
 @pytest.mark.parametrize("gamma", [0.8, -0.35, -0.2 + 0.45j])
 @pytest.mark.parametrize("y", [(0.5, -0.8), (0.5 + 0.1j, 0.8 - 0.3j)])
 def test_scaled_states_are_the_y_step_chain_bit_for_bit(n, gamma, y):
     G, P = make_group(n), ParameterK(gamma / n, n)
     orbit = orbit_pairings(G, (0.9, 0.35), y)
-    with np.errstate(over="ignore", invalid="ignore"):
-        states = list(itertools.islice(scaled_states(P, orbit), 40))
+    states = _states(P, orbit, 40, rows=3)
     chain = np.ones(2 * n, dtype=complex)
     for m, state in enumerate(states):
-        assert state.shape == (2 * n,) and state.dtype == complex
         assert np.array_equal(state, chain)
         chain = y_step(chain / (m + 1 + P.gamma), m, P, orbit)
-    assert np.array_equal([s[0] for s in states], em_sequence(G, P, (0.9, 0.35), y, 39))
+    assert np.array_equal(states[:, 0], em_sequence(G, P, (0.9, 0.35), y, 39))
+
+
+# Up to DENSE_MAX_N each degree is one product with the dense step matrix, so
+# a state differs from the y_step chain by rounding: within 1e-14 of the
+# chain's sup norm through degree 60 (the largest seen was 4.0e-15), for
+# Re(gamma) of either sign and complex y.
+@pytest.mark.parametrize("n", range(2, DENSE_MAX_N + 1))
+def test_dense_states_are_the_y_step_chain_within_rounding(n):
+    G = make_group(n)
+    for gamma, y in itertools.product(
+        [0.8, -0.35, -0.2 + 0.45j, 3.0 - 2.0j], [(0.5, -0.8), (0.5 + 0.1j, 0.8 - 0.3j)]
+    ):
+        P = ParameterK(gamma / n, n)
+        orbit = orbit_pairings(G, (0.9, 0.35), y)
+        states = _states(P, orbit, 61, rows=24)
+        chain = np.ones(2 * n, dtype=complex)
+        for m, state in enumerate(states):
+            assert np.all(np.abs(state - chain) <= 1e-14 * np.max(np.abs(chain))), (gamma, y, m)
+            chain = y_step(chain / (m + 1 + P.gamma), m, P, orbit)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, DENSE_MAX_N, DENSE_MAX_N + 1])
+def test_states_do_not_depend_on_the_block_cut(n):
+    # the same states, bit for bit, whatever the first block's rows: the
+    # step matrices of a degree come out of the product as they would in any
+    # other block, one-row blocks included
+    G, P = make_group(n), ParameterK(-0.2 + 0.45j, n)
+    orbit = orbit_pairings(G, (0.9, 0.35), (0.5 + 0.1j, 0.8 - 0.3j))
+    whole = _states(P, orbit, 70, rows=70)
+    for rows in (1, 2, 3, 5, 24, 69):
+        blocks = list(state_blocks(P, orbit, rows, 70))
+        assert len(blocks[0]) <= rows and sum(map(len, blocks)) == 70
+        assert np.array_equal(np.vstack(blocks), whole), rows
 
 
 def test_yielded_states_stay_as_they_were_yielded():
     G, P = make_group(5), ParameterK(-0.07 + 0.02j, 5)
-    states = scaled_states(P, orbit_pairings(G, (0.9, 0.35), (0.5 + 0.1j, 0.8)))
+    blocks = state_blocks(P, orbit_pairings(G, (0.9, 0.35), (0.5 + 0.1j, 0.8)), 2, 100)
     kept, copies = [], []
-    for state in itertools.islice(states, 30):
-        assert not any(np.shares_memory(state, old) for old in kept)
-        kept.append(state)
-        copies.append(state.copy())
-    next(states)
+    for block in itertools.islice(blocks, 5):
+        assert not any(np.shares_memory(block, old) for old in kept)
+        kept.append(block)
+        copies.append(block.copy())
+    next(blocks)
     assert all(np.array_equal(a, b) for a, b in zip(kept, copies))
 
 
@@ -298,11 +362,16 @@ def test_degree_cap_is_enforced():
 
 
 def test_state_overflow_is_a_range_error():
-    # a = 30 |y| ~ 949: a^m / m! passes the double range near m = 394
+    # a = 30 |y| ~ 949: a^m / m! passes the double range at m = 395.  The
+    # exact states, by the recurrence in 50-digit mpmath on the same
+    # pairings, reach 1.487e308 at degree 394 and 3.380e308 at 395, past the
+    # largest double 1.798e308.  (The structured step overflowed at 394, in
+    # its orbit sums.)
     G, P = make_group(3), ParameterK(0.5, 3)
-    assert np.all(np.isfinite(em_sequence(G, P, (30.0, 0.0), (30.0, 10.0), 300)))
+    table = em_sequence(G, P, (30.0, 0.0), (30.0, 10.0), 394)
+    assert np.all(np.isfinite(table)) and abs(table[394]) == pytest.approx(1.487138e308, rel=1e-6)
     with pytest.raises(
-        DomainError, match="the components overflow double precision at degree 394"
+        DomainError, match="the components overflow double precision at degree 395"
     ) as info:
         em_sequence(G, P, (30.0, 0.0), (30.0, 10.0), 400)
     assert info.value.code == "range-error"
@@ -311,7 +380,7 @@ def test_state_overflow_is_a_range_error():
     # states overflow at the same degree
     orbit = dataclasses.replace(orbit_pairings(G, (30.0, 0.0), (30.0, 10.0)), a_bound=1.0)
     with pytest.raises(
-        DomainError, match="the orbit state overflows double precision at degree 394"
+        DomainError, match="the orbit state overflows double precision at degree 395"
     ) as info:
         certified_terms(P, orbit, 1e-10)
     assert info.value.code == "range-error"

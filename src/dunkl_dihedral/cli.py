@@ -25,7 +25,13 @@ signature (G, P, x, y, M) -> complex ndarray: ``recurrence.em_sequence``,
 ``dihedral.orbit_pairings`` remembers its last result for the same point
 arrays, so a crosscheck sample computes its orbit pairings once: in
 ``draw_instance``, whose last orbit the routes of the sample then reuse.
-The oracle reads the points by its own path and stays independent of them.
+So the sweep runs a sample's recurrence, genseries and sigma routes as soon
+as it is drawn (``_crosscheck_one``), and the oracle, which reads the points
+by its own path and stays independent of them, once over all samples after
+the last draw: ``polyalg.oracle_tables`` builds the samples' intertwining
+matrices together, one degree at a time, with the bits of ``oracle_em``.
+The refusal reported is the first in (sample, route) order, as when each
+sample ran all its routes before the next was drawn.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ import argparse
 import json
 import sys
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,7 +56,7 @@ from .dihedral import (
 from .errors import ConvergenceError, DomainError
 from .kernel import _log_abs_pochhammer, _require_tol, check_ek_bound, check_em_bound
 from .kernel import ek_integral, ek_series
-from .polyalg import ParameterK, oracle_em, require_degree
+from .polyalg import ParameterK, oracle_em, oracle_tables, require_degree
 from .recurrence import em_sequence
 from .sampling import draw_instance
 from .series import a_coeffs, em_closed_sigma, em_genseries
@@ -191,23 +198,50 @@ def cmd_kernel(args: argparse.Namespace, out) -> int:
     return EXIT_OK
 
 
+class _Sample(NamedTuple):
+    """A crosscheck sample whose oracle table is still to come: the
+    oracle's arguments, the orbit pairings, the routes that apply, the
+    tables of the others (None in the oracle's place), and the refusal of a
+    route that runs after the oracle, raised once the oracle has run."""
+
+    member: tuple[DihedralGroup, ParameterK, PlanePoint, PlanePoint]
+    orbit: OrbitPairings
+    methods: list[str]
+    tables: list[np.ndarray | None]
+    refusal: Exception | None
+
+
 def _crosscheck_one(
     G: DihedralGroup, P: ParameterK, x: PlanePoint, y: PlanePoint, m_max: int
-) -> tuple[float, bool]:
-    """Worst discrepancy |u_m - v_m| / max(|u_m|, |v_m|, a^m / |(1+gamma)_m|)
-    between the applicable routes' tables u, v, and whether the mirror-axis
-    route was among them.  The third term is the a-priori size
-    a^m / |(1+gamma)_m|, which sets the rounding error where E_m passes near
-    zero."""
+) -> _Sample:
+    """A sample's routes in _methods' order, all but the oracle, which
+    cmd_crosscheck runs over all samples at once: a refusal from a route
+    before the oracle's place is raised, one from a route after it kept."""
     orbit = orbit_pairings(G, x, y)
     methods = _methods(orbit)
-    tables = np.array([_em_values(method, G, P, x, y, m_max) for method in methods])
+    place = methods.index("oracle")
+    tables = [_em_values(method, G, P, x, y, m_max) for method in methods[:place]] + [None]
+    refusal = None
+    try:
+        tables += [_em_values(method, G, P, x, y, m_max) for method in methods[place + 1 :]]
+    except tuple(_EXIT_CODES) as exc:
+        refusal = exc
+    return _Sample((G, P, x, y), orbit, methods, tables, refusal)
+
+
+def _max_disc(sample: _Sample, oracle: np.ndarray, m_max: int) -> float:
+    """Worst discrepancy |u_m - v_m| / max(|u_m|, |v_m|, a^m / |(1+gamma)_m|)
+    between the sample's tables u, v, the oracle's among them.  The third
+    term is the a-priori size a^m / |(1+gamma)_m|, which sets the rounding
+    error where E_m passes near zero."""
+    tables = np.array([oracle if table is None else table for table in sample.tables])
     m = np.arange(m_max + 1)
-    scale = np.exp(m * np.log(orbit.a_bound) - _log_abs_pochhammer(P.gamma, m_max))
+    gamma = sample.member[1].gamma
+    scale = np.exp(m * np.log(sample.orbit.a_bound) - _log_abs_pochhammer(gamma, m_max))
     u, v = tables[:, None, :], tables[None, :, :]
     denom = np.maximum(np.maximum(np.abs(u), np.abs(v)), scale)
     disc = np.divide(np.abs(u - v), denom, out=np.zeros(denom.shape), where=denom > 0)
-    return float(np.max(disc)), "sigma" in methods
+    return float(np.max(disc))
 
 
 def cmd_crosscheck(args: argparse.Namespace, out) -> int:
@@ -229,23 +263,36 @@ def cmd_crosscheck(args: argparse.Namespace, out) -> int:
         raise DomainError("the sweep seed must be a nonnegative integer")
     if args.samples < 0:
         raise DomainError("the sweep sample count must be a nonnegative integer")
+    # Each sample runs its routes but the oracle as soon as it is drawn, so
+    # they share the orbit pairings draw_instance leaves remembered; the
+    # oracle then runs once over every sample drawn.  The first refusal in
+    # (sample, route) order is the one raised: the sweep stops at a sample
+    # with a refusal, the oracle raises any of its own for the samples up to
+    # it, and only then is the sample's refusal raised.
     rng = np.random.default_rng(args.seed)
+    samples, refusal = [], None
+    for idx in range(args.samples):
+        try:
+            inst = draw_instance(rng, sigma_invariant=(idx % 5 == 4), min_xy=1e-3)
+            sample = _crosscheck_one(inst.group(), inst.parameter(), inst.x, inst.y, args.m_max)
+        except tuple(_EXIT_CODES) as exc:
+            refusal = exc
+            break
+        samples.append(sample)
+        if sample.refusal is not None:
+            refusal = sample.refusal
+            break
+    oracle = oracle_tables([sample.member for sample in samples], args.m_max)
+    if refusal is not None:
+        raise refusal
     rows = []
     worst_overall = 0.0
-    for idx in range(args.samples):
-        inst = draw_instance(rng, sigma_invariant=(idx % 5 == 4), min_xy=1e-3)
-        worst, sigma = _crosscheck_one(inst.group(), inst.parameter(), inst.x, inst.y, args.m_max)
+    for idx, (sample, table) in enumerate(zip(samples, oracle)):
+        G, P = sample.member[:2]
+        worst = _max_disc(sample, table, args.m_max)
         worst_overall = max(worst_overall, worst)
-        rows.append(
-            [
-                idx,
-                inst.n,
-                float(inst.k.real),
-                float(inst.k.imag),
-                float(worst),
-                int(sigma),
-            ]
-        )
+        sigma = int("sigma" in sample.methods)
+        rows.append([idx, G.n, float(P.k.real), float(P.k.imag), float(worst), sigma])
     rows.append(["overall", "", "", "", float(worst_overall), ""])
     _emit(args, ["sample", "n", "k_re", "k_im", "max_rel_disc", "sigma_checked"], rows, out)
     if worst_overall > args.tol:

@@ -30,6 +30,7 @@ certificate, which reads each state's sup norm, guards that norm.
 
 from __future__ import annotations
 
+import cmath
 from functools import lru_cache
 from typing import Callable, Iterator
 
@@ -59,11 +60,19 @@ def _add_orbit_sums(dy: np.ndarray, m: int, g: complex, shift: np.ndarray) -> No
     ones split; all inner products are bilinear (no conjugation).  One row
     sum gives both inner products; it is np.add.reduce, which ndarray.sum
     calls through a Python wrapper.  shift is a (2, 1) buffer of the
-    caller's, which receives the two halves' corrections."""
-    n = dy.shape[1]
+    caller's, which receives the two halves' corrections.
+
+    The inner products are sums of 2n entries, so they can pass the double
+    range where their 1/(2n) share, and the state, do not: there they are
+    formed again from the entries divided by 2n, and a state overflows only
+    where its exact value leaves the range, as the dense step's does."""
+    parts = 2 * dy.shape[1]
     rot, refl = np.add.reduce(dy, axis=1).tolist()
-    s_w = (g / (2 * n * (m + 1))) * (rot + refl)
-    corr = (g / (2 * n * (m + 1 + 2 * g))) * (rot - refl)
+    if not (cmath.isfinite(rot + refl) and cmath.isfinite(rot - refl)):
+        rot, refl = np.add.reduce(dy / parts, axis=1).tolist()
+        parts = 1
+    s_w = (g / (parts * (m + 1))) * (rot + refl)
+    corr = (g / (parts * (m + 1 + 2 * g))) * (rot - refl)
     shift[0, 0] = s_w - corr
     shift[1, 0] = s_w + corr
     dy += shift

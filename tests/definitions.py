@@ -236,9 +236,9 @@ def h_matrix(G: DihedralGroup, P: ParameterK, m: int) -> np.ndarray:
     polyalg._vk_matrices applies without forming it."""
     if m < 1:
         raise DomainError("h_matrix requires degree m >= 1")
-    w, c = _h_weights(P, np.array([m]))
-    h = w[0][:, None] * _rotation_sum(G.n, m)
-    h[np.diag_indices(m + 1)] += c[0]
+    w, c = _h_weights([P], np.array([m]))
+    h = w[0, 0][:, None] * _rotation_sum(G.n, m)
+    h[np.diag_indices(m + 1)] += c[0, 0]
     return h
 
 

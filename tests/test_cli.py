@@ -27,9 +27,11 @@ from dunkl_dihedral.cli import (
     _parse_complex,
     main,
 )
-from dunkl_dihedral import cli, kernel
+from dunkl_dihedral import cli, kernel, polyalg
 from dunkl_dihedral.dihedral import make_group, orbit_pairings
+from dunkl_dihedral.errors import ConvergenceError, DomainError
 from dunkl_dihedral.polyalg import ParameterK
+from dunkl_dihedral.sampling import draw_instance
 
 
 def run_cli(argv):
@@ -914,6 +916,132 @@ def test_crosscheck_sample_computes_its_orbit_once(monkeypatch):
     monkeypatch.setattr(cli, "_crosscheck_one", spy)
     assert run_cli(["crosscheck", "--seed", "5", "--samples", "10"])[0] == EXIT_OK
     assert per_sample == [0] * 10
+
+
+def _sweep_sample_by_sample(argv):
+    """The exit code, stdout and stderr of a crosscheck sweep that runs each
+    sample's routes in _methods order before it draws the next sample: the
+    order of refusals the sweep keeps with its oracle run over all samples
+    at once."""
+    args = cli._parse_args(argv)
+    args.x, args.y, args.k = None, None, cli._parse_complex(args.k)
+    rng = np.random.default_rng(args.seed)
+    rows, worst_overall = [], 0.0
+    try:
+        for idx in range(args.samples):
+            inst = draw_instance(rng, sigma_invariant=(idx % 5 == 4), min_xy=1e-3)
+            G, P = inst.group(), inst.parameter()
+            orbit = orbit_pairings(G, inst.x, inst.y)
+            methods = cli._methods(orbit)
+            tables = np.array([_em_values(mt, G, P, inst.x, inst.y, args.m_max) for mt in methods])
+            m = np.arange(args.m_max + 1)
+            log_poch = kernel._log_abs_pochhammer(P.gamma, args.m_max)
+            scale = np.exp(m * np.log(orbit.a_bound) - log_poch)
+            u, v = tables[:, None, :], tables[None, :, :]
+            denom = np.maximum(np.maximum(np.abs(u), np.abs(v)), scale)
+            disc = np.divide(np.abs(u - v), denom, out=np.zeros(denom.shape), where=denom > 0)
+            worst = float(np.max(disc))
+            worst_overall = max(worst_overall, worst)
+            rows.append([idx, inst.n, inst.k.real, inst.k.imag, worst, int("sigma" in methods)])
+    except (DomainError, ConvergenceError) as exc:
+        return cli._EXIT_CODES[type(exc)], "", f"error[{exc.code}]: {exc}\n"
+    rows.append(["overall", "", "", "", worst_overall, ""])
+    out = io.StringIO()
+    header = ["sample", "n", "k_re", "k_im", "max_rel_disc", "sigma_checked"]
+    cli._emit(args, header, rows, out)
+    if worst_overall > args.tol:
+        err = (
+            f"check-failure: max cross-method discrepancy {worst_overall:.3e} "
+            f"exceeds tolerance {args.tol:.3e}\n"
+        )
+        return EXIT_CHECK_FAILURE, out.getvalue(), err
+    return EXIT_OK, out.getvalue(), ""
+
+
+def _run_with_stderr(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv, out=out)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _refuse_at(monkeypatch, name, k):
+    """Make the route cli.<name> refuse the samples with parameter k."""
+    route = getattr(cli, name)
+
+    def refusing(G, P, x, y, M):
+        if P.k == k:
+            raise ConvergenceError(f"{name} refuses k = {k}")
+        return route(G, P, x, y, M)
+
+    monkeypatch.setattr(cli, name, refusing)
+
+
+def _sweep_parameters(seed, samples):
+    rng = np.random.default_rng(seed)
+    return [
+        draw_instance(rng, sigma_invariant=(idx % 5 == 4), min_xy=1e-3).parameter()
+        for idx in range(samples)
+    ]
+
+
+# A seed whose sample 9, a mirror-axis sample, has a larger |gamma| than the
+# nine before it, so an oracle limit between them refuses sample 9 first.
+_SEED = next(
+    s
+    for s in range(1000)
+    if abs(_sweep_parameters(s, 10)[9].gamma)
+    > max(abs(P.gamma) for P in _sweep_parameters(s, 9))
+)
+
+
+@pytest.mark.parametrize(
+    "route, sample, first",
+    [
+        (None, None, "oracle"),
+        ("em_genseries", 11, "oracle"),  # a later sample
+        ("em_closed_sigma", 14, "oracle"),
+        ("em_closed_sigma", 9, "oracle"),  # the same sample, after the oracle
+        ("em_genseries", 9, "em_genseries"),  # the same sample, before it
+        ("em_genseries", 3, "em_genseries"),  # an earlier sample
+        ("em_closed_sigma", 4, "em_closed_sigma"),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_crosscheck_refuses_in_sample_and_route_order(monkeypatch, route, sample, first, fmt):
+    # the oracle refuses sample 9 (|gamma| past a lowered limit), and
+    # another route refuses one sample: the sweep reports the refusal that
+    # comes first in (sample, route) order, with its exit code and message
+    params = _sweep_parameters(_SEED, 15)
+    limit = (abs(params[9].gamma) + max(abs(P.gamma) for P in params[:9])) / 2
+    monkeypatch.setattr(polyalg, "ORACLE_MAX_GAMMA", limit)
+    if route is not None:
+        _refuse_at(monkeypatch, route, params[sample].k)
+    argv = ["crosscheck", "--seed", str(_SEED), "--samples", "15", "--format", fmt]
+    code, out, err = _run_with_stderr(argv)
+    assert (code, out, err) == _sweep_sample_by_sample(argv)
+    assert out == ""
+    if first == "oracle":
+        assert code == EXIT_DOMAIN_ERROR and "exceeds the oracle's limit" in err
+    else:
+        assert code == EXIT_CONVERGENCE_ERROR and f"{first} refuses" in err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--samples", "0"],
+        ["--samples", "0", "--m-max", "-1"],
+        ["--samples", "7", "--m-max", "0"],
+        ["--samples", "7", "--format", "json"],
+        ["--samples", "6", "--m-max", "20", "--tol", "1e-15"],  # exit 1
+        ["--samples", "3", "--m-max", "-1"],
+        ["--samples", "3", "--m-max", "171"],  # 171! overflows in the oracle
+    ],
+)
+def test_crosscheck_sweep_is_the_sample_by_sample_sweep(extra):
+    argv = ["crosscheck", "--seed", "8", *extra]
+    assert _run_with_stderr(argv) == _sweep_sample_by_sample(argv)
 
 
 def test_cli_import_loads_no_scipy():

@@ -156,3 +156,26 @@ def test_kernel_series_bench_round_is_pinned(monkeypatch):
             code = main(op.argv, out=out)
         digest.update(f"{code}\n{out.getvalue()}\n{err.getvalue()}\n".encode())
     assert digest.hexdigest() == KERNEL_SERIES_ROUND_DIGEST
+
+
+# The first 40 ops of the benchmark's crosscheck workload at bench seed 1
+# (ten rounds of 4, each op its own seed with 5 samples through degree 12):
+# a fresh k per sample, so the oracle builds cold, over batches of five.
+CROSSCHECK_OPS_DIGEST = "e970fbd349be83d32b87e2b1a4ed9fe61e7495c12422326b73fc5598b0fa58ee"
+
+
+def test_crosscheck_bench_ops_are_pinned(monkeypatch):
+    if not (BENCH / "workloads.py").is_file():
+        pytest.skip("bench/workloads.py is not part of this checkout")
+    _load(monkeypatch, "reference", BENCH / "reference.py")
+    workloads = _load(monkeypatch, "bench_workloads", BENCH / "workloads.py")
+    workload = workloads.Crosscheck(1)
+    ops = [op for r in range(10) for op in workload.round_ops(r)]
+    assert len(ops) == 40
+    digest = hashlib.sha256()
+    for op in ops:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(op.argv, out=out)
+        digest.update(f"{code}\n{out.getvalue()}\n{err.getvalue()}\n".encode())
+    assert digest.hexdigest() == CROSSCHECK_OPS_DIGEST

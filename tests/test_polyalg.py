@@ -376,7 +376,7 @@ def test_vk_step_matches_dense_shift_matrices(n, k):
     G, P = make_group(n), ParameterK(k, n)
     polyalg._vk_cache.clear()
     mats = _vk_matrices(G, P, 16)
-    weights, diag = polyalg._h_weights(P, np.arange(1, 17))
+    (weights,), (diag,) = polyalg._h_weights([P], np.arange(1, 17))
     for m in range(1, 17):
         d1 = np.zeros((m, m + 1), dtype=complex)
         d2 = np.zeros((m, m + 1), dtype=complex)
@@ -449,7 +449,7 @@ def test_h_weights_signs_are_powers_of_minus_one():
     for P in (ParameterK(0.3 + 0.2j, 3), ParameterK(-0.15, 7)):
         a1, b0, c = polyalg._h_scalars(P.gamma, P.n, ms)
         ref = a1[:, None] + b0[:, None] * (-1.0) ** (ms[:, None] - np.arange(61))
-        weights, diag = polyalg._h_weights(P, ms)
+        (weights,), (diag,) = polyalg._h_weights([P], ms)
         assert np.array_equal(weights, ref) and np.array_equal(diag, c)
 
 
@@ -593,3 +593,125 @@ def test_orbit_action_sums_are_read_only():
     with pytest.raises(ValueError):
         rot[0, 0] = 0.0
     assert all(isinstance(s, np.ndarray) for s in polyalg._orbit_action_cache(3)[1])
+
+
+# ---------------------------------------------------------------------------
+# the oracle over a batch: the V_m of its members built in one degree loop
+
+
+# A member: n, Re and Im gamma (Re gamma of both signs), the four parts of x
+# and the complex y, the state of its list before the batch (none, built
+# below M, built past M), and whether it repeats the (n, k) before it.
+_BATCH = st.lists(
+    st.tuples(
+        st.integers(2, 12),
+        st.one_of(st.floats(-2.4, -0.1), st.floats(0.1, 3.0)),
+        st.floats(-1.0, 1.0),
+        st.lists(st.floats(-1.5, 1.5), min_size=6, max_size=6),
+        st.sampled_from(["cold", "below", "above"]),
+        st.booleans(),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(M=st.sampled_from([0, 1, 12, 40]), spec=_BATCH)
+def test_oracle_tables_are_oracle_em_one_member_at_a_time(M, spec):
+    # bit for bit, the zeros' signs included, whatever the cache held
+    members, states = [], []
+    for n, re, im, parts, state, repeat in spec:
+        if repeat and members:
+            G, P = members[-1][:2]
+        else:
+            G, P = make_group(n), ParameterK(complex(re, im) / n, n)
+        if P.regularity_margin() < 0.05:
+            continue
+        y = np.array([complex(parts[2], parts[3]), complex(parts[4], parts[5])])
+        members.append((G, P, (parts[0], parts[1]), y))
+        states.append(state)
+    expected = []
+    for G, P, x, y in members:
+        _vk_cache.clear()
+        expected.append(oracle_em(G, P, x, y, M))
+    _vk_cache.clear()
+    for (G, P, _, _), state in zip(members, states):
+        if state != "cold":
+            _vk_matrices(G, P, M // 2 if state == "below" else M + 3)
+    tables = polyalg.oracle_tables(members, M)
+    assert [t.tobytes() for t in tables] == [t.tobytes() for t in expected]
+    assert _vk_cache.elements == sum(v.size for mats in _vk_cache.values() for v in mats)
+
+
+def test_oracle_tables_of_an_empty_batch():
+    # nothing is checked, so not even the degree
+    assert polyalg.oracle_tables([], 12) == []
+    assert polyalg.oracle_tables([], -1) == []
+
+
+def test_oracle_tables_run_in_chunks_within_the_cache_budget(monkeypatch):
+    # 2.5 lists per chunk: chunks of 2, and the tables are the same
+    G, x, y, M = make_group(4), (0.8, -0.3), (0.4, 1.1), 12
+    members = [(G, ParameterK(0.1 + 0.05 * i, 4), x, y) for i in range(5)]
+    whole = polyalg.oracle_tables(members, M)
+    built = []
+
+    def counted(lists, pairs, build, mmax):
+        built.append(len(build))
+        return vk_build(lists, pairs, build, mmax)
+
+    vk_build = polyalg._vk_build
+    monkeypatch.setattr(polyalg, "_vk_build", counted)
+    monkeypatch.setattr(polyalg, "ORACLE_CACHE_ELEMENTS", 5 * polyalg._vk_elements(M + 1) // 2)
+    _vk_cache.clear()
+    chunked = polyalg.oracle_tables(members, M)
+    assert built == [2, 2, 1]
+    assert [t.tobytes() for t in chunked] == [t.tobytes() for t in whole]
+
+
+def test_oracle_tables_raise_the_first_refusal_in_member_order():
+    # the members before the first one refused are evaluated; a table past
+    # the double range among them comes first
+    G, P = make_group(3), ParameterK(0.3, 3)
+    good = (G, P, (0.5, 0.2), (0.3, -0.9))
+    overflow = (G, P, (1e150, 0.0), (1e150, 0.0))  # E_2 ~ 1e600
+    far = (G, ParameterK(40.0, 3), (0.5, 0.2), (0.3, -0.9))  # |gamma| = 120
+    with pytest.raises(DomainError, match="overflow double precision at degree 2"):
+        polyalg.oracle_tables([good, overflow, far], 4)
+    with pytest.raises(DomainError, match="the oracle's limit"):
+        polyalg.oracle_tables([good, far, overflow], 4)
+    with pytest.raises(DomainError, match="degree M must be nonnegative"):
+        polyalg.oracle_tables([good], -1)
+
+
+def test_oracle_tables_leave_the_cache_as_one_member_at_a_time(monkeypatch):
+    # the keys, in order, after a batch are those after oracle_em on each
+    # member in turn, through evictions by count and by budget; a list that
+    # the one-at-a-time calls evict and build again, the batch keeps whole,
+    # so it may be longer, with the same matrices
+    monkeypatch.setattr(polyalg, "ORACLE_CACHE_LISTS", 4)
+    monkeypatch.setattr(polyalg, "ORACLE_CACHE_ELEMENTS", 3 * polyalg._vk_elements(13))
+    x, y = (0.8, -0.3), (0.4, 1.1)
+    ks = [0.11, 0.12, 0.11, 0.13, 0.14, 0.15, 0.12]
+    for M, warm in ((12, [0.13, 0.2]), (5, [0.12]), (20, [0.15])):
+        caches = []
+        for batch in (False, True):
+            _vk_cache.clear()
+            for k in warm:
+                oracle_em(make_group(4), ParameterK(k, 4), x, y, 8)
+            members = [(make_group(4), ParameterK(k, 4), x, y) for k in ks]
+            if batch:
+                polyalg.oracle_tables(members, M)
+            else:
+                for member in members:
+                    oracle_em(*member, M)
+            assert _vk_cache.elements == sum(v.size for mats in _vk_cache.values() for v in mats)
+            # within the budgets, but for the newest list, kept alone past them
+            assert len(_vk_cache) <= 4
+            assert len(_vk_cache) == 1 or _vk_cache.elements <= 3 * polyalg._vk_elements(13)
+            caches.append(dict(_vk_cache))
+        one, whole = caches
+        assert list(one) == list(whole)
+        for key, mats in one.items():
+            assert len(whole[key]) >= len(mats) > M
+            assert all(np.array_equal(a, b) for a, b in zip(mats, whole[key]))

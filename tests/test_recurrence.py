@@ -386,6 +386,31 @@ def test_state_overflow_is_a_range_error():
     assert info.value.code == "range-error"
 
 
+def test_orbit_sums_pass_the_range_only_with_the_state():
+    # n = 40 takes the structured step.  The exact state (the recurrence in
+    # 50-digit mpmath on the same pairings) has its largest part 4.40e307 at
+    # degree 374, 1.108e308 at 375 and 2.781e308 at 376, past the largest
+    # double; E_375 is 3.17688185297e305.  The orbit sums, sums of 80
+    # entries, pass the double range first: formed as they were, the state
+    # turned inf at degree 374.
+    G, P = make_group(40), ParameterK(0.05, 40)
+    x, y = (30.0, 0.0), (30.0, 10.0)
+    table = em_sequence(G, P, x, y, 375)
+    assert np.all(np.isfinite(table)) and table[375] == pytest.approx(3.17688185297e305, rel=1e-11)
+    with pytest.raises(DomainError, match="overflow double precision at degree 376"):
+        em_sequence(G, P, x, y, 400)
+    # test_state_overflow_is_a_range_error's case on the y_step chain: finite
+    # through degree 394 (1.487e308), as the dense step's states
+    G, P = make_group(3), ParameterK(0.5, 3)
+    orbit = orbit_pairings(G, (30.0, 0.0), (30.0, 10.0))
+    chain = np.ones(6, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(394):
+            chain = y_step(chain / (m + 1 + P.gamma), m, P, orbit)
+        assert np.all(np.isfinite(chain)) and abs(chain[0]) == pytest.approx(1.487138e308, rel=1e-6)
+        assert not np.all(np.isfinite(y_step(chain / (395 + P.gamma), 394, P, orbit)))
+
+
 def test_components_obey_roesler_bound(rng):
     # Roesler (Duke Math. J. 98, 1999): for real k >= 0 the kernel is the
     # Laplace transform of a probability measure on the convex hull of the

@@ -115,7 +115,17 @@ def _meta(args: argparse.Namespace) -> dict:
     }
 
 
-def _emit(args: argparse.Namespace, header: list[str], rows: list[list | tuple], out) -> None:
+def _emit(
+    args: argparse.Namespace, header: list[str], rows: list, out, line: str | list[str]
+) -> None:
+    """Write the table as JSON, or as CSV with the % format `line` of every
+    row, or with a list of one format line per row where the rows differ in
+    shape.  A command knows the shape of its rows, so no cell's type is
+    looked at: "%.17g" takes a float cell and writes what f"{v:.17g}" writes,
+    "%d" an int and "%s" any other cell, as str(v).  Every cell is a number
+    or a fixed identifier, never one that needs CSV quoting, so the text is
+    what csv.writer writes.  The lines of all rows take all cells in one %
+    call."""
     if args.fmt == "json":
         payload = {
             "meta": _meta(args),
@@ -123,19 +133,8 @@ def _emit(args: argparse.Namespace, header: list[str], rows: list[list | tuple],
         }
         out.write(json.dumps(payload) + "\n")
     else:
-        # Every cell is a number or a fixed identifier, never one that needs
-        # CSV quoting, so joining the cells writes what csv.writer would.
-        # Each row shape (the types of its cells) gets one % format line,
-        # "%.17g" for a float cell (numpy floats included) and "%s" for any
-        # other, which write what f"{v:.17g}" and str(v) write; the lines
-        # of all rows then take all cells in one % call.
-        shapes = [tuple(map(type, row)) for row in rows]
-        formats = {
-            shape: ",".join("%.17g" if issubclass(t, float) else "%s" for t in shape) + "\n"
-            for shape in set(shapes)
-        }
-        text = "".join([formats[shape] for shape in shapes]) % tuple(chain.from_iterable(rows))
-        out.write(",".join(header) + "\n" + text)
+        body = line * len(rows) if isinstance(line, str) else "".join(line)
+        out.write(",".join(header) + "\n" + body % tuple(chain.from_iterable(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -168,33 +167,21 @@ def cmd_em(args: argparse.Namespace, out) -> int:
     G, P = make_group(args.n), ParameterK(args.k, args.n)
     values = _em_values(args.method, G, P, args.x, args.y, args.m_max)
     rows = list(zip(range(len(values)), values.real.tolist(), values.imag.tolist()))
-    _emit(args, ["m", "re", "im"], rows, out)
+    _emit(args, ["m", "re", "im"], rows, out, "%d,%.17g,%.17g\n")
     return EXIT_OK
 
 
 def cmd_kernel(args: argparse.Namespace, out) -> int:
-    G = make_group(args.n)
-    P = ParameterK(args.k, args.n)
+    G, P = make_group(args.n), ParameterK(args.k, args.n)
     if args.method == "integral":
         res = ek_integral(G, P, args.x, args.y, args.tol)
     else:
         res = ek_series(G, P, args.x, args.y, args.tol)
-    rows = [
-        [
-            float(res.value.real),
-            float(res.value.imag),
-            res.method,
-            res.terms_used if res.terms_used is not None else "",
-            res.nodes_used if res.nodes_used is not None else "",
-            float(res.tail_estimate),
-        ]
-    ]
-    _emit(
-        args,
-        ["value_re", "value_im", "method", "terms_used", "nodes_used", "tail_estimate"],
-        rows,
-        out,
-    )
+    counts = ["" if count is None else count for count in (res.terms_used, res.nodes_used)]
+    value = complex(res.value)
+    row = [value.real, value.imag, res.method, *counts, float(res.tail_estimate)]
+    header = ["value_re", "value_im", "method", "terms_used", "nodes_used", "tail_estimate"]
+    _emit(args, header, [row], out, "%.17g,%.17g,%s,%s,%s,%.17g\n")
     return EXIT_OK
 
 
@@ -255,7 +242,7 @@ def cmd_crosscheck(args: argparse.Namespace, out) -> int:
             values = _em_values(method, G, P, args.x, args.y, args.m_max)
             for m in range(args.m_max + 1):
                 rows.append([method, m, float(values[m].real), float(values[m].imag)])
-        _emit(args, ["method", "m", "re", "im"], rows, out)
+        _emit(args, ["method", "m", "re", "im"], rows, out, "%s,%d,%.17g,%.17g\n")
         return EXIT_OK
 
     _require_tol(args.tol)
@@ -294,7 +281,8 @@ def cmd_crosscheck(args: argparse.Namespace, out) -> int:
         sigma = int("sigma" in sample.methods)
         rows.append([idx, G.n, float(P.k.real), float(P.k.imag), float(worst), sigma])
     rows.append(["overall", "", "", "", float(worst_overall), ""])
-    _emit(args, ["sample", "n", "k_re", "k_im", "max_rel_disc", "sigma_checked"], rows, out)
+    lines = ["%d,%d,%.17g,%.17g,%.17g,%d\n"] * len(samples) + ["%s,%s,%s,%s,%.17g,%s\n"]
+    _emit(args, ["sample", "n", "k_re", "k_im", "max_rel_disc", "sigma_checked"], rows, out, lines)
     if worst_overall > args.tol:
         print(
             f"check-failure: max cross-method discrepancy {worst_overall:.3e} "
@@ -314,7 +302,7 @@ def cmd_bounds(args: argparse.Namespace, out) -> int:
         ["component_bound_max_ratio", float(em_rep.max_ratio), 1.0 + 1e-9, int(em_rep.passed)],
         ["kernel_bound_ratio", float(ek_rep.ratio), float(ek_rep.constant), int(ek_rep.passed)],
     ]
-    _emit(args, ["check", "value", "limit", "passed"], rows, out)
+    _emit(args, ["check", "value", "limit", "passed"], rows, out, "%s,%.17g,%.17g,%d\n")
     if not (em_rep.passed and ek_rep.passed):
         print("check-failure: a growth bound was violated", file=sys.stderr)
         return EXIT_CHECK_FAILURE
@@ -330,7 +318,7 @@ def cmd_phi(args: argparse.Namespace, out) -> int:
     rows = [
         [p, float(S.phi[p].real), float(S.phi[p].imag)] for p in range(S.order + 1)
     ]
-    _emit(args, ["p", "re", "im"], rows, out)
+    _emit(args, ["p", "re", "im"], rows, out, "%d,%.17g,%.17g\n")
     return EXIT_OK
 
 

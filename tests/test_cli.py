@@ -77,13 +77,13 @@ def test_em_table_shape_and_values():
     ],
 )
 def test_csv_output_is_what_csv_writer_writes(argv, monkeypatch):
-    # _emit joins the cells itself; csv.writer, given the same header and
-    # rows, must write the same bytes
+    # _emit formats the cells by the command's format lines; csv.writer,
+    # given the same header and rows, must write the same bytes
     emitted = []
 
-    def spy(args, header, rows, out):
+    def spy(args, header, rows, out, line):
         emitted.append((header, rows))
-        emit(args, header, rows, out)
+        emit(args, header, rows, out, line)
 
     emit = cli._emit
     monkeypatch.setattr(cli, "_emit", spy)
@@ -99,29 +99,41 @@ def test_csv_output_is_what_csv_writer_writes(argv, monkeypatch):
 
 
 def test_emit_formats_every_row_shape_as_the_cell_join():
-    # one % format per row shape must write what the per-cell
-    # f"{v:.17g}" / str join writes, for every shape the subcommands print
-    rows = [
-        (0, 1.0, -0.0),
-        (1, 0.1 + 0.2, 1e-310),
-        [2, np.float64(2.5), np.float64(-1 / 3)],
-        [3, float("inf"), float("-inf")],
-        [4, float("nan"), np.float64("nan")],
-        [np.int64(5), 1e300, 5e-324],
-        ["series-sum", 12, "", 1.2345678901234567e-17],
-        ["integral", "", 64, 3.0],
-        ["recurrence", 0, 1.0, 0.0],
-        ["component_bound_max_ratio", 0.009, 1.0000000010000001, 1],
-        [0, 5, 0.73905789536758504, 0.018390673250570422, 1.9e-15, 0],
-        ["overall", "", "", "", 1.9781185538553472e-15, ""],
-        [1, np.float64(7.0), 2.0],
+    # a format line of "%.17g" for float cells (numpy floats included), "%d"
+    # for int cells and "%s" for any other must write what the per-cell
+    # f"{v:.17g}" / str join writes, for every shape the subcommands print,
+    # whether one line serves the whole table or each row has its own
+    em, sweep = "%d,%.17g,%.17g\n", "%d,%d,%.17g,%.17g,%.17g,%d\n"
+    table = [
+        ((0, 1.0, -0.0), em),
+        ((1, 0.1 + 0.2, 1e-310), em),
+        ([2, np.float64(2.5), np.float64(-1 / 3)], em),
+        ([3, float("inf"), float("-inf")], em),
+        ([4, float("nan"), np.float64("nan")], em),
+        ([np.int64(5), 1e300, 5e-324], em),
+        (["series-sum", 12, "", 1.2345678901234567e-17], "%s,%s,%s,%.17g\n"),
+        (["integral", "", 64, 3.0], "%s,%s,%s,%.17g\n"),
+        (["recurrence", 0, 1.0, 0.0], "%s,%d,%.17g,%.17g\n"),
+        (["component_bound_max_ratio", 0.009, 1.0000000010000001, 1], "%s,%.17g,%.17g,%d\n"),
+        ([0, 5, 0.73905789536758504, 0.018390673250570422, 1.9e-15, 0], sweep),
+        (["overall", "", "", "", 1.9781185538553472e-15, ""], "%s,%s,%s,%s,%.17g,%s\n"),
+        ([1, np.float64(7.0), 2.0], "%d,%.17g,%.17g\n"),
     ]
     header = ["a", "b"]
-    for table in ([], rows, rows[::-1]):
+
+    def joined(rows):
+        cells = ([f"{v:.17g}" if isinstance(v, float) else str(v) for v in row] for row in rows)
+        return "".join(",".join(line) + "\n" for line in [header, *cells])
+
+    args = argparse.Namespace(fmt="csv")
+    for part in ([], table, table[::-1]):
         out = io.StringIO()
-        cli._emit(argparse.Namespace(fmt="csv"), header, table, out)
-        cells = ([f"{v:.17g}" if isinstance(v, float) else str(v) for v in row] for row in table)
-        assert out.getvalue() == "".join(",".join(line) + "\n" for line in [header, *cells])
+        cli._emit(args, header, [row for row, _ in part], out, [line for _, line in part])
+        assert out.getvalue() == joined(row for row, _ in part)
+    for rows in ([], [row for row, line in table if line == em]):
+        out = io.StringIO()
+        cli._emit(args, header, rows, out, em)
+        assert out.getvalue() == joined(rows)
 
 
 def test_em_x_zero_rows_vanish():
@@ -948,7 +960,8 @@ def _sweep_sample_by_sample(argv):
     rows.append(["overall", "", "", "", worst_overall, ""])
     out = io.StringIO()
     header = ["sample", "n", "k_re", "k_im", "max_rel_disc", "sigma_checked"]
-    cli._emit(args, header, rows, out)
+    lines = ["%d,%d,%.17g,%.17g,%.17g,%d\n"] * (len(rows) - 1) + ["%s,%s,%s,%s,%.17g,%s\n"]
+    cli._emit(args, header, rows, out, lines)
     if worst_overall > args.tol:
         err = (
             f"check-failure: max cross-method discrepancy {worst_overall:.3e} "

@@ -1,7 +1,9 @@
 """Byte-level regression pins: the sha256 of the exit code and stdout of a
 fixed list of CLI calls, and of the exit code, stdout and stderr of a
-second list.  The digests were recorded with numpy 2.4 on x86-64; a change
-that is meant to leave every output byte alone must leave them alone too."""
+second list and of benchmark rounds.  The digests were recorded with numpy
+2.4 on x86-64; a change that is meant to leave every output byte alone must
+leave them alone too.  Every test here carries the ``digest`` marker, so
+``pytest -m digest`` runs the byte-identity gate alone."""
 
 import contextlib
 import hashlib
@@ -13,6 +15,8 @@ from pathlib import Path
 import pytest
 
 from dunkl_dihedral.cli import main
+
+pytestmark = pytest.mark.digest
 
 _EM = "em --n 3 --k=0.4,0.2 --x=0.9,0 --m-max 60"
 _POINT = "--n 3 --k=0.4,0.2 --x=0.9,0.3"
@@ -125,12 +129,10 @@ def test_step_outputs_and_refusals_are_pinned(argv):
     assert _digest_with_stderr(argv) == STEP_DIGESTS[argv]
 
 
-# One whole round of the benchmark's kernel-series workload (bench seed 1,
-# 171 ops: 7 (n, k) sets of 24 pairs and 3 pairs refused with exit 3).  The
-# argument lists come from bench/workloads.py, loaded read-only from its
-# file with its sibling bench/reference.py as the module it imports.
+# Ops of the benchmark's workloads.  The argument lists come from
+# bench/workloads.py, loaded read-only from its file with its sibling
+# bench/reference.py as the module it imports.
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-KERNEL_SERIES_ROUND_DIGEST = "f1f3f0b9dfb0f2a770a6816d7801572c54e03678c570a6db3c468e75f360bc64"
 
 
 def _load(monkeypatch, name, path):
@@ -142,40 +144,55 @@ def _load(monkeypatch, name, path):
     return module
 
 
-def test_kernel_series_bench_round_is_pinned(monkeypatch):
+def _workloads(monkeypatch):
     if not (BENCH / "workloads.py").is_file():
         pytest.skip("bench/workloads.py is not part of this checkout")
     _load(monkeypatch, "reference", BENCH / "reference.py")
-    workloads = _load(monkeypatch, "bench_workloads", BENCH / "workloads.py")
-    ops = workloads.KernelSeries(1).round_ops(0)
-    assert len(ops) == 171
+    return _load(monkeypatch, "bench_workloads", BENCH / "workloads.py")
+
+
+def _ops_digest(ops) -> str:
+    """One sha256 over the exit code, stdout and stderr of every op."""
     digest = hashlib.sha256()
     for op in ops:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stderr(err):
             code = main(op.argv, out=out)
         digest.update(f"{code}\n{out.getvalue()}\n{err.getvalue()}\n".encode())
-    assert digest.hexdigest() == KERNEL_SERIES_ROUND_DIGEST
+    return digest.hexdigest()
 
 
-# The first 40 ops of the benchmark's crosscheck workload at bench seed 1
-# (ten rounds of 4, each op its own seed with 5 samples through degree 12):
-# a fresh k per sample, so the oracle builds cold, over batches of five.
+# One whole round of the kernel-series workload at bench seed 1: 171 ops,
+# 7 (n, k) sets of 24 pairs and 3 pairs refused with exit 3.
+KERNEL_SERIES_ROUND_DIGEST = "f1f3f0b9dfb0f2a770a6816d7801572c54e03678c570a6db3c468e75f360bc64"
+
+
+def test_kernel_series_bench_round_is_pinned(monkeypatch):
+    ops = _workloads(monkeypatch).KernelSeries(1).round_ops(0)
+    assert len(ops) == 171
+    assert _ops_digest(ops) == KERNEL_SERIES_ROUND_DIGEST
+
+
+# One whole round of the em-tables workload at bench seed 1: 112 degree-60
+# tables, 4 (n, k) sets of 8 pairs by every route that applies, the oracle's
+# among them at n = 2, where the group matrices carry rounding residue.
+EM_TABLES_ROUND_DIGEST = "81b0e69fd4b046b9e02ee450174e67da36d86481038997a79de9f95aaab10911"
+
+
+def test_em_tables_bench_round_is_pinned(monkeypatch):
+    ops = _workloads(monkeypatch).EmTables(1).round_ops(0)
+    assert len(ops) == 112
+    assert _ops_digest(ops) == EM_TABLES_ROUND_DIGEST
+
+
+# The first 40 ops of the crosscheck workload at bench seed 1 (ten rounds
+# of 4, each op its own seed with 5 samples through degree 12): a fresh k
+# per sample, so the oracle builds cold, over batches of five.
 CROSSCHECK_OPS_DIGEST = "e970fbd349be83d32b87e2b1a4ed9fe61e7495c12422326b73fc5598b0fa58ee"
 
 
 def test_crosscheck_bench_ops_are_pinned(monkeypatch):
-    if not (BENCH / "workloads.py").is_file():
-        pytest.skip("bench/workloads.py is not part of this checkout")
-    _load(monkeypatch, "reference", BENCH / "reference.py")
-    workloads = _load(monkeypatch, "bench_workloads", BENCH / "workloads.py")
-    workload = workloads.Crosscheck(1)
+    workload = _workloads(monkeypatch).Crosscheck(1)
     ops = [op for r in range(10) for op in workload.round_ops(r)]
     assert len(ops) == 40
-    digest = hashlib.sha256()
-    for op in ops:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = main(op.argv, out=out)
-        digest.update(f"{code}\n{out.getvalue()}\n{err.getvalue()}\n".encode())
-    assert digest.hexdigest() == CROSSCHECK_OPS_DIGEST
+    assert _ops_digest(ops) == CROSSCHECK_OPS_DIGEST

@@ -368,6 +368,22 @@ def test_vk_cache_keeps_its_element_count(monkeypatch):
     assert _vk_cache.elements == 0
 
 
+def test_vk_cache_holds_no_subnormal_parts():
+    # for even n the group matrices carry sin(pi)'s 1.2e-16, whose residue
+    # decays in V_m into subnormals that slow every product reading them;
+    # _vk_build sets them to zero, on a list extended alone and on one
+    # extended and one started in a batch
+    k, x, y = 0.4 + 0.2j, (0.9, 0.0), (0.5, 0.8)
+    _vk_cache.clear()
+    oracle_em(make_group(2), ParameterK(k, 2), x, y, 12)
+    polyalg.oracle_tables([(make_group(n), ParameterK(k, n), x, y) for n in (2, 4)], 60)
+    for n in (2, 4):
+        mats = _vk_cache[(n, k)]
+        assert len(mats) == 61
+        parts = np.abs(np.concatenate([v.ravel() for v in mats]).view(float))
+        assert not np.any((parts > 0) & (parts < 2.0**-1022))
+
+
 @pytest.mark.parametrize("n, k", [(2, 0.4 + 0.2j), (3, -0.2 + 0.3j), (5, 0.6 - 0.2j)])
 def test_vk_step_matches_dense_shift_matrices(n, k):
     # reference: with t = x1 V_{m-1} d1 + x2 V_{m-1} d2, the multiplication

@@ -113,6 +113,15 @@ def _orbit_matrices(n: int) -> np.ndarray:
     return mats
 
 
+@lru_cache(maxsize=32)
+def _basis_signs(n: int) -> np.ndarray:
+    """The (3, 2n, 2n) patterns I, W W^T and Ws Ws^T of the orbit-sum steps; read-only."""
+    ws = np.repeat([1.0, -1.0], n)
+    signs = np.stack([np.eye(2 * n), np.ones((2 * n, 2 * n)), np.multiply.outer(ws, ws)])
+    signs.setflags(write=False)
+    return signs
+
+
 # The last call of orbit_pairings, as one (key, result) pair, so that one
 # assignment replaces both: its _orbit_key and its result.
 _last_orbit: list = [(None, None)]

@@ -36,7 +36,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .dihedral import DihedralGroup, OrbitPairings, PlanePoint, orbit_pairings
+from .dihedral import DihedralGroup, OrbitPairings, PlanePoint, _basis_signs, orbit_pairings
 from .polyalg import ParameterK, require_degree, require_finite_table
 
 # The largest n whose step is a dense matrix.  24 states took 27-49 us dense
@@ -86,16 +86,6 @@ def y_step(values: np.ndarray, m: int, P: ParameterK, orbit: OrbitPairings) -> n
     dy = (orbit.big_diag * values).reshape(2, orbit.n)
     _add_orbit_sums(dy, m, P.gamma, np.empty((2, 1), dtype=complex))
     return dy.reshape(-1)
-
-
-@lru_cache(maxsize=DENSE_MAX_N)
-def _basis_signs(n: int) -> np.ndarray:
-    """The (3, 2n, 2n) patterns I, W W^T and Ws Ws^T of _step_basis's
-    matrices: entries 0 and +-1.  Read-only, since the cache shares it."""
-    ws = np.repeat([1.0, -1.0], n)
-    signs = np.stack([np.eye(2 * n), np.ones((2 * n, 2 * n)), np.multiply.outer(ws, ws)])
-    signs.setflags(write=False)
-    return signs
 
 
 def _step_basis(orbit: OrbitPairings) -> np.ndarray:

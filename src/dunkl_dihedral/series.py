@@ -2,24 +2,32 @@
 function of the kernel components.
 
 The 2x2 first-order system driven by the rational sums g, g_s has a unique
-holomorphic solution vanishing at the origin; its coefficients satisfy a
-convolution recursion seeded by (2n/gamma, 0).  The generating function
-combines the seed with the solution's components, and the degree-m kernel
-component is the m-th Cauchy-product coefficient of the generating function
-against 1/(1 - z<x,y>).  When x or y lies on the base mirror axis both the
-solution and the generating function collapse to closed product forms.
+holomorphic solution vanishing at the origin; its coefficients follow a
+convolution recursion seeded by (2n/gamma, 0), for small n one
+matrix-vector product per order.  The generating function combines the seed
+with the solution's components, and the degree-m kernel component is the
+m-th Cauchy-product coefficient of the generating function against
+1/(1 - z<x,y>).  When x or y lies on the base mirror axis both the solution
+and the generating function collapse to closed product forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .dihedral import DihedralGroup, OrbitPairings, PlanePoint, is_sigma_invariant, orbit_pairings
+from .dihedral import DihedralGroup, OrbitPairings, PlanePoint, _basis_signs, is_sigma_invariant
+from .dihedral import orbit_pairings
 from .errors import DomainError
 from .polyalg import ParameterK, factorial_table, pochhammer_table
 from .polyalg import require_degree, require_finite_table, rising_factorials
+
+# The largest n whose a_coeffs step is a dense matrix: at order 25 it took 67 against 76 us by
+# vecdot at n = 10 (72/73 with a cold table), 72/76 (77/73) at 11, 73/74 (81/71) at 12.
+DENSE_MAX_N = 10
+_BLOCK_ENTRIES = 2**16  # complex entries of a dense block's step matrices (1 MiB)
 
 
 @dataclass(frozen=True)
@@ -35,50 +43,83 @@ class SeriesData:
 def a_coeffs(P: ParameterK, orbit: OrbitPairings, Pmax: int) -> SeriesData:
     """Series data through order Pmax.
 
-    The coefficient vectors of the system's solution follow the convolution
-    recursion A_0 = (2n/gamma, 0) (the seed, not a term of the
-    vanishing-at-zero solution) and, for p >= 1,
-    A_p = diag(1/p, 1/(p+2*gamma)) * sum_{i<p} B_{p-1-i} A_i.
-    With r_p, s_p the rotation and reflection power sums, B_p A_i is
-    (gamma/2n) (r_p u_i + s_p v_i, r_p u_i - s_p v_i) in u = A0 - A1,
-    v = A0 + A1, so only u, which is phi, and v are kept.  Each order takes
-    both sums from one np.vecdot of the reversed power sums, stacked and
-    conjugated once (vecdot conjugates its first argument), against the
-    stacked (u, v) rows; the order's scalar arithmetic runs on Python
-    complex.  The orbit sum rule forces B_0 ~ 0 and hence A_1 ~ 0.  The one
-    overflow guard for the series: a coefficient phi[p] that is not finite
-    is a range error (u is not finite where A_p is not).
+    The system's coefficient vectors follow the recursion A_0 = (2n/gamma, 0)
+    (the seed, not a term of the vanishing-at-zero solution) and, for p >= 1,
+    A_p = diag(1/p, 1/(p+2*gamma)) * sum_{i<p} B_{p-1-i} A_i.  In u = A0 - A1
+    (phi) and v = A0 + A1: u_p = alpha_p (R_p + S_p) - beta_p (R_p - S_p),
+    v_p with +beta_p, alpha_p = gamma/(2np), beta_p = gamma/(2n(p+2 gamma)),
+    R_p = sum_{i<p} r_(p-i) u_i, S_p = sum_{i<p} s_(p-i) v_i for the rotation
+    and reflection power sums r, s.  Up to DENSE_MAX_N, R_p = sum_j h_j(p)
+    with h_j(p) = sum_{i<p} c_j^(p-i) u_i over the rotation pairings c_j, so
+    h_j(p+1) = c_j (h_j(p) + u_p); S_p alike.  The 2n sums H_p take one
+    product per order, H_(p+1) = D (I + alpha_p W W^T - beta_p Ws Ws^T) H_p
+    (D = diag(pairings), W all ones, Ws the ones/minus-ones split: the
+    recurrence's step transposed); phi[p] = alpha_p W^T H_p - beta_p Ws^T H_p.
+    Above it each order is one vecdot of the reversed power sums, stored
+    conjugated since vecdot conjugates its first argument, against the (u, v)
+    rows.  B_0 ~ 0 by the orbit sum rule, so A_1 ~ 0.  Non-finite phi is a range error.
     """
     if Pmax < 0:
         raise DomainError("truncation order must be nonnegative")
     P.require_regular()
     n, g = P.n, P.gamma
-
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = np.arange(1, Pmax + 1)[:, None]
-        rp = (orbit.rot_pairings[None, :] ** powers).sum(axis=1)
-        sp = (orbit.refl_pairings[None, :] ** powers).sum(axis=1)
-        pref = g / (2.0 * n)
-
-        # u and v stored as the rows of uv by order, the power sums reversed:
-        # the convolution sums sum_{i<p} r_{p-1-i} u_i and s_{p-1-i} v_i are
-        # one vecdot of contiguous slices.
-        rev = np.conj(np.stack([rp[::-1], sp[::-1]]))
-        uv = np.empty((2, Pmax + 1), dtype=complex)
-        u, v = uv
-        u[0] = v[0] = 2.0 * n / g
-        two_g = 2 * g
-        for p in range(1, Pmax + 1):
-            ru, sv = np.vecdot(rev[:, Pmax - p :], uv[:, :p]).tolist()
-            ru, sv = pref * ru, pref * sv
-            a0, a1 = (ru + sv) / p, (ru - sv) / (p + two_g)
-            u[p], v[p] = a0 - a1, a0 + a1
+        if n <= DENSE_MAX_N:
+            u = _phi_dense(g, orbit, Pmax)
+        else:
+            powers = np.arange(1, Pmax + 1)[:, None]
+            rp = (orbit.rot_pairings[None, :] ** powers).sum(axis=1)
+            sp = (orbit.refl_pairings[None, :] ** powers).sum(axis=1)
+            pref = g / (2.0 * n)
+            rev = np.conj(np.stack([rp[::-1], sp[::-1]]))
+            uv = np.empty((2, Pmax + 1), dtype=complex)
+            u, v = uv
+            u[0] = v[0] = 2.0 * n / g
+            two_g = 2 * g
+            for p in range(1, Pmax + 1):
+                ru, sv = np.vecdot(rev[:, Pmax - p :], uv[:, :p]).tolist()
+                ru, sv = pref * ru, pref * sv
+                a0, a1 = (ru + sv) / p, (ru - sv) / (p + two_g)
+                u[p], v[p] = a0 - a1, a0 + a1
     if not np.isfinite(u).all():
         raise DomainError(
             f"the series coefficients overflow double precision before order {Pmax}",
             code="range-error",
         )
     return SeriesData(order=Pmax, phi=u)
+
+
+@lru_cache(maxsize=32)
+def _phi_coefficients(g: complex, n: int, rows: int) -> np.ndarray:
+    """Rows (1, alpha_p, -beta_p) by order p, row 0 (1, 0, 0); read-only."""
+    coef = np.add.outer(np.arange(float(rows)), np.array([0.0, 0.0, 2.0 * g]))
+    coef[:, 0] = coef[0, 1] = 1.0
+    np.divide(np.array([1.0, g / (2 * n), -g / (2 * n)]), coef, out=coef)
+    coef[0, 1:] = 0.0
+    coef.setflags(write=False)
+    return coef
+
+
+def _phi_dense(g: complex, orbit: OrbitPairings, Pmax: int) -> np.ndarray:
+    """phi by the sums H_p, from H_0 = (2n/gamma) W (row 0's step is D)."""
+    n, n2, cap = orbit.n, 2 * orbit.n, max(1, _BLOCK_ENTRIES // (2 * orbit.n) ** 2)
+    basis = np.multiply(_basis_signs(n), orbit.big_diag[:, None]).reshape(3, -1)
+    rows = max(32, 1 << Pmax.bit_length())  # a cache of larger tables would hold 6 MB each
+    table = (_phi_coefficients if rows <= 2048 else _phi_coefficients.__wrapped__)(g, n, rows)
+    # two rows at least: numpy's matrix-vector routine would round a one-row table otherwise
+    steps = np.empty((max(2, min(cap, Pmax)), n2 * n2), dtype=complex)
+    plus_minus = np.array([[1.0, 1.0], [1.0, -1.0]])  # (R, S) to (R + S, R - S)
+    phi, prev = np.full(Pmax + 1, 2.0 * n / g), np.full(n2, 2.0 * n / g)
+    for m in range(1, Pmax + 1, cap):  # H_m .. H_(m+count-1) from H_(m-1)
+        count = min(cap, Pmax + 1 - m)
+        np.dot(table[m - 1 : m - 1 + max(count, 2)], basis, out=steps[: max(count, 2)])
+        states = np.empty((count, n2), dtype=complex)
+        for T, row in zip(steps.reshape(-1, n2, n2), states):
+            np.dot(T, prev, out=row)
+            prev = row
+        sums = np.dot(np.add.reduce(states.reshape(count, 2, n), axis=2), plus_minus)
+        np.add.reduce(sums * table[m : m + count, 1:], axis=1, out=phi[m : m + count])
+    return phi
 
 
 def _cauchy_prefixes(c: list[complex], s: complex) -> list[complex]:

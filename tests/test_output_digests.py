@@ -25,7 +25,7 @@ DIGESTS = {
     f"{_EM} --y=0.5,0.8 --method recurrence":
         "8da43ec6cf47418a67524d7f4ccf3a3cc6be1bd9180af8537f1506558e627751",
     f"{_EM} --y=0.5,0.8 --method genseries":
-        "104f80811e9b3e2c93cc47694ead1ad70550d5f173517b9feab7270e25619b51",
+        "e6a6e2bf4eede83f5348a100139190a2876478df9848f163c26c771263a531c1",
     f"{_EM} --y=0.5,0.8 --method oracle":
         "cccca2677db83b659b7c772aeead74311d2432264c6fcf1a80de0403b0b55264",
     f"{_EM} --y=0.5,0.8 --method sigma":
@@ -33,7 +33,7 @@ DIGESTS = {
     f"{_EM} --y=0.5,0.8,0.1,-0.2 --method recurrence":
         "8e680f9829e50fb2417c8aa5f36e998f34928ba637f532c1a12d20c77d14c8dc",
     f"{_EM} --y=0.5,0.8,0.1,-0.2 --method genseries":
-        "75059db824dc6cd172db2fd01a9a62277294d58ef96291fac6c0c4caae166085",
+        "8cb45d35babbbeafcce9dab7fabdbb980af29f9b475e47f5711a1475dfb7dce4",
     f"{_EM} --y=0.5,0.8,0.1,-0.2 --method oracle":
         "68cf13599ecf88fd8a0063232024682205c53bd6153925982c13e77b88fb0e1d",
     f"{_EM} --y=0.5,0.8,0.1,-0.2 --method sigma":
@@ -44,32 +44,35 @@ DIGESTS = {
     f"em {_POINT} --y=-1.1,0.6 --m-max 60 --method recurrence":
         "2fd03eb2b04b9252f2baf79e7d9355a2f31205d8e5d57df9716c1942e011284c",
     f"em {_POINT} --y=-1.1,0.6 --m-max 60 --method genseries":
-        "81778d8510b28a4d166d2a76b0e829ce1187d38940a1e867d575b7861a679861",
+        "23ef1e3b7e005363ca0303d247d04fa51cd4c10b9fc0bc273035df0d6af9743e",
     f"kernel {_POINT} --y=0.5,0.8 --method series --tol 1e-12":
         "c208e1125c3b810a24062d25a8d076ab60ac4f705b1828371b9a0bd14692190d",
     f"kernel {_POINT} --y=0.5,0.8,0.1,-0.2 --method series --tol 1e-12":
         "e3beb4372a1218e104eb1d1db54effebb7fc7156b04c75dabcf871927c87bf09",
     f"kernel {_POINT} --y=0.5,0.8 --method integral --tol 1e-8":
-        "e4d31445087ad9bc204adc9a824246b89bcc482dbac4bdf0f903de0b45bce147",
+        "219a03ec8c485d1e4fb39c786c28084bf8709fae59d9673586d1834c58559fe3",
     f"kernel {_POINT} --y=0.5,0.8,0.1,-0.2 --method integral --tol 1e-8":
         "a19e33827a92757b3805340ab701a61ad81324f188799318a3b395b926f6e2d6",
     "crosscheck --seed 5 --samples 10":
-        "c38cf11d86f4510e87c3993df1ec4ece07bd06af9840c76f45ce62c6316aed96",
+        "68fb8db7d9f9fbdb1bb4a540bdfd0bfad4ae60fe81c0a438f5a9f586f466e4d0",
     # V built past degree 12, fresh k per sample
     "crosscheck --seed 3 --samples 5 --m-max 40":
-        "4e6ae91c016313322add5cf0b8618239b5ceb1c9c6aa3a8780b02a4a0b48488f",
+        "f4bb884a5b95836279c5da257e6475029adf2a004fde1028b55813322db45212",
     # the last contour pass at 128 nodes
     "kernel --n 2 --k=0.5,0.0 --x=1.1466295248026057,0.0 --y=1.9023276203061634,-8.013109575481606"
     " --method integral --tol 1e-08":
-        "d8d4f151db3c1179efc2b38d5943664de5841c2eb980c72c58d10e8742f2fd71",
+        "31dd4a601fc769514e24b10dee301cc44076877b4f087bc73089b499869ce1e2",
     # the passes double from 128 to 256 nodes on at least 4 panels; the
     # value is within 1.2e-14 of the series route's at tol 1e-15
     "kernel --n 4 --k=1.2057506716904671,-0.032065047156279225"
     " --x=-0.5909027195420594,-0.66472316369768 --y=-0.9805216493835016,-0.2196947764694137"
     " --method integral --tol 1e-12":
-        "d54b802024bd41eb294b00e032ac478ab94ab44b1ec0af6989a247e2e7b84dac",
+        "ec38094e633141f87e16f390f11fed54978ea1cc441d992aaede088ed93a9160",
     f"phi {_POINT} --y=0.5,0.8 --pmax 40":
-        "d916da37d12a6445dd128e80f1be06edcf979b1efc978121683b196e509bbceb",
+        "3932cde866876eb400822adb7e77f44354439db81700c89d1daff66aba77691e",
+    # above a_coeffs' dense crossover: the vecdot loop, bit for bit
+    "phi --n 24 --k=0.4,0.2 --x=0.9,0.3 --y=0.5,0.8 --pmax 60":
+        "bed91c1ec45e980c4f5ddbf2b79e8f556ed6f2277d8ac0387442995648966008",
     f"bounds {_POINT} --y=0.5,0.8 --m-max 30":
         "11e45e833ccc48cc7f94e5b7d7ba4dafd87166e7e62239014796d37354c9946e",
 }
@@ -113,7 +116,7 @@ STEP_DIGESTS = {
     "kernel --n 7 --k=1.3509600114058844,0.2756856902451935"
     " --x=-0.8243784300282244,-0.5995011452663237 --y=1.4942137815850476,-1.978938781737701"
     " --method integral --tol 1e-10":
-        "5fedbf69331f54865c9699221b6d2f57dd7c3623a3591ff85f5d6695f2b5dd60",
+        "e7e6e430adbad7d7ceb3495072493e2884be4a7cb691791a9f32216a07d72db7",
 }
 
 
@@ -176,7 +179,7 @@ def test_kernel_series_bench_round_is_pinned(monkeypatch):
 # One whole round of the em-tables workload at bench seed 1: 112 degree-60
 # tables, 4 (n, k) sets of 8 pairs by every route that applies, the oracle's
 # among them at n = 2, where the group matrices carry rounding residue.
-EM_TABLES_ROUND_DIGEST = "81b0e69fd4b046b9e02ee450174e67da36d86481038997a79de9f95aaab10911"
+EM_TABLES_ROUND_DIGEST = "cdb24a33567f9c0688e298807386a29c2bf1120685afbaee22af74b9eb07824d"
 
 
 def test_em_tables_bench_round_is_pinned(monkeypatch):
@@ -188,7 +191,7 @@ def test_em_tables_bench_round_is_pinned(monkeypatch):
 # The first 40 ops of the crosscheck workload at bench seed 1 (ten rounds
 # of 4, each op its own seed with 5 samples through degree 12): a fresh k
 # per sample, so the oracle builds cold, over batches of five.
-CROSSCHECK_OPS_DIGEST = "e970fbd349be83d32b87e2b1a4ed9fe61e7495c12422326b73fc5598b0fa58ee"
+CROSSCHECK_OPS_DIGEST = "ac646a03e96f92eadf1980a85b1efbeb559349d2d83486c77eed8125ad6d8942"
 
 
 def test_crosscheck_bench_ops_are_pinned(monkeypatch):

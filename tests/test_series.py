@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from dunkl_dihedral.kernel import delta_effective
 from dunkl_dihedral.polyalg import ParameterK, factorial_table, pochhammer_table
 from dunkl_dihedral.polyalg import rising_factorials
 from dunkl_dihedral.recurrence import em_sequence
-from dunkl_dihedral.sampling import draw_instance
-from dunkl_dihedral.series import a_coeffs, em_closed_sigma, em_genseries
+from dunkl_dihedral.sampling import DEFAULT_ORDERS, draw_instance
+from dunkl_dihedral.series import _BLOCK_ENTRIES, DENSE_MAX_N, _phi_coefficients, a_coeffs
+from dunkl_dihedral.series import em_closed_sigma, em_genseries
 
 
 def _product_series_coeffs(k: complex, cs: np.ndarray, order: int) -> np.ndarray:
@@ -183,10 +185,22 @@ def test_closed_form_solves_system(rng):
         assert abs(r1) <= 1e-8 and abs(r2) <= 1e-8
 
 
-@pytest.mark.parametrize("order", [0, 1, 2, 60, 400])
-def test_a_coeffs_matches_the_double_loop(order, rng):
+# a_coeffs' first block of dense step matrices at n = DENSE_MAX_N
+_FIRST_BLOCK = _BLOCK_ENTRIES // (2 * DENSE_MAX_N) ** 2
+
+
+@pytest.mark.parametrize(
+    "order, n_choices",
+    [pytest.param(order, DEFAULT_ORDERS, id=str(order)) for order in (0, 1, 2, 60, 400)]
+    + [
+        pytest.param(60, (DENSE_MAX_N,), id="60-at-crossover"),
+        pytest.param(60, (DENSE_MAX_N + 1,), id="60-above-crossover"),
+        pytest.param(_FIRST_BLOCK + 5, (DENSE_MAX_N,), id="past-first-block"),
+    ],
+)
+def test_a_coeffs_matches_the_double_loop(order, n_choices, rng):
     for _ in range(3):
-        inst = draw_instance(rng, delta_a_cap=2.0)
+        inst = draw_instance(rng, n_choices, delta_a_cap=2.0)
         P = inst.parameter()
         orbit = orbit_pairings(inst.group(), inst.x, inst.y)
         S = a_coeffs(P, orbit, order)
@@ -196,6 +210,49 @@ def test_a_coeffs_matches_the_double_loop(order, rng):
         scale = np.maximum(np.max(np.abs(A), axis=1), np.max(np.abs(A)))
         assert np.all(np.abs(S.phi - (A[:, 0] - A[:, 1])) <= 1e-13 * scale)
         assert S.phi[0] == 2.0 * P.n / P.gamma
+
+
+@pytest.mark.parametrize("n", [2, 7, DENSE_MAX_N, DENSE_MAX_N + 1])
+def test_a_coeffs_prefix_does_not_depend_on_the_order(n, rng):
+    # phi[p], bit for bit, whatever order the table runs to: dense blocks
+    # cut at other places, one-order last blocks included
+    inst = draw_instance(rng, (n,), delta_a_cap=2.0)
+    P, orbit = inst.parameter(), orbit_pairings(inst.group(), inst.x, inst.y)
+    whole = a_coeffs(P, orbit, 2 * _FIRST_BLOCK + 2).phi
+    cuts = [_FIRST_BLOCK - 1, _FIRST_BLOCK, _FIRST_BLOCK + 1, 2 * _FIRST_BLOCK + 1]
+    for order in [0, 1, 2, 3, 17, *cuts]:
+        assert np.array_equal(a_coeffs(P, orbit, order).phi, whole[: order + 1]), order
+
+
+def test_a_coeffs_memory_is_bounded_at_the_crossover():
+    # 2^14 orders at n = DENSE_MAX_N: the dense step matrices come in blocks
+    # of at most _BLOCK_ENTRIES entries.  The bound is the peak of this call
+    # when every n took the per-order vecdot loop, which holds all the power
+    # sums at once: 3,278,781 bytes (numpy 2.4).
+    n = DENSE_MAX_N
+    P = ParameterK(0.4 + 0.2j, n)
+    orbit = orbit_pairings(make_group(n), np.array([0.9, 0.3]), np.array([0.5, 0.8]))
+    tracemalloc.start()
+    try:
+        S = a_coeffs(P, orbit, 1 << 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert S.order == 1 << 14
+    assert peak <= 3_278_781
+
+
+def test_a_coeffs_caches_small_coefficient_tables_only():
+    # a table past 2048 rows (6 MB at order 2^16) is built per call, so the
+    # cache of 32 tables stays small; a small one is cached once
+    P = ParameterK(0.37 + 0.01j, 2)
+    orbit = orbit_pairings(make_group(2), np.array([0.9, 0.3]), np.array([0.5, 0.8]))
+    misses = _phi_coefficients.cache_info().misses
+    a_coeffs(P, orbit, 3000)
+    assert _phi_coefficients.cache_info().misses == misses
+    a_coeffs(P, orbit, 12)
+    a_coeffs(P, orbit, 20)
+    assert _phi_coefficients.cache_info().misses == misses + 1
 
 
 def test_uniqueness_regression(rng):

@@ -122,6 +122,26 @@ def _basis_signs(n: int) -> np.ndarray:
     return signs
 
 
+# Complex entries a block of the orbit-sum chains holds, its step matrices
+# when dense and its states when structured (1 MiB either way).
+BLOCK_ENTRIES = 2**16
+
+
+def _step_chain(
+    table: np.ndarray, start: int, basis: np.ndarray, prev: np.ndarray, out: np.ndarray
+) -> None:
+    """Write into the rows of out the chain prev -> T_start prev -> ..., one
+    np.dot per row, T_j being row j of the coefficient table times the
+    (3, (2n)^2) basis, all of a block from one product.  The table is sliced
+    to two rows at least: numpy hands one row to its matrix-vector routine,
+    which rounds otherwise, and a row would depend on where its block starts."""
+    n2 = out.shape[1]
+    steps = np.dot(table[start : start + max(len(out), 2)], basis).reshape(-1, n2, n2)
+    for T, row in zip(steps, out):
+        np.dot(T, prev, out=row)
+        prev = row
+
+
 # The last call of orbit_pairings, as one (key, result) pair, so that one
 # assignment replaces both: its _orbit_key and its result.
 _last_orbit: list = [(None, None)]

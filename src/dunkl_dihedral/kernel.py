@@ -563,6 +563,8 @@ def ek_integral(
     rho = rho_scale / (2.0 * delta * a)
     if rho == 0.0:
         raise ConvergenceError(f"delta * a = {delta * a:.6g} is past the double range")
+    if rho == math.inf:
+        raise ConvergenceError(f"delta * a = {delta * a:.6g} is too small for a contour radius")
     log_weight = 2.0 * math.log(abs(g)) - math.log(2.0 * P.n)
     if log_weight > _LOG_HUGE:
         raise DomainError(

@@ -226,26 +226,15 @@ def _h_weights(params: Sequence[ParameterK], ms: np.ndarray) -> tuple[np.ndarray
 # the intertwining map's matrices, built degree by degree for a batch
 
 
-class _ListCache(OrderedDict):
-    """An OrderedDict of matrix lists that keeps `elements`, the entries of
-    its lists together, as _vk_fetch adds them and _vk_build extends and
-    evicts them; clear() resets it."""
-
-    elements = 0
-
-    def clear(self) -> None:
-        super().clear()
-        self.elements = 0
-
-
 # The intertwining matrices V_0..V_M built so far, by (n, k), least recently
 # used first.  _vk_build extends lists in place, then keeps at most
 # ORACLE_CACHE_LISTS lists whose complex entries together stay within
 # ORACLE_CACHE_ELEMENTS: 2^20 entries (16 MiB) hold the lists of 13
 # parameters at M = 60 but one at M = 120 (6e5 entries), so a sweep over
 # fresh k holds a bounded set however many samples it draws.  The newest
-# list is kept even past the budget.
-_vk_cache = _ListCache()
+# list is kept even past the budget.  The entries held are computed from
+# the list lengths when an eviction asks for them, not counted.
+_vk_cache = OrderedDict()
 ORACLE_CACHE_LISTS = 32
 ORACLE_CACHE_ELEMENTS = 2**20
 
@@ -259,11 +248,11 @@ def _vk_evict(keep: int, growth: int = 0) -> None:
     """Evict the least recently used lists while the cache holds more than
     ORACLE_CACHE_LISTS lists, or more than ORACLE_CACHE_ELEMENTS entries
     once `growth` more are built, sparing the `keep` most recent."""
+    held = sum(_vk_elements(len(mats)) for mats in _vk_cache.values())
     while len(_vk_cache) > keep and (
-        len(_vk_cache) > ORACLE_CACHE_LISTS
-        or _vk_cache.elements + growth > ORACLE_CACHE_ELEMENTS
+        len(_vk_cache) > ORACLE_CACHE_LISTS or held + growth > ORACLE_CACHE_ELEMENTS
     ):
-        _vk_cache.elements -= _vk_elements(len(_vk_cache.popitem(last=False)[1]))
+        held -= _vk_elements(len(_vk_cache.popitem(last=False)[1]))
 
 
 def _vk_fetch(
@@ -281,10 +270,7 @@ def _vk_fetch(
     lists, build, keys = [], [], set()
     for i, (G, P) in enumerate(members):
         key = (G.n, complex(P.k))
-        mats = _vk_cache.pop(key, None)
-        if mats is None:
-            mats = [np.ones((1, 1), dtype=complex)]
-            _vk_cache.elements += 1
+        mats = _vk_cache.pop(key, None) or [np.ones((1, 1), dtype=complex)]
         _vk_cache[key] = mats
         lists.append(mats)
         if len(mats) <= mmax and key not in keys:
@@ -306,8 +292,8 @@ def _vk_build(
     """Extend the lists of the members `build` (from _vk_fetch) through
     degree mmax, and yield (m, stack) after each degree m it builds: row r
     of the stack is V_m of member build[r], for the members whose lists
-    lacked degree m.  Run it to its end: the cache's count and eviction
-    follow the last degree.
+    lacked degree m.  Run it to its end: the cache's eviction follows the
+    last degree.
 
     Degree m is built from degree m-1 through V p = sum_i x_i V(d_i(H p)):
     with t = x1 V_{m-1} d1 + x2 V_{m-1} d2 it is t H_m = (t diag(w_m)) R_m
@@ -358,8 +344,6 @@ def _vk_build(
                 lists[i].append(v.copy())  # so an evicted list frees its own matrices
             yield m, stack
     finally:
-        for i, start in zip(build, starts):
-            _vk_cache.elements += _vk_elements(len(lists[i])) - _vk_elements(start)
         _vk_evict(1)
 
 

@@ -14,8 +14,10 @@ takes the step one of two ways:
   T_m = (diag(d) + alpha_m W d^T - beta_m Ws (Ws o d)^T) / (m+1+gamma) of a
   whole block come from one product, a (count, 3) coefficient table times
   the orbit's three fixed (2n)^2 basis matrices, and each degree is then one
-  matrix-vector product.  Its cost is the 4n^2 entries of T_m, against the
-  nine numpy calls of the structured step, so it wins for small n only.
+  matrix-vector product: the chain dihedral._step_chain, which a_coeffs
+  shares, as it shares the one block budget, BLOCK_ENTRIES.  Its cost is
+  the 4n^2 entries of T_m, against the nine numpy calls of the structured
+  step, so it wins for small n only.
 - above it, structured: divide by m+1+gamma, multiply in place by the
   orbit pairings (as pairings * quotient), add the orbit sums in place.
   This is y_step's arithmetic in y_step's order, bit for bit; both share
@@ -36,7 +38,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .dihedral import DihedralGroup, OrbitPairings, PlanePoint, _basis_signs, orbit_pairings
+from .dihedral import BLOCK_ENTRIES, DihedralGroup, OrbitPairings, PlanePoint, _basis_signs
+from .dihedral import _step_chain, orbit_pairings
 from .polyalg import ParameterK, require_degree, require_finite_table
 
 # The largest n whose step is a dense matrix.  24 states took 27-49 us dense
@@ -45,9 +48,6 @@ from .polyalg import ParameterK, require_degree, require_finite_table
 # n = 22 and 262-304 against 120-166 us at n = 32 (three runs each, 2 vCPUs,
 # one BLAS thread).
 DENSE_MAX_N = 20
-# Complex entries a block holds: its step matrices when dense, its states
-# when structured (1 MiB either way).
-_BLOCK_ENTRIES = 2**16
 
 
 def _add_orbit_sums(dy: np.ndarray, m: int, g: complex, shift: np.ndarray) -> None:
@@ -88,13 +88,6 @@ def y_step(values: np.ndarray, m: int, P: ParameterK, orbit: OrbitPairings) -> n
     return dy.reshape(-1)
 
 
-def _step_basis(orbit: OrbitPairings) -> np.ndarray:
-    """The three (2n)^2 matrices diag(d), W d^T and Ws (Ws o d)^T of the
-    orbit pairings d, flattened into the rows of a (3, 4n^2) array: column j
-    of each pattern of _basis_signs times d_j, which is exact."""
-    return np.multiply(_basis_signs(orbit.n), orbit.big_diag).reshape(3, -1)
-
-
 @lru_cache(maxsize=32)
 def _step_coefficients(g: complex, n: int, rows: int) -> np.ndarray:
     """The (rows, 3) table whose row j is (1, alpha_j, -beta_j)/(j+1+gamma),
@@ -111,25 +104,13 @@ def _step_coefficients(g: complex, n: int, rows: int) -> np.ndarray:
     return coef
 
 
-def _step_matrices(g: complex, n: int, basis: np.ndarray, m: int, count: int) -> np.ndarray:
-    """The scaled step matrices T_m .. T_(m+count-1) as a
-    (count, 2n, 2n) array: rows m.. of a coefficient table of at least 32
-    rows, a power of two, times the basis in one product.  A one-row table
-    is padded to two, so that the product is always a matrix product: numpy
-    hands a one-row table to the matrix-vector routine, which rounds
-    otherwise, and a state would then depend on where its block starts."""
-    end = m + max(count, 2)
-    coef = _step_coefficients(g, n, max(32, 1 << (end - 1).bit_length()))[m:end]
-    return np.dot(coef, basis)[:count].reshape(count, 2 * n, 2 * n)
-
-
 def state_blocks(
     P: ParameterK, orbit: OrbitPairings, rows: int, total: int
 ) -> Iterator[np.ndarray]:
     """The scaled states at degrees 0 .. total-1 as consecutive blocks: the
     first block has min(rows, total) rows and begins with the all-ones state
     of degree 0, and each later block has twice the rows of the one before,
-    at most _BLOCK_ENTRIES / (2n)^2 of them when dense and _BLOCK_ENTRIES /
+    at most BLOCK_ENTRIES / (2n)^2 of them when dense and BLOCK_ENTRIES /
     2n when structured (and at least one), until total states are out.
     Row i of a block is the state one degree above row i-1; entry 0 of a
     state is E_m.  A state does not depend on how the degrees are cut into
@@ -139,7 +120,7 @@ def state_blocks(
     np.errstate(over="ignore", invalid="ignore")."""
     n, n2 = orbit.n, 2 * orbit.n
     advance = _dense_advance(P, orbit) if n <= DENSE_MAX_N else _structured_advance(P, orbit)
-    cap = max(1, _BLOCK_ENTRIES // (n2 * n2 if n <= DENSE_MAX_N else n2))
+    cap = max(1, BLOCK_ENTRIES // (n2 * n2 if n <= DENSE_MAX_N else n2))
     block = np.ones((min(rows, total, cap), n2), dtype=complex)
     advance(block[1:], block[0], 0)
     done = len(block)
@@ -157,15 +138,16 @@ Advance = Callable[[np.ndarray, np.ndarray, int], None]
 
 def _dense_advance(P: ParameterK, orbit: OrbitPairings) -> Advance:
     """advance(out, prev, m) writes the states at degrees m+1, m+2, ...
-    into the rows of out, from prev, the state at degree m: one product
-    with T_j per degree, with the step matrices of the whole block formed
-    at once."""
-    g, n, basis = P.gamma, orbit.n, _step_basis(orbit)
+    into the rows of out, from prev, the state at degree m, by _step_chain
+    on rows m.. of a coefficient table of at least 32 rows, a power of two.
+    Its basis holds diag(d), W d^T and Ws (Ws o d)^T of the orbit pairings
+    d: column j of each pattern of _basis_signs times d_j, which is exact."""
+    g, n = P.gamma, orbit.n
+    basis = np.multiply(_basis_signs(n), orbit.big_diag).reshape(3, -1)
 
     def advance(out: np.ndarray, prev: np.ndarray, m: int) -> None:
-        for T, row in zip(_step_matrices(g, n, basis, m, len(out)), out):
-            np.dot(T, prev, out=row)
-            prev = row
+        rows = max(32, 1 << (m + max(len(out), 2) - 1).bit_length())
+        _step_chain(_step_coefficients(g, n, rows), m, basis, prev, out)
 
     return advance
 

@@ -18,8 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dihedral import DihedralGroup, OrbitPairings, PlanePoint, _basis_signs, is_sigma_invariant
-from .dihedral import orbit_pairings
+from .dihedral import BLOCK_ENTRIES, DihedralGroup, OrbitPairings, PlanePoint, _basis_signs
+from .dihedral import _step_chain, is_sigma_invariant, orbit_pairings
 from .errors import DomainError
 from .polyalg import ParameterK, factorial_table, pochhammer_table
 from .polyalg import require_degree, require_finite_table, rising_factorials
@@ -27,7 +27,6 @@ from .polyalg import require_degree, require_finite_table, rising_factorials
 # The largest n whose a_coeffs step is a dense matrix: at order 25 it took 67 against 76 us by
 # vecdot at n = 10 (72/73 with a cold table), 72/76 (77/73) at 11, 73/74 (81/71) at 12.
 DENSE_MAX_N = 10
-_BLOCK_ENTRIES = 2**16  # complex entries of a dense block's step matrices (1 MiB)
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,8 @@ def a_coeffs(P: ParameterK, orbit: OrbitPairings, Pmax: int) -> SeriesData:
     h_j(p+1) = c_j (h_j(p) + u_p); S_p alike.  The 2n sums H_p take one
     product per order, H_(p+1) = D (I + alpha_p W W^T - beta_p Ws Ws^T) H_p
     (D = diag(pairings), W all ones, Ws the ones/minus-ones split: the
-    recurrence's step transposed); phi[p] = alpha_p W^T H_p - beta_p Ws^T H_p.
+    recurrence's step transposed, run by the chain it shares,
+    dihedral._step_chain); phi[p] = alpha_p W^T H_p - beta_p Ws^T H_p.
     Above it each order is one vecdot of the reversed power sums, stored
     conjugated since vecdot conjugates its first argument, against the (u, v)
     rows.  B_0 ~ 0 by the orbit sum rule, so A_1 ~ 0.  Non-finite phi is a range error.
@@ -102,21 +102,17 @@ def _phi_coefficients(g: complex, n: int, rows: int) -> np.ndarray:
 
 def _phi_dense(g: complex, orbit: OrbitPairings, Pmax: int) -> np.ndarray:
     """phi by the sums H_p, from H_0 = (2n/gamma) W (row 0's step is D)."""
-    n, n2, cap = orbit.n, 2 * orbit.n, max(1, _BLOCK_ENTRIES // (2 * orbit.n) ** 2)
-    basis = np.multiply(_basis_signs(n), orbit.big_diag[:, None]).reshape(3, -1)
+    n, n2, cap = orbit.n, 2 * orbit.n, max(1, BLOCK_ENTRIES // (2 * orbit.n) ** 2)
+    basis = np.multiply(_basis_signs(n), orbit.big_diag[:, None]).reshape(3, -1)  # row-scaled
     rows = max(32, 1 << Pmax.bit_length())  # a cache of larger tables would hold 6 MB each
     table = (_phi_coefficients if rows <= 2048 else _phi_coefficients.__wrapped__)(g, n, rows)
-    # two rows at least: numpy's matrix-vector routine would round a one-row table otherwise
-    steps = np.empty((max(2, min(cap, Pmax)), n2 * n2), dtype=complex)
     plus_minus = np.array([[1.0, 1.0], [1.0, -1.0]])  # (R, S) to (R + S, R - S)
     phi, prev = np.full(Pmax + 1, 2.0 * n / g), np.full(n2, 2.0 * n / g)
     for m in range(1, Pmax + 1, cap):  # H_m .. H_(m+count-1) from H_(m-1)
         count = min(cap, Pmax + 1 - m)
-        np.dot(table[m - 1 : m - 1 + max(count, 2)], basis, out=steps[: max(count, 2)])
         states = np.empty((count, n2), dtype=complex)
-        for T, row in zip(steps.reshape(-1, n2, n2), states):
-            np.dot(T, prev, out=row)
-            prev = row
+        _step_chain(table, m - 1, basis, prev, states)
+        prev = states[-1]
         sums = np.dot(np.add.reduce(states.reshape(count, 2, n), axis=2), plus_minus)
         np.add.reduce(sums * table[m : m + count, 1:], axis=1, out=phi[m : m + count])
     return phi

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -439,6 +440,9 @@ def test_unsettled_contour_is_a_convergence_error_in_bounded_memory():
         ("bounds --n 3 --k=-0.1,1e200 --x 1,0 --y 1,1", EXIT_CONVERGENCE_ERROR),
         # delta * a past the double range
         ("bounds --n 4 --k=2.6,-1.08e307 --x=-2.7,1.25 --y=0.59,-3.8", EXIT_CONVERGENCE_ERROR),
+        # delta * a so small that the contour radius 1/(2 delta a) is inf
+        ("kernel --method integral --n 2 --k=1e6 --x=1e-160,1e-160 --y=1e-160,1e-160",
+         EXIT_CONVERGENCE_ERROR),
         # 2 gamma past the double range
         ("em --n 2 --k 8.5e307 --x 1,0 --y 1,1", EXIT_DOMAIN_ERROR),
         ("kernel --n 2 --k 8.5e307 --x 1,0 --y 1,1", EXIT_DOMAIN_ERROR),
@@ -739,6 +743,40 @@ def test_fuzzed_arguments_exit_with_a_documented_code(argv):
     if code in (EXIT_DOMAIN_ERROR, EXIT_CONVERGENCE_ERROR):
         assert out.getvalue() == ""
     assert "Traceback" not in err.getvalue()
+
+
+# Every command and method, on a fixed grid of argument magnitudes: |x| and
+# |y| from 1e-170 to 1e170, so that the pairings run from underflow (a
+# subnormal or zero orbit bound) to overflow, and k zero, tiny, ordinary,
+# huge and negative.
+_SWEEP_ROUTES = [
+    *(["em", "--method", method, "--m-max", "12"]
+      for method in ("recurrence", "genseries", "oracle", "sigma")),
+    *(["kernel", "--method", method] for method in ("series", "integral")),
+    ["bounds", "--m-max", "12"],
+    ["phi", "--pmax", "12"],
+    ["crosscheck", "--seed", "0", "--m-max", "12"],
+]
+_SWEEP_MAGNITUDES = [f"1e{e}" for e in (-170, -160, -155, -100, 0, 100, 155, 160, 170)]
+_SWEEP_KS = ["0", "1e-300", "0.5", "1e6", "1e300", "-0.3", "-1e6,1"]
+
+
+def test_argument_magnitude_sweep_exits_with_a_documented_code():
+    # 11 340 commands, most of them refused at once: about 1 s on 2 vCPUs
+    start, failures = time.perf_counter(), []
+    grid = itertools.product((2, 3), _SWEEP_ROUTES, _SWEEP_MAGNITUDES, _SWEEP_MAGNITUDES, _SWEEP_KS)
+    for n, (command, *options), s, t, k in grid:
+        argv = [command, f"--n={n}", f"--k={k}", f"--x={s},{s}", f"--y={t},-{t}", *options]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                code = main(argv, out=out)
+            except Exception as exc:  # what the entry point would print as a traceback
+                code = repr(exc)
+        if code not in (0, 1, 2, 3) or "Traceback" in err.getvalue():
+            failures.append((" ".join(argv), code))
+    assert failures == []
+    assert time.perf_counter() - start < 5.0
 
 
 @pytest.mark.parametrize("method", ["recurrence", "genseries", "oracle", "sigma"])

@@ -11,6 +11,8 @@ from dunkl_dihedral.dihedral import (
     MAX_N,
     OrbitPairings,
     _as_point,
+    _basis_signs,
+    _step_chain,
     is_sigma_invariant,
     make_group,
     orbit_pairings,
@@ -18,6 +20,8 @@ from dunkl_dihedral.dihedral import (
     rotation_matrix,
 )
 from dunkl_dihedral.errors import DomainError
+from dunkl_dihedral.recurrence import _step_coefficients
+from dunkl_dihedral.series import _phi_coefficients
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
@@ -370,3 +374,25 @@ def test_orbit_memo_revalidates_a_changed_point():
     x[0, 1] = -0.4
     with pytest.raises(DomainError, match="exactly 2 components"):
         orbit_pairings(G, x, y)
+
+
+@pytest.mark.parametrize("n", [2, 7, 20])
+def test_step_chain_rows_do_not_depend_on_where_the_block_starts(n, rng):
+    # each row of a one-row call equals that row of a long block, bit for
+    # bit, for the recurrence's column-scaled basis and the series'
+    # row-scaled one: the table is sliced to two rows at least, so the step
+    # matrices are always a matrix product
+    g = complex(*rng.uniform(0.1, 2.0, size=2))
+    d = rng.uniform(-2, 2, size=2 * n) + 1j * rng.uniform(-2, 2, size=2 * n)
+    signs = _basis_signs(n)
+    routes = [
+        (_step_coefficients(g, n, 64), np.multiply(signs, d).reshape(3, -1)),
+        (_phi_coefficients(g, n, 64), np.multiply(signs, d[:, None]).reshape(3, -1)),
+    ]
+    for table, basis in routes:
+        prev = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
+        block, row = np.empty((40, 2 * n), dtype=complex), np.empty((1, 2 * n), dtype=complex)
+        _step_chain(table, 5, basis, prev, block)
+        for j in range(len(block)):
+            _step_chain(table, 5 + j, basis, block[j - 1] if j else prev, row)
+            assert np.array_equal(row[0], block[j]), j

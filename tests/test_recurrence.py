@@ -20,8 +20,7 @@ from dunkl_dihedral.kernel import certified_terms, transition_norm_sum
 from dunkl_dihedral.polyalg import ParameterK, oracle_em
 from dunkl_dihedral.recurrence import (
     DENSE_MAX_N,
-    _step_basis,
-    _step_matrices,
+    _dense_advance,
     em_sequence,
     state_blocks,
     y_step,
@@ -112,7 +111,8 @@ def _states(P, orbit, count, rows=1):
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 16, DENSE_MAX_N])
 def test_step_matrices_are_the_step_matrix_over_its_divisor(n, rng):
-    # T_m = _y_step_matrix(P, orbit, m) / (m+1+gamma), within 1e-14 |T| |s|
+    # the dense chain's T_m = _y_step_matrix(P, orbit, m) / (m+1+gamma),
+    # within 1e-14 |T| |s|: a one-row advance from degree m is T_m s
     G = make_group(n)
     for _ in range(20):
         P = ParameterK(complex(*rng.uniform(-2.0, 2.0, size=2)), n)
@@ -120,13 +120,13 @@ def test_step_matrices_are_the_step_matrix_over_its_divisor(n, rng):
         y = rng.uniform(-3, 3, size=2) + 1j * rng.uniform(-3, 3, size=2)
         orbit = orbit_pairings(G, x, y)
         m, count = int(rng.integers(0, 60)), int(rng.integers(1, 9))
-        T = _step_matrices(P.gamma, n, _step_basis(orbit), m, count)
-        assert T.shape == (count, 2 * n, 2 * n)
+        advance, out = _dense_advance(P, orbit), np.empty((1, 2 * n), dtype=complex)
         for j in range(count):
             matrix = _y_step_matrix(P, orbit, m + j) / (m + j + 1 + P.gamma)
             values = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
             size = np.abs(matrix) @ np.abs(values)
-            assert np.all(np.abs(T[j] @ values - matrix @ values) <= 1e-14 * size)
+            advance(out, values, m + j)
+            assert np.all(np.abs(out[0] - matrix @ values) <= 1e-14 * size)
 
 
 def test_scaled_states_yield_plain_states(rng):

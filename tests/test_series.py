@@ -6,14 +6,14 @@ import pytest
 
 from conftest import eval_q, rel_err, residual_check
 from definitions import _a_coeffs_by_loop, _recur_by_loop, g_values, phi_sigma_invariant
-from dunkl_dihedral.dihedral import make_group, orbit_pairings
+from dunkl_dihedral.dihedral import BLOCK_ENTRIES, make_group, orbit_pairings
 from dunkl_dihedral.errors import DomainError
 from dunkl_dihedral.kernel import delta_effective
 from dunkl_dihedral.polyalg import ParameterK, factorial_table, pochhammer_table
 from dunkl_dihedral.polyalg import rising_factorials
 from dunkl_dihedral.recurrence import em_sequence
 from dunkl_dihedral.sampling import DEFAULT_ORDERS, draw_instance
-from dunkl_dihedral.series import _BLOCK_ENTRIES, DENSE_MAX_N, _phi_coefficients, a_coeffs
+from dunkl_dihedral.series import DENSE_MAX_N, _phi_coefficients, a_coeffs
 from dunkl_dihedral.series import em_closed_sigma, em_genseries
 
 
@@ -186,7 +186,7 @@ def test_closed_form_solves_system(rng):
 
 
 # a_coeffs' first block of dense step matrices at n = DENSE_MAX_N
-_FIRST_BLOCK = _BLOCK_ENTRIES // (2 * DENSE_MAX_N) ** 2
+_FIRST_BLOCK = BLOCK_ENTRIES // (2 * DENSE_MAX_N) ** 2
 
 
 @pytest.mark.parametrize(
@@ -226,7 +226,7 @@ def test_a_coeffs_prefix_does_not_depend_on_the_order(n, rng):
 
 def test_a_coeffs_memory_is_bounded_at_the_crossover():
     # 2^14 orders at n = DENSE_MAX_N: the dense step matrices come in blocks
-    # of at most _BLOCK_ENTRIES entries.  The bound is the peak of this call
+    # of at most BLOCK_ENTRIES entries.  The bound is the peak of this call
     # when every n took the per-order vecdot loop, which holds all the power
     # sums at once: 3,278,781 bytes (numpy 2.4).
     n = DENSE_MAX_N

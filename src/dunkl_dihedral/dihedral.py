@@ -46,15 +46,11 @@ class DihedralGroup:
     n: int
 
 
-@lru_cache(maxsize=32, typed=True)
 def make_group(n: int) -> DihedralGroup:
     """Build the order-2n dihedral group.  Its data is n alone: the
     elements are rotation_matrix(n, j) and reflection_matrix(n, j), and the
     unit normals of the mirror lines (the positive roots) are built by
     tests/definitions.py, their one reader.  n above MAX_N is a range error.
-    The group is frozen, so it is cached per n (and per type of n, so an
-    np.int64 n is not handed a group built from a Python int); a refusal
-    raises, and lru_cache caches no exception, so it is raised each time.
     """
     if n < 2:
         raise DomainError("dihedral order must be ≥ 2")

@@ -332,31 +332,23 @@ def series_for_radius(
 
 
 @lru_cache(maxsize=8)
-def _unit_circle(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """For N contour nodes: the roots e^(2 pi i j/N) for j = 0..N//2, root
-    N/2 of an even N stored as exactly -1 (e^(i pi) rounds to -1 + 1.2e-16i),
-    followed by the conjugates of roots (N-1)//2..1 as nodes N//2+1..N-1, so
-    node N-j is the exact conjugate of node j for every j; and cos(2 pi j/N)
-    for j < N.  Read-only, since the cache shares them."""
+def _circle_tables(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For N contour nodes rho w^j, w = e^(2 pi i/N): the roots w^j for j =
+    0..N//2, root N/2 of an even N stored as exactly -1 (e^(i pi) rounds to
+    -1 + 1.2e-16i), followed by the conjugates of roots (N-1)//2..1 as nodes
+    N//2+1..N-1, so node N-j is the exact conjugate of node j for every j;
+    cos(2 pi j/N) for j < N; and the endpoint powers w^(-j l), l < 20, as an
+    (N, 20) table read from the conjugated circle at j l mod N, so row N-j is
+    the exact conjugate of row j.  Read-only, since the cache shares them."""
     roots = np.exp(2j * np.pi * np.arange(N // 2 + 1) / N)
     if N % 2 == 0:
         roots[N // 2] = -1.0
     circle = np.concatenate([roots, np.conj(roots[(N - 1) // 2 : 0 : -1])])
     cosines = np.cos(2.0 * np.pi * np.arange(N) / N)
-    circle.setflags(write=False)
-    cosines.setflags(write=False)
-    return circle, cosines
-
-
-@lru_cache(maxsize=8)
-def _endpoint_powers(N: int) -> np.ndarray:
-    """For N contour nodes rho w^j: the powers w^(-j l), l < 20, as an (N, 20)
-    table read from the conjugated unit circle at j l mod N, so row N-j is
-    the exact conjugate of row j.  Read-only, since the cache shares it."""
-    circle = np.conj(_unit_circle(N)[0])
-    table = circle[np.multiply.outer(np.arange(N), _ENDPOINT_ORDERS) % N]
-    table.setflags(write=False)
-    return table
+    powers = np.conj(circle)[np.multiply.outer(np.arange(N), _ENDPOINT_ORDERS) % N]
+    for arr in (circle, cosines, powers):
+        arr.setflags(write=False)
+    return circle, cosines, powers
 
 
 def _contour_rule(
@@ -365,15 +357,15 @@ def _contour_rule(
     """The N-point trapezoidal rule on |z| = rho for the contour kernel: the
     reciprocals of nodes 0..N//2, and the weights of all N nodes,
     (gamma^2/2n) Phi(z) / (N (1 - z <x,y>)).  The nodes are rho w^j, w =
-    e^(2 pi i/N), taken as rho times _unit_circle's: node N-j stays the
-    exact conjugate of node j, since a real factor commutes with
+    e^(2 pi i/N), taken as rho times the circle of _circle_tables: node N-j
+    stays the exact conjugate of node j, since a real factor commutes with
     conjugation.  So Phi(z_j) / N is the inverse FFT of the coefficients
     phi_p rho^p folded mod N."""
     if N < 8:
         raise DomainError("contour rule needs at least 8 nodes")
     if not (rho > 0.0 and math.isfinite(rho)):
         raise DomainError("contour radius must be positive and finite")
-    nodes = rho * _unit_circle(N)[0]
+    nodes = rho * _circle_tables(N)[0]
     half = nodes[: N // 2 + 1]
     denom = 1.0 - nodes * orbit.xy
     if np.minimum.reduce(np.abs(denom)) < 1e-12:  # np.min, less its wrapper
@@ -418,28 +410,19 @@ def _contour_sum(
     return vals
 
 
-@lru_cache(maxsize=1)
-def _panel_rules() -> tuple[np.ndarray, np.ndarray]:
-    """The 16-point Gauss-Legendre nodes and weights on [-1, 1], followed by
-    the 8-point ones, built on first use.  Read-only, since the cache shares
-    them."""
-    rules = [np.polynomial.legendre.leggauss(points) for points in (16, 8)]
-    base_x, base_w = (np.concatenate(part) for part in zip(*rules))
-    base_x.setflags(write=False)
-    base_w.setflags(write=False)
-    return base_x, base_w
-
-
 @lru_cache(maxsize=16)
 def _panel_layout(panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For `panels` panels, in _log_panels' output order (the 16-point rule
     panel by panel, then the 8-point rule): each node's odd multiplier
-    2i+1 of its panel i, and its base node and weight on [-1, 1].
-    Read-only, since the cache shares them."""
+    2i+1 of its panel i, and its base node and weight on [-1, 1], the
+    Gauss-Legendre rules built on a miss.  Read-only, since the cache
+    shares them."""
+    rules = [np.polynomial.legendre.leggauss(points) for points in (16, 8)]
+    base = (np.concatenate(part) for part in zip(*rules))
     odd = (2.0 * np.arange(panels) + 1.0)[:, None]
     layout = tuple(
         np.concatenate([grid[:, :16].reshape(-1), grid[:, 16:].reshape(-1)])
-        for grid in np.broadcast_arrays(odd, *_panel_rules())
+        for grid in np.broadcast_arrays(odd, *base)
     )
     for arr in layout:
         arr.setflags(write=False)
@@ -482,7 +465,7 @@ def _pass_floor(
     N = pref.size
     mag = np.abs(pref)
     f0 = float(np.add.reduce(mag))  # np.sum, less its wrapper
-    f1 = float(mag @ np.exp(_unit_circle(N)[1] / rho))
+    f1 = float(mag @ np.exp(_circle_tables(N)[1] / rho))
     body = float(np.add.reduce(np.abs(weight) * (f1 / f0) ** t))
     return 2.0**-53 * (f0 * body + f1 * end_mass)
 
@@ -502,8 +485,8 @@ def ek_integral(
     The integral is split at s0 = min(1, rho/2), rho the contour radius.  On
     [0, s0], K(1-s) = sum_j pref_j e^(1/z_j) e^(-s/z_j) is integrated term by
     term (_endpoint_coefficients): at node z_j = rho w^j the series is
-    sum_l coef_l (-s0/rho)^l w^(-j l), one product with the cached table
-    _endpoint_powers.  On [s0, 1], s = e^v leaves the smooth
+    sum_l coef_l (-s0/rho)^l w^(-j l), one product with the endpoint powers
+    of _circle_tables.  On [s0, 1], s = e^v leaves the smooth
     e^(gamma v) K(1 - e^v), integrated by 16-point Gauss-Legendre on
     max(1, ceil(-log s0)) * splits equal panels of [log s0, 0].
 
@@ -590,7 +573,7 @@ def ek_integral(
         weight, weight8 = body_weights[:n16], body_weights[n16:]
         inv, pref = _contour_rule(P, orbit, S, rho, N)
         prefs = np.column_stack([pref, _embedded_half(pref)])
-        end_prefs = prefs * (_endpoint_powers(N) @ end_terms)[:, None]
+        end_prefs = prefs * (_circle_tables(N)[2] @ end_terms)[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
             sums = _contour_sum(t, inv, prefs, end_prefs)
             body, end = sums[:-1], sums[-1]

@@ -347,18 +347,6 @@ def _vk_build(
         _vk_evict(1)
 
 
-def _vk_matrices(G: DihedralGroup, P: ParameterK, mmax: int) -> list[np.ndarray]:
-    """Matrices V_0..V_mmax (at least) of the intertwining map on
-    homogeneous coefficient vectors for one parameter, cached: the batch of
-    one of _vk_fetch and _vk_build.  The oracle builds the lists of a whole
-    batch together, in oracle_tables' chunks, whose lists fit the cache's
-    element budget together; a list is the same, bit for bit, either way."""
-    lists, build = _vk_fetch([(G, P)], mmax)
-    for _ in _vk_build(lists, [(G, P)], build, mmax):
-        pass
-    return lists[0]
-
-
 # The largest |gamma| the oracle accepts, and the largest n (M+1)^2, the
 # elements of the stack of rotation action matrices it raises to degree M
 # (see oracle_em).

@@ -15,7 +15,7 @@ from dunkl_dihedral.dihedral import reflection_matrix
 from dunkl_dihedral.errors import DomainError
 from dunkl_dihedral.kernel import _contour_rule, _contour_sum
 from dunkl_dihedral.polyalg import ParameterK, _h_scalars, _h_weights, _raise_action
-from dunkl_dihedral.polyalg import _rotation_sum, _vk_matrices
+from dunkl_dihedral.polyalg import _rotation_sum, _vk_build, _vk_fetch
 from dunkl_dihedral.series import SeriesData, _require_sigma_invariant
 
 def pairing(x: PlanePoint, y: PlanePoint) -> complex:
@@ -233,13 +233,25 @@ def h_matrix(G: DihedralGroup, P: ParameterK, m: int) -> np.ndarray:
     is the identity and S_j = diag((-1)^(m-i)) R_j (a reflection is a
     rotation times diag(1, -1), which flips the sign of x2), it is
     diag(w_m) R_m + c_m I with the weights of polyalg._h_weights, which
-    polyalg._vk_matrices applies without forming it."""
+    polyalg._vk_build applies without forming it."""
     if m < 1:
         raise DomainError("h_matrix requires degree m >= 1")
     w, c = _h_weights([P], np.array([m]))
     h = w[0, 0][:, None] * _rotation_sum(G.n, m)
     h[np.diag_indices(m + 1)] += c[0, 0]
     return h
+
+
+def _vk_matrices(G: DihedralGroup, P: ParameterK, mmax: int) -> list[np.ndarray]:
+    """Matrices V_0..V_mmax (at least) of the intertwining map on
+    homogeneous coefficient vectors for one parameter, cached: the batch of
+    one of polyalg._vk_fetch and polyalg._vk_build.  The oracle builds the
+    lists of a whole batch together, in oracle_tables' chunks; a list is the
+    same, bit for bit, either way."""
+    lists, build = _vk_fetch([(G, P)], mmax)
+    for _ in _vk_build(lists, [(G, P)], build, mmax):
+        pass
+    return lists[0]
 
 
 def h_op(G: DihedralGroup, P: ParameterK, m: int, f: Poly2) -> Poly2:

@@ -43,11 +43,11 @@ def test_make_group_refuses_an_order_above_the_limit():
     assert err.value.code == "range-error"
 
 
-def test_make_group_is_cached_per_n_and_its_type():
+def test_make_group_is_equal_per_n_and_keeps_the_type_of_n():
     G = make_group(5)
-    assert make_group(5) is G
+    assert make_group(5) == G and type(G.n) is int
     wide = make_group(np.int64(5))
-    assert wide is not G and type(wide.n) is np.int64 and wide == G
+    assert type(wide.n) is np.int64 and wide == G
     with pytest.raises(dataclasses.FrozenInstanceError):
         G.n = 6
     # a refusal is raised on every call, not remembered as a result

@@ -634,8 +634,8 @@ def test_k_zero_shortcut_past_the_double_range_is_a_range_error():
 
 @pytest.mark.parametrize("N", [8, 64, 128, 8192])
 def test_contour_constants_are_cached_and_read_only(N):
-    circle, cosines = kernel._unit_circle(N)
-    assert kernel._unit_circle(N)[0] is circle
+    circle, cosines, powers = kernel._circle_tables(N)
+    assert all(a is b for a, b in zip(kernel._circle_tables(N), (circle, cosines, powers)))
     roots = np.exp(2j * np.pi * np.arange(N // 2 + 1) / N)
     np.testing.assert_array_equal(circle[: N // 2], roots[: N // 2])
     assert circle.size == N and circle[N // 2] == roots[N // 2].real == -1.0
@@ -644,7 +644,7 @@ def test_contour_constants_are_cached_and_read_only(N):
     layout = kernel._panel_layout(panels)
     assert kernel._panel_layout(panels)[0] is layout[0]
     assert all(arr.shape == (24 * panels,) for arr in layout)
-    for arr in (circle, cosines, *kernel._panel_rules(), *layout):
+    for arr in (circle, cosines, powers, *layout):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
@@ -797,7 +797,7 @@ def test_integral_at_a_vanishing_real_part_is_not_refused():
 @pytest.mark.parametrize("N", [8, 9, 10, 64, 127, 128, 8192])
 def test_unit_circle_node_n_minus_j_is_the_conjugate_of_node_j(N):
     # every j, the node N/2 of an even N (its own mirror, so real) included
-    circle = kernel._unit_circle(N)[0]
+    circle = kernel._circle_tables(N)[0]
     j = np.arange(N)
     assert np.array_equal(circle[(N - j) % N], np.conj(circle))
     assert circle[0] == 1.0 and (N % 2 or circle[N // 2] == -1.0)
@@ -808,9 +808,9 @@ def test_endpoint_powers_are_the_node_powers_conjugate_symmetric(N):
     # row j holds w^(-j l), l < 20, within rounding of the powers of the
     # reciprocal nodes; row N-j is the exact conjugate of row j, so real
     # endpoint terms give exactly conjugate-symmetric weights
-    table = kernel._endpoint_powers(N)
-    assert kernel._endpoint_powers(N) is table and table.shape == (N, 20)
-    inv = 1.0 / kernel._unit_circle(N)[0]
+    circle, _, table = kernel._circle_tables(N)
+    assert kernel._circle_tables(N)[2] is table and table.shape == (N, 20)
+    inv = 1.0 / circle
     np.testing.assert_allclose(table, np.vander(inv, 20, increasing=True), rtol=0, atol=2e-14)
     j = np.arange(1, N)
     assert np.array_equal(table[N - j], np.conj(table[j]))

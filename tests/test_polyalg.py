@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import poly_rel_err, random_poly, rel_err
 from definitions import (
     _pairing_power_vector,
+    _vk_matrices,
     Poly2,
     a_op,
     dunkl_apply,
@@ -30,7 +31,6 @@ from dunkl_dihedral.polyalg import (
     ParameterK,
     _raise_action,
     _vk_cache,
-    _vk_matrices,
     factorial_table,
     oracle_em,
     pochhammer_table,
@@ -478,7 +478,7 @@ def test_oracle_refuses_past_its_element_budget(monkeypatch):
         raise AssertionError("an action matrix was built")
 
     monkeypatch.setattr(polyalg, "_rotation_sum", unreachable)
-    monkeypatch.setattr(polyalg, "_vk_matrices", unreachable)
+    monkeypatch.setattr(polyalg, "_vk_build", unreachable)
     P = ParameterK(1e-4, 10000)
     for M in (500, 60, 20):
         with pytest.raises(DomainError, match="element budget 4194304") as info:

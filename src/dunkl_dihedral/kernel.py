@@ -298,19 +298,19 @@ def series_for_radius(
     is at most 2 v_0 sum_(p>P) q_p.  The term ratio q_(p+1)/q_p =
     (C + p) x/(p + 1) falls toward x when C >= 1 and rises toward it when
     C < 1, so past P + 1 it is at most r = x max(1, (C+P+1)/(P+2)), and the
-    tail is at most 2 v_0 q_(P+1)/(1 - r).  Since delta >= max(1, C) and
-    delta a rho < 1 (else a domain error), r < 1.  The orders are scanned
+    tail is at most 2 v_0 q_(P+1)/(1 - r).  The radius must keep x = a rho
+    < 1 (else a domain error); then r < 1 for every P > (C x + x - 2)/(1 -
+    x), and no order below that stops the scan, since its 1 - r is not
+    positive.  The orders are scanned
     upward on the ratio alone, against the target over 2 v_0 e^log_amp,
     which is formed in log space: a target below the double range is a
     convergence error, raised before a_coeffs runs, as is an order past
     2^16."""
-    dc = delta_effective(P)
     a = orbit.a_bound
-    da_rho = dc.delta_effective * a * rho
-    if da_rho >= 1.0:
+    if a * rho >= 1.0:
         raise DomainError(
             f"contour radius {rho:.6g} is outside the guaranteed disk "
-            f"(delta * a * rho = {da_rho:.6g} >= 1)"
+            f"(a * rho = {a * rho:.6g} >= 1)"
         )
     log_eps = -math.inf
     if tol > 0.0:
@@ -321,7 +321,7 @@ def series_for_radius(
             f"a Phi error there reaches the value amplified by e^{log_amp:.6g}"
         )
     eps = math.exp(min(log_eps, -_LOG_TINY))  # capped where it would overflow
-    C, x = dc.delta_series, a * rho
+    C, x = delta_effective(P).delta_series, a * rho
     q = C * x  # q_(p+1) at p = 0
     for p in range(_MAX_ORDER):
         ratio = (C + p + 1) * x / (p + 2)  # q_(p+2) / q_(p+1)
@@ -329,6 +329,17 @@ def series_for_radius(
             return a_coeffs(P, orbit, p)
         q *= ratio
     raise ConvergenceError("series order cap exceeded while targeting tail")
+
+
+def contour_radius(a: float, C: float) -> float:
+    """The radius rho in (0, 1/(2a)] that minimises 1/rho - C log(1 - a rho),
+    the log of the contour integrand's amplification (see ek_integral): the
+    root 2/(a + sqrt(a^2 + 4 C a)) of C a rho^2 + a rho = 1, capped at 1/(2a),
+    which it passes when C < 2a.  The square root is taken as hypot(a,
+    2 sqrt(C) sqrt(a)), so nothing cancels, squares or multiplies out of the
+    double range before the radius itself does: for a > 0 and C >= 2e-12
+    (|gamma| > 1e-12) the radius is at most 1/sqrt(C a) < 1e168, never inf."""
+    return min(0.5 / a, 2.0 / (a + math.hypot(a, 2.0 * math.sqrt(C) * math.sqrt(a))))
 
 
 @lru_cache(maxsize=8)
@@ -482,6 +493,15 @@ def ek_integral(
     int_0^1 s^(gamma-1) K(1-s) ds, valid for Re(gamma) > 0.  A vanishing
     orbit bound gives 1 exactly.
 
+    The contour radius is rho = rho_scale contour_radius(a, C), C =
+    delta_series and a the orbit bound: the minimiser of 1/rho - C log(1 -
+    a rho), the log of the amplification below, capped at 1/(2a).  Phi's
+    majorant (series_for_radius) holds on every |z| < 1/a, inside Phi's
+    poles 1/c_i, |c_i| <= a; rho_scale in (0, 2) keeps a rho < 1.
+    For C >> a the radius is about 1/sqrt(C a), so the integrand grows like
+    e^(sqrt(C a)), where the radius 1/(2 delta a), delta >= C, gave e^(2
+    delta a).  A radius that underflows to 0 is a convergence error.
+
     The integral is split at s0 = min(1, rho/2), rho the contour radius.  On
     [0, s0], K(1-s) = sum_j pref_j e^(1/z_j) e^(-s/z_j) is integrated term by
     term (_endpoint_coefficients): at node z_j = rho w^j the series is
@@ -520,7 +540,7 @@ def ek_integral(
     of the last pass.
 
     Conditioning: the contour integrand oscillates with magnitude about
-    e^(2 delta a) against a much smaller result.  Each pass estimates its
+    e^(1/rho) against a much smaller result.  Each pass estimates its
     rounding of Q by the floor 2^-53 (sum_i |w_i| f0^(1-t_i) f1^(t_i) +
     f1 sum_l |coef_l| (s0/rho)^l), with w_i the body's weights, f0 =
     sum_j |pref_j| and f1 = sum_j |pref_j| e^(Re(1/z_j)), and is refused
@@ -542,12 +562,11 @@ def ek_integral(
     a = orbit.a_bound
     if a == 0.0:
         return KernelResult(value=1.0 + 0.0j, method="integral", nodes_used=0)
-    delta = delta_effective(P).delta_effective
-    rho = rho_scale / (2.0 * delta * a)
+    rho = rho_scale * contour_radius(a, delta_effective(P).delta_series)
     if rho == 0.0:
-        raise ConvergenceError(f"delta * a = {delta * a:.6g} is past the double range")
-    if rho == math.inf:
-        raise ConvergenceError(f"delta * a = {delta * a:.6g} is too small for a contour radius")
+        raise ConvergenceError(
+            f"the contour radius underflows: a = {a:.6g} is past the double range"
+        )
     log_weight = 2.0 * math.log(abs(g)) - math.log(2.0 * P.n)
     if log_weight > _LOG_HUGE:
         raise DomainError(
@@ -585,12 +604,12 @@ def ek_integral(
         if not all(cmath.isfinite(4.0 * complex(v)) for v in (value, value_half, value8)):
             raise ConvergenceError(
                 f"a contour pass with {N} nodes overflows double precision "
-                f"(delta * a = {delta * a:.6g})"
+                f"(radius {rho:.6g}, a = {a:.6g})"
             )
         if floor > tol * max(1.0, abs(value)):
             raise ConvergenceError(
                 f"rounding floor {floor:.3g} of the contour pass with {N} nodes exceeds the "
-                f"tolerance (value {abs(value):.3g}, delta * a = {delta * a:.6g}); "
+                f"tolerance (value {abs(value):.3g}, radius {rho:.6g}, a = {a:.6g}); "
                 "use the series route"
             )
         spread = float(abs(value - value_half) + abs(value - value8))
@@ -617,12 +636,12 @@ def ek_integral(
             raise ConvergenceError(
                 f"rounding floor {floor:.3g} of the contour pass with {N} nodes explains its "
                 f"spread {spread:.3g}, which exceeds the tolerance (value {abs(value):.3g}, "
-                f"delta * a = {delta * a:.6g}); use the series route"
+                f"radius {rho:.6g}, a = {a:.6g}); use the series route"
             )
         if N == _MAX_NODES:
             raise ConvergenceError(
                 f"integral representation did not stabilize within {N} contour nodes "
-                f"(delta * a = {delta * a:.6g})"
+                f"(radius {rho:.6g}, a = {a:.6g})"
             )
         N, splits = 2 * N, 2 * splits
 

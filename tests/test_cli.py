@@ -407,7 +407,7 @@ def test_unsettled_contour_is_a_convergence_error_in_bounded_memory():
     # Im(gamma) = 5000 against Re(gamma) = 2: the weight e^(gamma v) turns
     # about 800 times per unit of v = log s, too fast for the panels, so the
     # doubling passes never settle and reach 8192 contour nodes, while
-    # delta * a = 0.51 keeps the rounding floor far below the tolerance.  The
+    # 1/rho = 0.54 keeps the rounding floor far below the tolerance.  The
     # last pass takes 2048 panel times (one unit panel, 128 splits of 16
     # points) against 4097 exponentiated nodes: a 2048 x 4097 matrix (134 MB),
     # built in blocks of at most 2^22 entries.
@@ -440,9 +440,8 @@ def test_unsettled_contour_is_a_convergence_error_in_bounded_memory():
         ("bounds --n 3 --k=-0.1,1e200 --x 1,0 --y 1,1", EXIT_CONVERGENCE_ERROR),
         # delta * a past the double range
         ("bounds --n 4 --k=2.6,-1.08e307 --x=-2.7,1.25 --y=0.59,-3.8", EXIT_CONVERGENCE_ERROR),
-        # delta * a so small that the contour radius 1/(2 delta a) is inf
-        ("kernel --method integral --n 2 --k=1e6 --x=1e-160,1e-160 --y=1e-160,1e-160",
-         EXIT_CONVERGENCE_ERROR),
+        # an orbit bound so large that the contour radius underflows
+        ("kernel --method integral --n 2 --k 1 --x=1e154,0 --y=1e154,0", EXIT_CONVERGENCE_ERROR),
         # 2 gamma past the double range
         ("em --n 2 --k 8.5e307 --x 1,0 --y 1,1", EXIT_DOMAIN_ERROR),
         ("kernel --n 2 --k 8.5e307 --x 1,0 --y 1,1", EXIT_DOMAIN_ERROR),
@@ -451,7 +450,10 @@ def test_unsettled_contour_is_a_convergence_error_in_bounded_memory():
         # series coefficients past the double range
         ("phi --n 3 --k 1 --x 10,0 --y 10,0 --pmax 400", EXIT_DOMAIN_ERROR),
         ("phi --n 2 --k=0,-1e21 --x=0,2 --y=0,4 --pmax 30", EXIT_DOMAIN_ERROR),
-        # an overflowing contour pass
+        # an overflowing contour pass: gamma^2/2n = 1e300 against a = 4e-146
+        ("kernel --method integral --n 2 --k 1e150 --x=2e-73,0 --y=2e-73,0",
+         EXIT_CONVERGENCE_ERROR),
+        # a contour pass that does not settle within 8192 nodes (gamma = 300)
         ("kernel --method integral --n 3 --k 100 --x 1,0 --y 1,1", EXIT_CONVERGENCE_ERROR),
         # -2 Re(gamma) above the degree limit: refused before any delta sum
         ("bounds --n 3 --k=-100000.1234,0.01 --nu 1000000 --x 1,0 --y 1,1",
@@ -601,10 +603,25 @@ def test_integral_at_a_vanishing_orbit_bound_is_exactly_one():
     }
 
 
+def test_integral_at_a_subnormal_orbit_bound_is_one():
+    # a = 2e-320 and C = 4e6: the radius, 1/sqrt(C a) = 3.5e156, is taken
+    # from sqrt(C) sqrt(a), so it keeps its precision where C a is subnormal,
+    # and the single 64-node pass gives E_k = 1 + O(a)
+    code, out = run_cli(
+        "kernel --method integral --n 2 --k=1e6 --x=1e-160,1e-160 --y=1e-160,1e-160".split()
+    )
+    assert code == EXIT_OK
+    header, rows = parse_csv(out)
+    row = dict(zip(header, rows[0]))
+    assert (row["value_re"], row["value_im"], row["nodes_used"]) == ("1", "0", "64")
+    assert float(row["tail_estimate"]) <= 1e-15
+
+
 def test_integral_past_its_rounding_floor_exits_after_one_pass(monkeypatch):
-    # delta * a = 12.6: the contour integrand's rounding, about 2^-53 e^(2 delta a),
-    # exceeds the tolerance, so the first pass refuses instead of doubling on.
-    # The node floor 3e/rho = 6e delta a = 205 starts that pass at 256 nodes.
+    # a = 12.2 against C = 5.3 < 2a, so 1/rho = 2a: the contour integrand's
+    # rounding, about 2^-53 e^(2a), exceeds the tolerance, so the first pass
+    # refuses instead of doubling on.  The node floor 3e/rho = 6e a = 199
+    # starts that pass at 256 nodes.
     passes, rule = [], kernel._contour_rule
 
     def counted_rule(*args):
@@ -615,10 +632,10 @@ def test_integral_past_its_rounding_floor_exits_after_one_pass(monkeypatch):
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code, out = run_cli(
-            ["kernel", "--method", "integral", "--n", "5",
-             "--k=0.005860860732461618,0.2734695957862945",
-             "--x=0.33782456080258694,-2.716860265708026",
-             "--y=-1.6924930838458128,-0.10597114666236163"]
+            ["kernel", "--method", "integral", "--n", "3",
+             "--k=0.010519366466382296,-0.8857667322455571",
+             "--x=2.9243616335283944,1.069920419748926",
+             "--y=1.8237056735941843,3.661510084132381"]
         )
     assert code == EXIT_CONVERGENCE_ERROR
     assert out == ""
@@ -629,32 +646,32 @@ def test_integral_past_its_rounding_floor_exits_after_one_pass(monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        "kernel --method integral --n 3 --k 40 --x 1,0 --y 1,1",
-        "kernel --method integral --n 4 --k 18.827860635060567 "
-        "--x=-0.5054370121175409,-1.3311320303636598 "
-        "--y=0.6466425395814355,1.1279842446095492 --tol 1e-10",
+        "kernel --method integral --n 2 --k=0.9985557248802299,0.20299671524671492 "
+        "--x=-3.7704879330244436,-2.8165913233803526 --y=3.425688183682956,-3.4366353907664253",
+        "kernel --method integral --n 2 --k=0.06242269638315312,-0.5054654187628616 "
+        "--x=-3.8304529460762415,2.4855267838405046 --y=-3.021841298861913,3.791760328956438",
     ],
 )
 def test_integral_started_at_the_node_floor_refuses_noise(argv, capsys):
-    # 1/rho = 656 and 551: passes started at 64 nodes agreed at 512 nodes on
-    # 3.96e143 and 2.84e140, aliasing far above the kernel's a-priori bound
-    # (10^44.5 for the first list).  Started at the node floor 3e/rho, here
-    # the cap of 8192 nodes, the pass resolves e^(t/z) and its rounding floor
-    # refuses it.
+    # 1/rho = 45.2 and 42.0: the node floor 3e/rho starts the first pass at
+    # 512 nodes, which resolve e^(t/z), and its rounding floor (0.38 and
+    # 26.9, against values of 1.9e6 and 3.9e8) refuses it there.
     code, out = run_cli(argv.split())
     assert code == EXIT_CONVERGENCE_ERROR
     assert out == ""
-    assert "rounding floor" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "rounding floor" in err and "with 512 nodes" in err
 
 
 def test_integral_floor_counts_the_endpoint_terms(capsys):
-    # Re(gamma) = 0.0034 and delta * a = 13.1: with the body's chord floor
-    # alone, the passes settle on a value 5.3e-10 of |E_k| from mpmath at tol
-    # 1e-10.  The endpoint terms' floor refuses the first pass instead.
+    # Re(gamma) = 0.055 and 1/rho = 23.9: with the body's chord floor alone
+    # (1.0e-7 against tol |Q| = 2.1e-7), the first pass settles on a value
+    # 1.6e-10 of |E_k| from mpmath at tol 1e-10.  The endpoint terms' floor
+    # (3.3e-7 in all) refuses that pass instead.
     code, out = run_cli(
         ["kernel", "--method", "integral", "--n", "2", "--tol", "1e-10",
-         "--k=0.0016785933886169083,-0.13963168220324162",
-         "--x=2.712357192626106,-2.2746271417369357", "--y=1.8626038612199265,-2.3375925869827814"]
+         "--k=0.027702685913728684,0.4706897043119077",
+         "--x=-2.8863965003983,-1.4785143403472694", "--y=2.6628459013195576,-2.888695660892169"]
     )
     assert code == EXIT_CONVERGENCE_ERROR
     assert out == ""

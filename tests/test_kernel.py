@@ -310,8 +310,9 @@ def test_kernel_K_half_nodes_match_the_full_node_sum(N, rng):
 
 @pytest.mark.parametrize("scale", [1e-9, 1e-150, 1e-300])
 def test_integral_at_a_tiny_orbit_bound_matches_the_series(scale):
-    # rho = 1/(2 delta a) is huge, so rho^p overflows a double while every
-    # phi_p rho^p stays below 1: the contour weights must not form rho^p alone
+    # the contour radius, about 1/sqrt(C a), is huge, so rho^p overflows a
+    # double while every phi_p rho^p stays below 1: the contour weights must
+    # not form rho^p alone
     G, P = make_group(3), ParameterK(1.0, 3)
     x, y = (scale, -0.5 * scale), (1.0, 1.0)
     res = ek_integral(G, P, x, y, 1e-10)
@@ -434,11 +435,11 @@ def test_ek_integral_complex_parameter(rng):
 
 @pytest.mark.parametrize(
     "n, k, x, y",
-    [(3, 1.0, (1.0, 0.0), (0.8, 0.6)), (2, 0.5, (1.0, 0.5), (0.5, 1.0))],
+    [(5, 0.4, (1.0, 0.0), (0.5, 0.5)), (2, 1.3, (1.8, 0.0), (0.3, 0.6))],
 )
 def test_ek_integral_tail_includes_the_last_floor(n, k, x, y, monkeypatch):
     # These points settle in one pass.  Its tail is the spread
-    # |Q - Q_half| + |Q - Q_8| plus its floor; here the spread is 3.0 and 1.0
+    # |Q - Q_half| + |Q - Q_8| plus its floor; here the spread is 1.3 and 1.4
     # times the floor, so the tail is the floor's size, not the tolerance's.
     floors = []
 
@@ -515,8 +516,9 @@ def test_eight_point_log_panels_integrate_an_exponential(gamma, s0, panels):
 
 
 def test_ek_integral_starts_at_the_node_floor(monkeypatch):
-    # delta a = 5 puts 3e/rho = 6e delta a at 81.5: the first pass takes 128
-    # nodes, enough for its embedded 64-node rule, and settles
+    # a = 5 against C = 3 < 2a puts the radius at its cap 1/(2a), so 3e/rho =
+    # 6e a = 81.5: the first pass takes 128 nodes, enough for its embedded
+    # 64-node rule, and settles
     passes, rule = [], kernel._contour_rule
 
     def counted_rule(*args):
@@ -526,10 +528,58 @@ def test_ek_integral_starts_at_the_node_floor(monkeypatch):
     monkeypatch.setattr(kernel, "_contour_rule", counted_rule)
     G, P, x = make_group(3), ParameterK(1.0, 3), (1.0, 0.0)
     y = np.array([0.6, 0.8])
-    y *= 5.0 / (delta_effective(P).delta_effective * orbit_pairings(G, x, y).a_bound)
+    y *= 5.0 / orbit_pairings(G, x, y).a_bound
     res = ek_integral(G, P, x, y, 1e-8)
     assert passes == [128] and res.nodes_used == 128
     assert rel_err(res.value, ek_series(G, P, x, y, 1e-12).value) <= 1e-8
+
+
+_RADIUS_GRID_A = [
+    5e-324, 1e-310, 1e-300, 1e-150, 1e-10, 1e-3, 0.5, 1.0, 7.0, 1e3, 1e10, 1e100, 1e154
+]
+_RADIUS_GRID_C = [1e-3, 0.1, 1.0, 3.0, 50.0, 1e3, 1e6]
+
+
+@pytest.mark.parametrize("a", _RADIUS_GRID_A)
+@pytest.mark.parametrize("C", _RADIUS_GRID_C)
+def test_contour_radius_minimises_the_amplification(a, C):
+    # rho minimises f(rho) = 1/rho - C log(1 - a rho) on (0, 1/(2a)]: inside
+    # it, where C > 2a, it is the root of C a rho^2 + a rho = 1; past it, f
+    # still falls at the cap.  f is convex, so a step of 1e-4 either way
+    # that stays in the interval does not lower it.
+    rho = kernel.contour_radius(a, C)
+    assert 0.0 < rho < math.inf and a * rho <= 0.5
+
+    def f(r):
+        return 1.0 / r - C * math.log1p(-a * r)
+
+    for step in (1.0 - 1e-4, 1.0 + 1e-4):
+        if a * (rho * step) <= 0.5:
+            assert f(rho) <= f(rho * step) * (1.0 + 1e-12)
+    if C > 2.0 * a:
+        assert abs(a * rho * (C * rho + 1.0) - 1.0) <= 1e-14
+    else:
+        assert rho == 0.5 / a
+    # a rho_scale in (0, 2) keeps the contour inside the disk a rho < 1
+    for rho_scale in (1e-3, 1.0, 1.999, math.nextafter(2.0, 0.0)):
+        assert a * (rho_scale * rho) < 1.0
+
+
+def test_ek_integral_computes_the_wide_band():
+    # The wide band: 400 lists with n in 2..8, k in (0.05, 6) + i(-1, 1), x
+    # and y U(-2, 2).  At the radius 1/(2 delta a) the route refused 330 of
+    # them on its rounding floor, e^(2 delta a) 2^-53; at the minimiser of
+    # the amplification every one gives a value within tol of the series
+    # route.
+    rng = np.random.default_rng(7)
+    for _ in range(400):
+        n = int(rng.integers(2, 9))
+        k = complex(rng.uniform(0.05, 6.0), rng.uniform(-1.0, 1.0))
+        x, y = (tuple(map(float, p)) for p in rng.uniform(-2.0, 2.0, size=(2, 2)))
+        G, P = make_group(n), ParameterK(k, n)
+        value = ek_integral(G, P, x, y, 1e-10).value
+        ref = ek_series(G, P, x, y, 1e-14).value
+        assert abs(value - ref) <= 1e-10 * max(1.0, abs(ref)), (n, k, x, y)
 
 
 def test_ek_integral_rho_stability(rng):
@@ -767,21 +817,23 @@ def test_truncated_value_lies_within_the_truncation_bound(monkeypatch):
 
 
 def test_series_order_refused_where_the_amplified_target_underflows(monkeypatch):
-    # n = 3, k = 1e6: 1/rho = 2 delta a is about 1.6e7, so the target
-    # e^-1.6e7 tol is below the double range; refused before a_coeffs runs
+    # n = 3, k = 1e6: 1/rho, about sqrt(C a) = 2864, and the factor
+    # gamma^2/2n amplify a Phi error by e^2876.7, so the target is below the
+    # double range; refused before a_coeffs runs
     def no_coefficients(*args):
         raise AssertionError("a_coeffs ran")
 
     monkeypatch.setattr(kernel, "a_coeffs", no_coefficients)
-    with pytest.raises(ConvergenceError, match=r"amplified by e\^1\.6392\de\+07"):
+    with pytest.raises(ConvergenceError, match=r"amplified by e\^2876\.7\b"):
         ek_integral(make_group(3), ParameterK(1e6, 3), (1.0, 0.0), (1.0, 1.0), 1e-8)
     # at k = 1e300 the factor gamma^2/2n itself is past the double range
     with pytest.raises(DomainError, match="past the double range") as info:
         ek_integral(make_group(3), ParameterK(1e300, 3), (1.0, 0.0), (1.0, 1.0), 1e-8)
     assert info.value.code == "range-error"
-    # and at k = 1e9 with pairings near 1e300, delta a is
-    with pytest.raises(ConvergenceError, match=r"delta \* a = inf is past the double range"):
-        ek_integral(make_group(3), ParameterK(1e9, 3), (1e150, 0.0), (1e150, 1.0), 1e-8)
+    # and at pairings near 1e308, a + sqrt(a^2 + 4 C a) overflows, so the
+    # radius reads 0
+    with pytest.raises(ConvergenceError, match=r"radius underflows: a = 1e\+308"):
+        ek_integral(make_group(2), ParameterK(1.0, 2), (1e154, 0.0), (1e154, 0.0), 1e-8)
 
 
 def test_integral_at_a_vanishing_real_part_is_not_refused():

@@ -50,24 +50,24 @@ DIGESTS = {
     f"kernel {_POINT} --y=0.5,0.8,0.1,-0.2 --method series --tol 1e-12":
         "e3beb4372a1218e104eb1d1db54effebb7fc7156b04c75dabcf871927c87bf09",
     f"kernel {_POINT} --y=0.5,0.8 --method integral --tol 1e-8":
-        "219a03ec8c485d1e4fb39c786c28084bf8709fae59d9673586d1834c58559fe3",
+        "59bb70f7f6057f504efaba27fb692c5490305ee818aaa18efbf4ba712d6fa4e7",
     f"kernel {_POINT} --y=0.5,0.8,0.1,-0.2 --method integral --tol 1e-8":
-        "a19e33827a92757b3805340ab701a61ad81324f188799318a3b395b926f6e2d6",
+        "5b222cfd1f948b0aaa19828f83d09a9f37c0a135854fb2aa7e24532eaf879c59",
     "crosscheck --seed 5 --samples 10":
         "68fb8db7d9f9fbdb1bb4a540bdfd0bfad4ae60fe81c0a438f5a9f586f466e4d0",
     # V built past degree 12, fresh k per sample
     "crosscheck --seed 3 --samples 5 --m-max 40":
         "f4bb884a5b95836279c5da257e6475029adf2a004fde1028b55813322db45212",
-    # the last contour pass at 128 nodes
+    # one contour pass at 64 nodes; the value is within 3.2e-18 of mpmath
     "kernel --n 2 --k=0.5,0.0 --x=1.1466295248026057,0.0 --y=1.9023276203061634,-8.013109575481606"
     " --method integral --tol 1e-08":
-        "31dd4a601fc769514e24b10dee301cc44076877b4f087bc73089b499869ce1e2",
-    # the passes double from 128 to 256 nodes on at least 4 panels; the
-    # value is within 1.2e-14 of the series route's at tol 1e-15
+        "3fa18bbbb2eb0d781d31f6538a4ff59b9edc48ed8a12b0dadda7dfa84a57067a",
+    # the passes double from 64 to 128 nodes, and from 2 to 4 panels; the
+    # value is within 6.7e-16 of the series route's at tol 1e-15
     "kernel --n 4 --k=1.2057506716904671,-0.032065047156279225"
     " --x=-0.5909027195420594,-0.66472316369768 --y=-0.9805216493835016,-0.2196947764694137"
     " --method integral --tol 1e-12":
-        "ec38094e633141f87e16f390f11fed54978ea1cc441d992aaede088ed93a9160",
+        "e9ea6d23ac92cf6934969147522c6bf17e90aff547f9540665c51607468ec12a",
     f"phi {_POINT} --y=0.5,0.8 --pmax 40":
         "3932cde866876eb400822adb7e77f44354439db81700c89d1daff66aba77691e",
     # above a_coeffs' dense crossover: the vecdot loop, bit for bit
@@ -94,8 +94,9 @@ def test_stdout_bytes_are_pinned(argv):
 # complex y, a degree-40 table at n = 1000, and three refusals with their
 # messages: an argument pair refused before any step (exit 3), a rounding
 # floor refused after the steps (exit 3), and a table that overflows at
-# degree 394 (exit 2).  Last, a contour pass refused on its rounding floor
-# at 1024 nodes (exit 3).
+# degree 394 (exit 2).  Last, the integral route: a value after passes at
+# 128, 256 and 512 nodes (exit 0), and a first pass at 256 nodes refused on
+# its rounding floor (exit 3).
 _SERIES = "kernel --method series --tol 1e-12 --x=0.9,0.3"
 
 STEP_DIGESTS = {
@@ -116,7 +117,11 @@ STEP_DIGESTS = {
     "kernel --n 7 --k=1.3509600114058844,0.2756856902451935"
     " --x=-0.8243784300282244,-0.5995011452663237 --y=1.4942137815850476,-1.978938781737701"
     " --method integral --tol 1e-10":
-        "e7e6e430adbad7d7ceb3495072493e2884be4a7cb691791a9f32216a07d72db7",
+        "51ae9936570fd5135ca3ac44f8b082c59510fb5a99d4f711f6b5b1bae51c6b7d",
+    "kernel --n 3 --k=0.010519366466382296,-0.8857667322455571"
+    " --x=2.9243616335283944,1.069920419748926 --y=1.8237056735941843,3.661510084132381"
+    " --method integral --tol 1e-10":
+        "bfe002d02dad62beab6b1cdb91b05f57956d35dd2108430fdd3abd18fa4c85d2",
 }
 
 

@@ -23,9 +23,9 @@ from .errors import DomainError
 
 PlanePoint = Union[Sequence, np.ndarray]
 
-# The largest n accepted.  Memory and time grow linearly in n: one kernel
-# op took 0.07 s at n = 1e4, 0.48 s at 1e5, and 6.6 s with a 607 MB peak at
-# 1e6; at 1e4 the largest integral and phi tables stay near 200 MB.
+# The largest n accepted.  Memory and time grow linearly in n: an integral
+# and a series op took 4.5 and 5.3 ms at n = 1e4, 36 and 26 ms at 1e5 (2 vCPUs);
+# at 1e4 an integral op and a phi table of order 500 peak under 0.4 MiB.
 MAX_N = 10_000
 
 
@@ -136,6 +136,35 @@ def _step_chain(
     for T, row in zip(steps, out):
         np.dot(T, prev, out=row)
         prev = row
+
+
+def _add_orbit_sums(dy: np.ndarray, m: int, g: complex, shift: np.ndarray) -> None:
+    """Add the orbit-sum terms of the degree-m step to the (2, n) array
+    dy = D Y, in place:
+
+    Y' = D Y + gamma/(2n(m+1)) <DY, W> W - gamma/(2n(m+1+2g)) <DY, Ws> Ws
+
+    with D the diagonal of orbit pairings, W all ones and Ws the ones/minus-
+    ones split; all inner products are bilinear (no conjugation).  One row
+    sum gives both inner products; it is np.add.reduce, which ndarray.sum
+    calls through a Python wrapper.  shift is a (2, 1) buffer of the
+    caller's, which receives the two halves' corrections.  Its callers:
+    y_step, _structured_advance, and a_coeffs' structured step (series).
+
+    The inner products are sums of 2n entries, so they can pass the double
+    range where their 1/(2n) share, and the state, do not: there they are
+    formed again from the entries divided by 2n, and a state overflows only
+    where its exact value leaves the range, as the dense step's does."""
+    parts = 2 * dy.shape[1]
+    rot, refl = np.add.reduce(dy, axis=1).tolist()
+    if not (cmath.isfinite(rot + refl) and cmath.isfinite(rot - refl)):
+        rot, refl = np.add.reduce(dy / parts, axis=1).tolist()
+        parts = 1
+    s_w = (g / (parts * (m + 1))) * (rot + refl)
+    corr = (g / (parts * (m + 1 + 2 * g))) * (rot - refl)
+    shift[0, 0] = s_w - corr
+    shift[1, 0] = s_w + corr
+    dy += shift
 
 
 # The last call of orbit_pairings, as one (key, result) pair, so that one

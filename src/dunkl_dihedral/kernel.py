@@ -482,22 +482,17 @@ def _pass_floor(
 
 
 def ek_integral(
-    G: DihedralGroup,
-    P: ParameterK,
-    x: PlanePoint,
-    y: PlanePoint,
-    tol: float,
-    rho_scale: float = 1.0,
+    G: DihedralGroup, P: ParameterK, x: PlanePoint, y: PlanePoint, tol: float
 ) -> KernelResult:
     """Kernel value by the weighted-time integral of the contour kernel,
     int_0^1 s^(gamma-1) K(1-s) ds, valid for Re(gamma) > 0.  A vanishing
     orbit bound gives 1 exactly.
 
-    The contour radius is rho = rho_scale contour_radius(a, C), C =
-    delta_series and a the orbit bound: the minimiser of 1/rho - C log(1 -
-    a rho), the log of the amplification below, capped at 1/(2a).  Phi's
-    majorant (series_for_radius) holds on every |z| < 1/a, inside Phi's
-    poles 1/c_i, |c_i| <= a; rho_scale in (0, 2) keeps a rho < 1.
+    The contour radius is rho = contour_radius(a, C), C = delta_series and
+    a the orbit bound: the minimiser of 1/rho - C log(1 - a rho), the log of
+    the amplification below, capped at 1/(2a).  Phi's majorant
+    (series_for_radius) holds on every |z| < 1/a, inside Phi's poles 1/c_i,
+    |c_i| <= a.
     For C >> a the radius is about 1/sqrt(C a), so the integrand grows like
     e^(sqrt(C a)), where the radius 1/(2 delta a), delta >= C, gave e^(2
     delta a).  A radius that underflows to 0 is a convergence error.
@@ -555,14 +550,12 @@ def ek_integral(
     g = P.gamma
     if g.real <= 0:
         raise DomainError("integral representation requires Re(γ)>0")
-    if not (0.0 < rho_scale < 2.0):
-        raise DomainError("rho_scale must keep the contour inside the guarded disk")
 
     orbit = orbit_pairings(G, x, y)
     a = orbit.a_bound
     if a == 0.0:
         return KernelResult(value=1.0 + 0.0j, method="integral", nodes_used=0)
-    rho = rho_scale * contour_radius(a, delta_effective(P).delta_series)
+    rho = contour_radius(a, delta_effective(P).delta_series)
     if rho == 0.0:
         raise ConvergenceError(
             f"the contour radius underflows: a = {a:.6g} is past the double range"

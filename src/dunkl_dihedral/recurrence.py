@@ -21,7 +21,8 @@ takes the step one of two ways:
 - above it, structured: divide by m+1+gamma, multiply in place by the
   orbit pairings (as pairings * quotient), add the orbit sums in place.
   This is y_step's arithmetic in y_step's order, bit for bit; both share
-  the orbit-sum update, _add_orbit_sums, and both multiply in the order
+  the orbit-sum update, dihedral._add_orbit_sums, which a_coeffs' step
+  also runs above series.DENSE_MAX_N, and both multiply in the order
   pairings * state, since numpy's vectorized complex product does not
   always round a*b as it rounds b*a.
 
@@ -32,14 +33,13 @@ certificate, which reads each state's sup norm, guards that norm.
 
 from __future__ import annotations
 
-import cmath
 from functools import lru_cache
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .dihedral import BLOCK_ENTRIES, DihedralGroup, OrbitPairings, PlanePoint, _basis_signs
-from .dihedral import _step_chain, orbit_pairings
+from .dihedral import BLOCK_ENTRIES, DihedralGroup, OrbitPairings, PlanePoint, _add_orbit_sums
+from .dihedral import _basis_signs, _step_chain, orbit_pairings
 from .polyalg import ParameterK, require_degree, require_finite_table
 
 # The largest n whose step is a dense matrix.  24 states took 27-49 us dense
@@ -48,34 +48,6 @@ from .polyalg import ParameterK, require_degree, require_finite_table
 # n = 22 and 262-304 against 120-166 us at n = 32 (three runs each, 2 vCPUs,
 # one BLAS thread).
 DENSE_MAX_N = 20
-
-
-def _add_orbit_sums(dy: np.ndarray, m: int, g: complex, shift: np.ndarray) -> None:
-    """Add the orbit-sum terms of the degree-m step to the (2, n) array
-    dy = D Y, in place:
-
-    Y' = D Y + gamma/(2n(m+1)) <DY, W> W - gamma/(2n(m+1+2g)) <DY, Ws> Ws
-
-    with D the diagonal of orbit pairings, W all ones and Ws the ones/minus-
-    ones split; all inner products are bilinear (no conjugation).  One row
-    sum gives both inner products; it is np.add.reduce, which ndarray.sum
-    calls through a Python wrapper.  shift is a (2, 1) buffer of the
-    caller's, which receives the two halves' corrections.
-
-    The inner products are sums of 2n entries, so they can pass the double
-    range where their 1/(2n) share, and the state, do not: there they are
-    formed again from the entries divided by 2n, and a state overflows only
-    where its exact value leaves the range, as the dense step's does."""
-    parts = 2 * dy.shape[1]
-    rot, refl = np.add.reduce(dy, axis=1).tolist()
-    if not (cmath.isfinite(rot + refl) and cmath.isfinite(rot - refl)):
-        rot, refl = np.add.reduce(dy / parts, axis=1).tolist()
-        parts = 1
-    s_w = (g / (parts * (m + 1))) * (rot + refl)
-    corr = (g / (parts * (m + 1 + 2 * g))) * (rot - refl)
-    shift[0, 0] = s_w - corr
-    shift[1, 0] = s_w + corr
-    dy += shift
 
 
 def y_step(values: np.ndarray, m: int, P: ParameterK, orbit: OrbitPairings) -> np.ndarray:

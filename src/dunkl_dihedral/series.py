@@ -3,8 +3,8 @@ function of the kernel components.
 
 The 2x2 first-order system driven by the rational sums g, g_s has a unique
 holomorphic solution vanishing at the origin; its coefficients follow a
-convolution recursion seeded by (2n/gamma, 0), for small n one
-matrix-vector product per order.  The generating function combines the seed
+convolution recursion seeded by (2n/gamma, 0), one step of the orbit
+recurrence's kind per order.  The generating function combines the seed
 with the solution's components, and the degree-m kernel component is the
 m-th Cauchy-product coefficient of the generating function against
 1/(1 - z<x,y>).  When x or y lies on the base mirror axis both the solution
@@ -18,15 +18,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dihedral import BLOCK_ENTRIES, DihedralGroup, OrbitPairings, PlanePoint, _basis_signs
-from .dihedral import _step_chain, is_sigma_invariant, orbit_pairings
+from .dihedral import BLOCK_ENTRIES, DihedralGroup, OrbitPairings, PlanePoint, _add_orbit_sums
+from .dihedral import _basis_signs, _step_chain, is_sigma_invariant, orbit_pairings
 from .errors import DomainError
 from .polyalg import ParameterK, factorial_table, pochhammer_table
 from .polyalg import require_degree, require_finite_table, rising_factorials
 
-# The largest n whose a_coeffs step is a dense matrix: at order 25 it took 67 against 76 us by
-# vecdot at n = 10 (72/73 with a cold table), 72/76 (77/73) at 11, 73/74 (81/71) at 12.
-DENSE_MAX_N = 10
+# The largest n whose a_coeffs step is a dense matrix: at orders 25/40/120 it took 104/144/382
+# against 103/150/441 us structured at n = 14, 112/156/416 against 99/151/463 at 15 (best of 7,
+# 2 vCPUs, one BLAS thread).
+DENSE_MAX_N = 14
 
 
 @dataclass(frozen=True)
@@ -48,39 +49,24 @@ def a_coeffs(P: ParameterK, orbit: OrbitPairings, Pmax: int) -> SeriesData:
     (phi) and v = A0 + A1: u_p = alpha_p (R_p + S_p) - beta_p (R_p - S_p),
     v_p with +beta_p, alpha_p = gamma/(2np), beta_p = gamma/(2n(p+2 gamma)),
     R_p = sum_{i<p} r_(p-i) u_i, S_p = sum_{i<p} s_(p-i) v_i for the rotation
-    and reflection power sums r, s.  Up to DENSE_MAX_N, R_p = sum_j h_j(p)
-    with h_j(p) = sum_{i<p} c_j^(p-i) u_i over the rotation pairings c_j, so
-    h_j(p+1) = c_j (h_j(p) + u_p); S_p alike.  The 2n sums H_p take one
-    product per order, H_(p+1) = D (I + alpha_p W W^T - beta_p Ws Ws^T) H_p
-    (D = diag(pairings), W all ones, Ws the ones/minus-ones split: the
-    recurrence's step transposed, run by the chain it shares,
-    dihedral._step_chain); phi[p] = alpha_p W^T H_p - beta_p Ws^T H_p.
-    Above it each order is one vecdot of the reversed power sums, stored
-    conjugated since vecdot conjugates its first argument, against the (u, v)
-    rows.  B_0 ~ 0 by the orbit sum rule, so A_1 ~ 0.  Non-finite phi is a range error.
+    and reflection power sums r, s.  R_p = sum_j h_j(p) with h_j(p) =
+    sum_{i<p} c_j^(p-i) u_i over the rotation pairings c_j, so h_j(p+1) =
+    c_j (h_j(p) + u_p); S_p alike.  The 2n sums H_p, from H_0 = (2n/gamma)
+    W, take one step per order, H_(p+1) = D (I + alpha_p W W^T - beta_p Ws
+    Ws^T) H_p (D = diag(pairings), W all ones, Ws the ones/minus-ones split:
+    the recurrence's step transposed); phi[p] = alpha_p W^T H_p - beta_p
+    Ws^T H_p.  Up to DENSE_MAX_N the step is one matrix-vector product of
+    the chain the recurrence shares, dihedral._step_chain.  Above it, it is
+    the recurrence's structured step: multiply in place by D to H_p, then
+    dihedral._add_orbit_sums at m = p - 1, whose alpha and beta are alpha_p
+    and beta_p, so that its first shift is phi[p].  B_0 ~ 0 by the orbit sum
+    rule, so A_1 ~ 0.  Non-finite phi is a range error.
     """
     if Pmax < 0:
         raise DomainError("truncation order must be nonnegative")
     P.require_regular()
-    n, g = P.n, P.gamma
     with np.errstate(over="ignore", invalid="ignore"):
-        if n <= DENSE_MAX_N:
-            u = _phi_dense(g, orbit, Pmax)
-        else:
-            powers = np.arange(1, Pmax + 1)[:, None]
-            rp = (orbit.rot_pairings[None, :] ** powers).sum(axis=1)
-            sp = (orbit.refl_pairings[None, :] ** powers).sum(axis=1)
-            pref = g / (2.0 * n)
-            rev = np.conj(np.stack([rp[::-1], sp[::-1]]))
-            uv = np.empty((2, Pmax + 1), dtype=complex)
-            u, v = uv
-            u[0] = v[0] = 2.0 * n / g
-            two_g = 2 * g
-            for p in range(1, Pmax + 1):
-                ru, sv = np.vecdot(rev[:, Pmax - p :], uv[:, :p]).tolist()
-                ru, sv = pref * ru, pref * sv
-                a0, a1 = (ru + sv) / p, (ru - sv) / (p + two_g)
-                u[p], v[p] = a0 - a1, a0 + a1
+        u = (_phi_dense if P.n <= DENSE_MAX_N else _phi_structured)(P.gamma, orbit, Pmax)
     if not np.isfinite(u).all():
         raise DomainError(
             f"the series coefficients overflow double precision before order {Pmax}",
@@ -115,6 +101,19 @@ def _phi_dense(g: complex, orbit: OrbitPairings, Pmax: int) -> np.ndarray:
         prev = states[-1]
         sums = np.dot(np.add.reduce(states.reshape(count, 2, n), axis=2), plus_minus)
         np.add.reduce(sums * table[m : m + count, 1:], axis=1, out=phi[m : m + count])
+    return phi
+
+
+def _phi_structured(g: complex, orbit: OrbitPairings, Pmax: int) -> np.ndarray:
+    """phi by the sums H_p, one structured step per order (see a_coeffs)."""
+    n = orbit.n
+    phi = np.full(Pmax + 1, 2.0 * n / g, dtype=complex)
+    state = np.full((2, n), 2.0 * n / g, dtype=complex)
+    diag, shift = orbit.big_diag.reshape(2, n), np.empty((2, 1), dtype=complex)
+    for p in range(1, Pmax + 1):
+        np.multiply(diag, state, out=state)
+        _add_orbit_sums(state, p - 1, g, shift)
+        phi[p] = shift[0, 0]
     return phi
 
 

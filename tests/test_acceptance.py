@@ -21,6 +21,7 @@ from definitions import (
     pairing,
     pairing_power,
 )
+from dunkl_dihedral import kernel
 from dunkl_dihedral.cli import EXIT_OK, main
 from dunkl_dihedral.dihedral import is_sigma_invariant, make_group, orbit_pairings
 from dunkl_dihedral.kernel import (
@@ -182,7 +183,7 @@ def test_criterion_7_differential_system_residual():
                 assert residual_check(P, orbit, A, radius * np.exp(1j * theta)) <= 1e-8
 
 
-def test_criterion_8_integral_representation():
+def test_criterion_8_integral_representation(monkeypatch):
     with criterion("8 (integral representation)", limit=60.0):
         rng = np.random.default_rng(1008)
         # delta*a capped per the documented conditioning limit of the contour
@@ -205,13 +206,17 @@ def test_criterion_8_integral_representation():
         s = ek_series(G, P, x, y, 1e-12)
         i = ek_integral(G, P, x, y, 1e-8)
         assert rel_err(s.value, i.value) <= 1e-6
-        # stability under contour-radius perturbation
+        # stability under contour-radius perturbation: 0.75 and 1.25 times
+        # the radius, which stays at most 0.625/a, inside a rho < 1
+        radius = kernel.contour_radius
         for _ in range(3):
             inst = draw_instance(rng, positive_gamma=True, delta_a_cap=3.0)
             G, P = inst.group(), inst.parameter()
-            lo = ek_integral(G, P, inst.x, inst.y, 1e-9, rho_scale=0.75)
-            hi = ek_integral(G, P, inst.x, inst.y, 1e-9, rho_scale=1.25)
-            assert rel_err(lo.value, hi.value) <= 1e-8
+            values = []
+            for scale in (0.75, 1.25):
+                monkeypatch.setattr(kernel, "contour_radius", lambda a, C: scale * radius(a, C))
+                values.append(ek_integral(G, P, inst.x, inst.y, 1e-9).value)
+            assert rel_err(*values) <= 1e-8
 
 
 def test_criterion_9_growth_bounds():

@@ -70,9 +70,10 @@ DIGESTS = {
         "e9ea6d23ac92cf6934969147522c6bf17e90aff547f9540665c51607468ec12a",
     f"phi {_POINT} --y=0.5,0.8 --pmax 40":
         "3932cde866876eb400822adb7e77f44354439db81700c89d1daff66aba77691e",
-    # above a_coeffs' dense crossover: the vecdot loop, bit for bit
+    # above a_coeffs' dense crossover: the structured orbit-sum step, bit for
+    # bit; within 1.8e-16 of max|phi| of a 50-digit convolution recursion
     "phi --n 24 --k=0.4,0.2 --x=0.9,0.3 --y=0.5,0.8 --pmax 60":
-        "bed91c1ec45e980c4f5ddbf2b79e8f556ed6f2277d8ac0387442995648966008",
+        "546f50a9a84483eccb4b60262a1c473dc5ff89331c9cb1bb2a6dcff2e72ac380",
     f"bounds {_POINT} --y=0.5,0.8 --m-max 30":
         "11e45e833ccc48cc7f94e5b7d7ba4dafd87166e7e62239014796d37354c9946e",
 }

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import eval_q, rel_err, residual_check
 from definitions import _a_coeffs_by_loop, _recur_by_loop, g_values, phi_sigma_invariant
-from dunkl_dihedral.dihedral import BLOCK_ENTRIES, make_group, orbit_pairings
+from dunkl_dihedral.dihedral import BLOCK_ENTRIES, MAX_N, make_group, orbit_pairings
 from dunkl_dihedral.errors import DomainError
 from dunkl_dihedral.kernel import delta_effective
 from dunkl_dihedral.polyalg import ParameterK, factorial_table, pochhammer_table
@@ -196,6 +196,8 @@ _FIRST_BLOCK = BLOCK_ENTRIES // (2 * DENSE_MAX_N) ** 2
         pytest.param(60, (DENSE_MAX_N,), id="60-at-crossover"),
         pytest.param(60, (DENSE_MAX_N + 1,), id="60-above-crossover"),
         pytest.param(_FIRST_BLOCK + 5, (DENSE_MAX_N,), id="past-first-block"),
+        pytest.param(60, (100,), id="60-at-n-100"),
+        pytest.param(60, (1000,), id="60-at-n-1000"),
     ],
 )
 def test_a_coeffs_matches_the_double_loop(order, n_choices, rng):
@@ -227,8 +229,8 @@ def test_a_coeffs_prefix_does_not_depend_on_the_order(n, rng):
 def test_a_coeffs_memory_is_bounded_at_the_crossover():
     # 2^14 orders at n = DENSE_MAX_N: the dense step matrices come in blocks
     # of at most BLOCK_ENTRIES entries.  The bound is the peak of this call
-    # when every n took the per-order vecdot loop, which holds all the power
-    # sums at once: 3,278,781 bytes (numpy 2.4).
+    # when every n took a per-order loop over a power-sum table of all the
+    # orders at once: 3,278,781 bytes (numpy 2.4).
     n = DENSE_MAX_N
     P = ParameterK(0.4 + 0.2j, n)
     orbit = orbit_pairings(make_group(n), np.array([0.9, 0.3]), np.array([0.5, 0.8]))
@@ -240,6 +242,22 @@ def test_a_coeffs_memory_is_bounded_at_the_crossover():
         tracemalloc.stop()
     assert S.order == 1 << 14
     assert peak <= 3_278_781
+
+
+def test_a_coeffs_memory_is_bounded_at_the_largest_n():
+    # 500 orders at n = MAX_N: the structured step holds one (2, n) state;
+    # a power-sum table of every order at once peaked at 76.4 MiB here
+    n = MAX_N
+    P = ParameterK(0.4 + 0.2j, n)
+    orbit = orbit_pairings(make_group(n), np.array([0.9, 0.3]), np.array([0.5, 0.8]))
+    tracemalloc.start()
+    try:
+        S = a_coeffs(P, orbit, 500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert S.order == 500
+    assert peak < 2 * 2**20
 
 
 def test_a_coeffs_caches_small_coefficient_tables_only():

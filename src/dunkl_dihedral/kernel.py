@@ -43,8 +43,8 @@ _MAX_ORDER = 1 << 16
 _BOUND_SUM_TERMS = 5001
 # States past the a-priori term count in certified_terms' first block.
 _FIRST_BLOCK_MARGIN = 2
-# Orders l < 20 of the endpoint series, and l!.
-_ENDPOINT_ORDERS = np.arange(20)
+# Orders l < 24 of the endpoint series, and l!.
+_ENDPOINT_ORDERS = np.arange(24)
 _ENDPOINT_FACTORIALS = np.cumprod(np.maximum(_ENDPOINT_ORDERS, 1))
 
 
@@ -348,8 +348,8 @@ def _circle_tables(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     0..N//2, root N/2 of an even N stored as exactly -1 (e^(i pi) rounds to
     -1 + 1.2e-16i), followed by the conjugates of roots (N-1)//2..1 as nodes
     N//2+1..N-1, so node N-j is the exact conjugate of node j for every j;
-    cos(2 pi j/N) for j < N; and the endpoint powers w^(-j l), l < 20, as an
-    (N, 20) table read from the conjugated circle at j l mod N, so row N-j is
+    cos(2 pi j/N) for j < N; and the endpoint powers w^(-j l), l < 24, as an
+    (N, 24) table read from the conjugated circle at j l mod N, so row N-j is
     the exact conjugate of row j.  Read-only, since the cache shares them."""
     roots = np.exp(2j * np.pi * np.arange(N // 2 + 1) / N)
     if N % 2 == 0:
@@ -445,9 +445,9 @@ def _log_panels(lo: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
     equal panels of [lo, 0], panel by panel, followed by those of the
     8-point rule on the same panels: over the cached layout, the midpoint
     lo + half (2i+1) of panel i plus half times the base node, half being
-    the panels' half-width."""
+    the panels' half-width.  No panels give no nodes."""
     odd, base_x, base_w = _panel_layout(panels)
-    half = -lo / (2 * panels)
+    half = -lo / (2 * panels) if panels else 0.0
     return (lo + half * odd) + half * base_x, half * base_w
 
 
@@ -462,9 +462,9 @@ def _embedded_half(pref: np.ndarray) -> np.ndarray:
 
 
 def _endpoint_coefficients(gamma: complex, s0: float) -> np.ndarray:
-    """coef_l = s0^gamma / (l! (gamma+l)), l < 20: the integral of s^(gamma-1) e^(-s/z) over
-    [0, s0] is sum_l coef_l (-s0/z)^l.  On the contour |s0/z| <= 1/2, so the terms fall like
-    2^-l / l!, and the tail after 20 lies below 2^-80 of the first term's scale."""
+    """coef_l = s0^gamma / (l! (gamma+l)), l < 24: the integral of s^(gamma-1) e^(-s/z) over
+    [0, s0] is sum_l coef_l (-s0/z)^l.  On the contour |s0/z| <= 1, so the terms fall like
+    1/l!, and the tail after 24 lies below 2^-78 of the first term's scale."""
     return s0**gamma / (_ENDPOINT_FACTORIALS * (gamma + _ENDPOINT_ORDERS))
 
 
@@ -497,13 +497,14 @@ def ek_integral(
     e^(sqrt(C a)), where the radius 1/(2 delta a), delta >= C, gave e^(2
     delta a).  A radius that underflows to 0 is a convergence error.
 
-    The integral is split at s0 = min(1, rho/2), rho the contour radius.  On
-    [0, s0], K(1-s) = sum_j pref_j e^(1/z_j) e^(-s/z_j) is integrated term by
-    term (_endpoint_coefficients): at node z_j = rho w^j the series is
-    sum_l coef_l (-s0/rho)^l w^(-j l), one product with the endpoint powers
-    of _circle_tables.  On [s0, 1], s = e^v leaves the smooth
-    e^(gamma v) K(1 - e^v), integrated by 16-point Gauss-Legendre on
-    max(1, ceil(-log s0)) * splits equal panels of [log s0, 0].
+    The integral is split at s0 = min(1, rho), rho the contour radius, so
+    that |s0/z| <= 1 on the contour.  On [0, s0], K(1-s) = sum_j pref_j
+    e^(1/z_j) e^(-s/z_j) is integrated term by term (_endpoint_coefficients):
+    at node z_j = rho w^j the series is sum_l coef_l (-s0/rho)^l w^(-j l),
+    one product with the endpoint powers of _circle_tables.  On [s0, 1],
+    s = e^v leaves the smooth e^(gamma v) K(1 - e^v), integrated by 16-point
+    Gauss-Legendre on ceil(-log s0) * splits equal panels of [log s0, 0],
+    none where s0 = 1.  A pass whose time weights all underflow is refused.
 
     Truncation: an error e in Phi on |z| = rho moves each contour weight's
     share of K(t), t in [0, 1], by at most (|gamma|^2/2n) e e^(1/rho) /
@@ -566,7 +567,7 @@ def ek_integral(
             f"the contour weights' factor gamma^2/2n = e^{log_weight:.6g} is past the double range",
             code="range-error",
         )
-    s0 = min(1.0, 0.5 * rho)
+    s0 = min(1.0, rho)
     # the endpoint series' terms at z = rho: coef_l (-s0/rho)^l
     end_terms = _endpoint_coefficients(g, s0) * (-s0 / rho) ** _ENDPOINT_ORDERS
     end_mass = float(np.add.reduce(np.abs(end_terms)))
@@ -577,10 +578,15 @@ def ek_integral(
     S = series_for_radius(P, orbit, rho, truncation, log_amp)
 
     def one_pass(N: int, splits: int) -> tuple[complex, float, float]:
-        panels = max(1, math.ceil(-math.log(s0))) * splits
+        panels = math.ceil(-math.log(s0)) * splits  # none where s0 = 1
         v, w = _log_panels(math.log(s0), panels)
         t = 1.0 - np.exp(v)
         body_weights = w * np.exp(g * v)
+        if end_mass == 0.0 and not body_weights.any():
+            raise ConvergenceError(
+                f"every time weight of the contour pass underflows to 0 (s0^gamma = 0 at s0 = "
+                f"{s0:.6g}, gamma = {g:.6g}), against a mass of {mass:.3g}; use the series route"
+            )
         n16 = 16 * panels
         weight, weight8 = body_weights[:n16], body_weights[n16:]
         inv, pref = _contour_rule(P, orbit, S, rho, N)

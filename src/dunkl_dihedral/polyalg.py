@@ -415,8 +415,8 @@ def _oracle_chunk(
     a stack.  The members whose lists _vk_build starts from V_0 come first,
     and their E_m are read from the stack it yields, in the same degree
     loop.  A member whose list was cached, or that shares another's, is
-    read from its list after the loop, by np.dot, which calls the same BLAS
-    routines as @ at less cost per call.  The table is divided by the
+    read from its list after the loop, by ndarray.dot, which calls the same
+    BLAS routines as @ at less cost per call.  The table is divided by the
     factorials once."""
     if M == 0:
         return [np.ones(1, dtype=complex) for _ in members]
@@ -444,7 +444,7 @@ def _oracle_chunk(
         for r in range(cold, B):
             mats, y, x, row = lists[order[r]], ys[r], xs[r], table[r]
             for m in range(1, M + 1):
-                row[m] = np.dot(np.dot(mats[m], y[m, : m + 1]), x[m, : m + 1])
+                row[m] = mats[m].dot(y[m, : m + 1]).dot(x[m, : m + 1])
         table /= factorial_table(M)
     tables = [None] * B
     for r, i in enumerate(order):

@@ -146,10 +146,11 @@ def em_sequence(
     G: DihedralGroup, P: ParameterK, x: PlanePoint, y: PlanePoint, M: int
 ) -> np.ndarray:
     """Components E_0 .. E_M at (x, y) as a complex array: entry 0 of the
-    first M+1 scaled states."""
+    first M+1 scaled states.  Each block's column is copied out, so no view
+    keeps a read block alive and at most two blocks are held at once."""
     require_degree(M)
     P.require_regular()
     blocks = state_blocks(P, orbit_pairings(G, x, y), M + 1, M + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        table = np.concatenate([block[:, 0] for block in blocks])
+        table = np.concatenate([block[:, 0].copy() for block in blocks])
     return require_finite_table(table)

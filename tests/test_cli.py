@@ -407,15 +407,16 @@ def test_unsettled_contour_is_a_convergence_error_in_bounded_memory():
     # Im(gamma) = 5000 against Re(gamma) = 2: the weight e^(gamma v) turns
     # about 800 times per unit of v = log s, too fast for the panels, so the
     # doubling passes never settle and reach 8192 contour nodes, while
-    # 1/rho = 0.54 keeps the rounding floor far below the tolerance.  The
-    # last pass takes 2048 panel times (one unit panel, 128 splits of 16
+    # 1/rho = 1.43 keeps the rounding floor far below the tolerance.  The
+    # radius stays below 1, so the panels cover [log rho, 0], 0.36 wide.
+    # The last pass takes 2048 panel times (one panel, 128 splits of 16
     # points) against 4097 exponentiated nodes: a 2048 x 4097 matrix (134 MB),
     # built in blocks of at most 2^22 entries.
     limit = 3 << 30
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "dunkl_dihedral", "kernel", "--n", "3", "--k=0.66667,1666.7",
-         "--x", "1e-4,0", "--y", "0.5,0.3", "--method", "integral", "--tol", "1e-8"],
+         "--x", "4e-4,0", "--y", "0.5,0.3", "--method", "integral", "--tol", "1e-8"],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},
@@ -425,8 +426,33 @@ def test_unsettled_contour_is_a_convergence_error_in_bounded_memory():
     assert proc.returncode == EXIT_CONVERGENCE_ERROR
     assert proc.stdout == ""
     assert proc.stderr.startswith("error[convergence-error]: ")
-    assert "8192 contour nodes" in proc.stderr
+    assert "8192 contour nodes" in proc.stderr and "radius 0.700" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("x", ["1e-10,0", "1e-9,0"])
+def test_integral_whose_time_weights_all_underflow_is_refused(x, capsys):
+    # gamma = 2e20 and rho < 1: s0^gamma and e^(gamma v) at every panel node
+    # underflow to 0, so every sum of the pass is 0, where the kernel is 1
+    argv = ["kernel", "--n", "2", "--k", "1e20", f"--x={x}", f"--y={x}"]
+    code, out = run_cli([*argv, "--method", "integral"])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONVERGENCE_ERROR and out == ""
+    assert err.startswith("error[convergence-error]: every time weight of the contour pass")
+    assert "underflows to 0" in err and err.rstrip().endswith("use the series route")
+    code, out = run_cli([*argv, "--method", "series"])
+    assert code == EXIT_OK and float(parse_csv(out)[1][0][0]) == 1.0
+
+
+def test_integral_at_a_radius_past_one_takes_the_endpoint_series_alone():
+    # gamma = 2e20 and rho >= 1: s0 = 1, so s0^gamma = 1 and no panel is laid
+    code, out = run_cli(
+        ["kernel", "--n", "2", "--k", "1e20", "--x=4.5e-11,0", "--y=4.5e-11,0",
+         "--method", "integral"]
+    )
+    assert code == EXIT_OK
+    row = parse_csv(out)[1][0]
+    assert abs(float(row[0]) - 1.0) <= float(row[5]) <= 1e-15
 
 
 @pytest.mark.parametrize(

@@ -360,14 +360,14 @@ _ENDPOINT_GAMMAS = [0.002 - 0.79j, 1.0 + 2.0j, 3.0]
 @pytest.mark.parametrize("gamma", _ENDPOINT_GAMMAS)
 @pytest.mark.parametrize("s0", [0.05, 1.0])
 def test_endpoint_series_matches_quadrature(gamma, s0):
-    # int_0^s0 s^(gamma-1) e^(-s/z) ds at |z| = 2 s0, the contour's nearest
+    # int_0^s0 s^(gamma-1) e^(-s/z) ds at |z| = s0, the contour's nearest
     # approach.  The constant term s0^gamma / gamma is taken out in closed
     # form, since tanh-sinh does not resolve s^(gamma-1) at Re(gamma) = 0.002;
     # the rest, s^(gamma-1) (e^(-s/z) - 1), vanishes at 0 like s^gamma.
     mpmath = pytest.importorskip("mpmath")
     coef = _endpoint_coefficients(gamma, s0)
     for theta in 0.3 + np.arange(6) * np.pi / 3:
-        z = 2.0 * s0 * cmath.exp(1j * theta)
+        z = s0 * cmath.exp(1j * theta)
         ours = np.polynomial.polynomial.polyval(-s0 / z, coef)
         with mpmath.workdps(30):
             g, zz = mpmath.mpc(gamma), mpmath.mpc(z)
@@ -858,16 +858,16 @@ def test_unit_circle_node_n_minus_j_is_the_conjugate_of_node_j(N):
 
 @pytest.mark.parametrize("N", [8, 9, 64, 128, 8192])
 def test_endpoint_powers_are_the_node_powers_conjugate_symmetric(N):
-    # row j holds w^(-j l), l < 20, within rounding of the powers of the
+    # row j holds w^(-j l), l < 24, within rounding of the powers of the
     # reciprocal nodes; row N-j is the exact conjugate of row j, so real
     # endpoint terms give exactly conjugate-symmetric weights
     circle, _, table = kernel._circle_tables(N)
-    assert kernel._circle_tables(N)[2] is table and table.shape == (N, 20)
+    assert kernel._circle_tables(N)[2] is table and table.shape == (N, 24)
     inv = 1.0 / circle
-    np.testing.assert_allclose(table, np.vander(inv, 20, increasing=True), rtol=0, atol=2e-14)
+    np.testing.assert_allclose(table, np.vander(inv, 24, increasing=True), rtol=0, atol=2e-14)
     j = np.arange(1, N)
     assert np.array_equal(table[N - j], np.conj(table[j]))
-    terms = _endpoint_coefficients(1.5, 0.3) * (-0.5) ** np.arange(20)
+    terms = _endpoint_coefficients(1.5, 0.3) * (-1.0) ** np.arange(24)
     weights = table @ terms
     assert np.array_equal(weights[N - j], np.conj(weights[j]))
     with pytest.raises(ValueError):

@@ -49,25 +49,29 @@ DIGESTS = {
         "c208e1125c3b810a24062d25a8d076ab60ac4f705b1828371b9a0bd14692190d",
     f"kernel {_POINT} --y=0.5,0.8,0.1,-0.2 --method series --tol 1e-12":
         "e3beb4372a1218e104eb1d1db54effebb7fc7156b04c75dabcf871927c87bf09",
+    # one pass at 64 nodes on one panel; the values are within 6.9e-17 and
+    # 2.2e-16 of the series route's at tol 1e-15
     f"kernel {_POINT} --y=0.5,0.8 --method integral --tol 1e-8":
-        "59bb70f7f6057f504efaba27fb692c5490305ee818aaa18efbf4ba712d6fa4e7",
+        "d347b67ec4b2478bb67930cab0e545e767f8f03630f7b11e3af2829acdb8862b",
     f"kernel {_POINT} --y=0.5,0.8,0.1,-0.2 --method integral --tol 1e-8":
-        "5b222cfd1f948b0aaa19828f83d09a9f37c0a135854fb2aa7e24532eaf879c59",
+        "b2d92e54578422f1d14087c968b75281907e5685c47ac89215bd031ddefac6b1",
     "crosscheck --seed 5 --samples 10":
         "68fb8db7d9f9fbdb1bb4a540bdfd0bfad4ae60fe81c0a438f5a9f586f466e4d0",
     # V built past degree 12, fresh k per sample
     "crosscheck --seed 3 --samples 5 --m-max 40":
         "f4bb884a5b95836279c5da257e6475029adf2a004fde1028b55813322db45212",
-    # one contour pass at 64 nodes; the value is within 3.2e-18 of mpmath
+    # one contour pass at 64 nodes; the value is within 8.9e-16 (one unit in
+    # its last place) of mpmath
     "kernel --n 2 --k=0.5,0.0 --x=1.1466295248026057,0.0 --y=1.9023276203061634,-8.013109575481606"
     " --method integral --tol 1e-08":
-        "3fa18bbbb2eb0d781d31f6538a4ff59b9edc48ed8a12b0dadda7dfa84a57067a",
-    # the passes double from 64 to 128 nodes, and from 2 to 4 panels; the
-    # value is within 6.7e-16 of the series route's at tol 1e-15
+        "018bc04304154dc1f82849cf5d761e82cbacef115e71a46db9f72b9b711120ba",
+    # one pass at 64 nodes on 2 panels (split at rho/2 it took a second pass,
+    # at 128 nodes on 4); the value is within 4.5e-16 of the series route's
+    # at tol 1e-15
     "kernel --n 4 --k=1.2057506716904671,-0.032065047156279225"
     " --x=-0.5909027195420594,-0.66472316369768 --y=-0.9805216493835016,-0.2196947764694137"
     " --method integral --tol 1e-12":
-        "e9ea6d23ac92cf6934969147522c6bf17e90aff547f9540665c51607468ec12a",
+        "c4be344ea50af61fb9791b2f9cbb5a64f5351b1e06c1a1ba4074964d0acdeb23",
     f"phi {_POINT} --y=0.5,0.8 --pmax 40":
         "3932cde866876eb400822adb7e77f44354439db81700c89d1daff66aba77691e",
     # above a_coeffs' dense crossover: the structured orbit-sum step, bit for
@@ -96,8 +100,8 @@ def test_stdout_bytes_are_pinned(argv):
 # messages: an argument pair refused before any step (exit 3), a rounding
 # floor refused after the steps (exit 3), and a table that overflows at
 # degree 394 (exit 2).  Last, the integral route: a value after passes at
-# 128, 256 and 512 nodes (exit 0), and a first pass at 256 nodes refused on
-# its rounding floor (exit 3).
+# 128 and 256 nodes (exit 0), within 2.6e-16 of the series route's at tol
+# 1e-15, and a first pass at 256 nodes refused on its rounding floor (exit 3).
 _SERIES = "kernel --method series --tol 1e-12 --x=0.9,0.3"
 
 STEP_DIGESTS = {
@@ -118,11 +122,11 @@ STEP_DIGESTS = {
     "kernel --n 7 --k=1.3509600114058844,0.2756856902451935"
     " --x=-0.8243784300282244,-0.5995011452663237 --y=1.4942137815850476,-1.978938781737701"
     " --method integral --tol 1e-10":
-        "51ae9936570fd5135ca3ac44f8b082c59510fb5a99d4f711f6b5b1bae51c6b7d",
+        "d4c1944bd9397c75abd414a14a00d5626e65f1111accfd614830a1c646d3a4e1",
     "kernel --n 3 --k=0.010519366466382296,-0.8857667322455571"
     " --x=2.9243616335283944,1.069920419748926 --y=1.8237056735941843,3.661510084132381"
     " --method integral --tol 1e-10":
-        "bfe002d02dad62beab6b1cdb91b05f57956d35dd2108430fdd3abd18fa4c85d2",
+        "474c9f0875ae8a000ab6503822627c75affac315ae389b974e98c0035b9bb155",
 }
 
 
@@ -180,6 +184,19 @@ def test_kernel_series_bench_round_is_pinned(monkeypatch):
     ops = _workloads(monkeypatch).KernelSeries(1).round_ops(0)
     assert len(ops) == 171
     assert _ops_digest(ops) == KERNEL_SERIES_ROUND_DIGEST
+
+
+# One whole round of the kernel-integral workload at bench seed 1: 102 ops,
+# 6 (n, k) sets of 17 pairs, each in one 64-node pass; on the 70 ops with an
+# mpmath product reference (n = 2 or x on the mirror axis) the values are
+# within 8.9e-16 of max(1, |value|) of it.
+KERNEL_INTEGRAL_ROUND_DIGEST = "8f1b898cdc070322cc0ba30762871bb7fba5beb8a64c93e1911082faef369d04"
+
+
+def test_kernel_integral_bench_round_is_pinned(monkeypatch):
+    ops = _workloads(monkeypatch).KernelIntegral(1).round_ops(0)
+    assert len(ops) == 102
+    assert _ops_digest(ops) == KERNEL_INTEGRAL_ROUND_DIGEST
 
 
 # One whole round of the em-tables workload at bench seed 1: 112 degree-60

@@ -273,11 +273,11 @@ def test_integral_tail_covers_the_mpmath_error(n, k, x, y, reference):
     assert abs(res.value - ref) <= res.tail_estimate
 
 
-# This list's value is 16.7 and its floor 4.1e-10, near 0.3 tol |Q| =
-# 5.0e-10: its spread at 512 nodes, 6.3e-10, is rounding noise of that size.
+# This list's value is 12.3 and its floor 4.3e-10, above 0.3 tol |Q| =
+# 3.7e-10: its spread at 512 nodes, 5.2e-10, is rounding noise of that size.
 # The pass stops there, the spread being within tol |Q|, instead of doubling
-# until the noise falls under 0.3 tol |Q|; with tol below spread/|Q| = 3.8e-11
-# it refuses at the same pass.
+# until the noise falls under 0.3 tol |Q|; with tol below spread/|Q| = 4.2e-11
+# (and above floor/|Q| = 3.5e-11) it refuses at the same pass.
 def test_integral_stops_on_a_spread_of_rounding_noise(monkeypatch, reference):
     passes, rule = [], kernel._contour_rule
 
@@ -286,8 +286,8 @@ def test_integral_stops_on_a_spread_of_rounding_noise(monkeypatch, reference):
         return rule(*args)
 
     monkeypatch.setattr(kernel, "_contour_rule", counted_rule)
-    k = 0.017057307608776474 + 0.12975450243040876j
-    x, y = (-2.842221052426904, 0.9755829615543616), (2.8903749713437596, -0.6581959461184876)
+    k = 0.039317897181912656 + 0.2263565217141167j
+    x, y = (2.209531117074527, -2.8657475213573553), (-0.6030432868946449, 2.611719183198664)
     G, P = make_group(2), ParameterK(k, 2)
     res = ek_integral(G, P, x, y, 1e-10)
     assert passes == [256, 512] and res.nodes_used == 512
@@ -295,8 +295,19 @@ def test_integral_stops_on_a_spread_of_rounding_noise(monkeypatch, reference):
     assert abs(res.value - ref) <= res.tail_estimate <= 1e-10 * abs(ref)
     passes.clear()
     with pytest.raises(ConvergenceError, match="rounding floor .* explains its spread"):
-        ek_integral(G, P, x, y, 3.7e-11)
+        ek_integral(G, P, x, y, 3.9e-11)
     assert passes == [256, 512]
+
+
+# Im(gamma) = 5000 against Re(gamma) = 2 at 1/rho = 0.54: the radius passes
+# 1, so the endpoint series covers all of [0, 1], no panel is laid, and one
+# 64-node pass settles.  Split at rho/2 instead, the panels could not follow
+# the weight e^(gamma v) within 8192 nodes.
+def test_integral_without_panels_matches_mpmath(reference):
+    k, x, y = 0.66667 + 1666.7j, (1e-4, 0.0), (0.5, 0.3)
+    res = ek_integral(make_group(3), ParameterK(k, 3), x, y, 1e-8)
+    assert res.nodes_used == 64
+    assert abs(res.value - reference.mirror_kernel(3, k, x, y)) <= res.tail_estimate <= 1e-15
 
 
 # Off the mirror axis.  At the radius 1/(2 delta a) the route stopped at 128
@@ -324,8 +335,8 @@ def test_series_tail_covers_the_mpmath_error_at_a_large_value(reference):
 
 
 # The integral route takes 8192 nodes here (at gamma = 120 the passes double
-# the nodes with the panels) and reports a tail of 4.0e-15 against an error
-# of 1.07e-14 (2.7 times the tail): its floor leaves out how summation error
+# the nodes with the panels) and reports a tail of 1.42e-14 against an error
+# of 1.67e-14 (1.17 times the tail): its floor leaves out how summation error
 # grows with the number of terms.
 @pytest.mark.xfail(strict=True, reason="the integral tail estimate is below its error here")
 def test_integral_tail_covers_the_mpmath_error_at_many_nodes(reference):
